@@ -253,20 +253,6 @@ def cmd_train(cfg):
     return 0
 
 
-def _enumerable_log_z(top, budget):
-    side = top.n_hidden if top.variant != models.SRBM else top.n_visible
-    if top.variant == models.RBM:
-        side = min(top.n_visible, top.n_hidden)
-    return 2 ** side <= budget
-
-
-def _interface_data(stack, layer_index, samples, rng):
-    current = samples
-    for layer in stack.layers[:layer_index]:
-        current = layer.sample_hidden(current, rng)
-    return np.atleast_2d(current)
-
-
 def _eval_baseline(cfg, model, dataset, out, started, sweep_x):
     log_values = model.log_density(dataset.samples)
     d = dataset.dim
@@ -329,7 +315,7 @@ def cmd_eval(cfg, threads):
     stream = RngStream(cfg.seed)
 
     # top partition function
-    exact_z_possible = _enumerable_log_z(stack.top, budget)
+    exact_z_possible = 2 ** models.enumeration_bits(stack.top) <= budget
     ais_meta = {"n_betas": ais_cfg["n_betas"], "schedule": "linear", "exact_z": False}
     if mode == "on" and not exact_z_possible:
         raise ConfigError("estimator.exact=on but the top layer is not enumerable")
@@ -339,9 +325,8 @@ def cmd_eval(cfg, threads):
         )
         ais_meta["exact_z"] = True
     else:
-        top_data = _interface_data(
-            stack, stack.n_layers - 1, dataset.samples, stream.substream(31, 0)
-        )
+        top_data = ([dataset.samples] + dbn.feed_forward_sample(
+            stack, dataset.samples, stream.substream(31, 0)))[-1]
         base = estimation.fit_base_model(stack.top, top_data)
         chains = ais_cfg["chains_top"] if stack.n_layers > 1 else ais_cfg["chains_first"]
         schedule = estimation.AisSchedule(
@@ -362,7 +347,8 @@ def cmd_eval(cfg, threads):
         provider = estimation.AnalyticMarginals(stack)
     else:
         enumerable = all(
-            2 ** stack.layers[i].n_visible <= budget for i in interior_srbm
+            2 ** models.enumeration_bits(stack.layers[i]) <= budget
+            for i in interior_srbm
         )
         use_exact = marg_mode == "exact" or (marg_mode == "auto" and enumerable)
         if use_exact:
@@ -375,9 +361,8 @@ def cmd_eval(cfg, threads):
             runs = {}
             for i in interior_srbm:
                 layer = stack.layers[i]
-                iface = _interface_data(
-                    stack, i, dataset.samples, stream.substream(31, 1 + i)
-                )
+                iface = ([dataset.samples] + dbn.feed_forward_sample(
+                    stack, dataset.samples, stream.substream(31, 1 + i)))[i]
                 base = estimation.fit_base_model(layer, iface)
                 schedule = estimation.AisSchedule(
                     estimation.linear_betas(ais_cfg["n_betas"]),
@@ -439,6 +424,20 @@ def cmd_eval(cfg, threads):
     return 0
 
 
+def _load_report(path):
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise PipelineError(f"cannot read report {path}: {exc}") from exc
+    if not isinstance(report, dict):
+        raise PipelineError(f"report {path} is not a JSON object")
+    for key, kind in (("label", str), ("dim", int), ("bits_per_component", (int, float))):
+        if not isinstance(report.get(key), kind):
+            raise PipelineError(f"report {path} lacks a valid {key!r}")
+    return report
+
+
 def cmd_compare(cfg):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -447,10 +446,7 @@ def cmd_compare(cfg):
     paths = sorted(p for pattern in patterns for p in glob.glob(pattern))
     if len(paths) < 2:
         raise ConfigError("comparison needs at least two evaluation reports")
-    reports = []
-    for path in paths:
-        with open(path) as fh:
-            reports.append(json.load(fh))
+    reports = [_load_report(path) for path in paths]
     dims = {r["dim"] for r in reports}
     if len(dims) > 1:
         raise ConfigError(f"mixed dimensionalities in reports: {sorted(dims)}")
@@ -528,9 +524,14 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    env_threads = os.environ.get("DBNKIT_THREADS")
-    default_threads = int(env_threads) if env_threads else 1
     try:
+        env_threads = os.environ.get("DBNKIT_THREADS") or "1"
+        try:
+            default_threads = int(env_threads)
+        except ValueError:
+            raise ConfigError(
+                f"DBNKIT_THREADS must be an integer, not {env_threads!r}"
+            ) from None
         if args.command == "oracle":
             return cmd_oracle(args.filter)
         cfg = ExperimentConfig.load(

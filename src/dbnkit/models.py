@@ -397,25 +397,28 @@ def initialize_layer(variant, n_visible, n_hidden, rng, sigma=None, weight_scale
     raise ModelError(f"unknown variant {variant!r}")
 
 
-def brute_force_log_partition(model, budget=DEFAULT_ENUM_BUDGET):
-    """Exact log Z by enumerating the cheaper analytic marginal.
+def enumeration_bits(model):
+    """Number of binary units k whose 2^k states exact log Z enumerates.
 
-    Gaussian-visible models always enumerate the hidden side;
-    lateral-connected models always enumerate the visible side.
+    Gaussian-visible models enumerate the hidden side, lateral-connected
+    models the visible side, binary RBMs the smaller side (hidden on a tie).
     """
     if model.variant == GRBM:
-        side, k = "hidden", model.n_hidden
-    elif model.variant == SRBM:
-        side, k = "visible", model.n_visible
-    else:
-        side, k = (
-            ("hidden", model.n_hidden)
-            if model.n_hidden <= model.n_visible
-            else ("visible", model.n_visible)
-        )
+        return model.n_hidden
+    if model.variant == SRBM:
+        return model.n_visible
+    return min(model.n_visible, model.n_hidden)
+
+
+def brute_force_log_partition(model, budget=DEFAULT_ENUM_BUDGET):
+    """Exact log Z by enumerating the cheaper analytic marginal."""
+    k = enumeration_bits(model)
     _check_budget(k, budget, "partition function")
+    if model.variant != SRBM and k == model.n_hidden:
+        fn = model.log_unnorm_hidden
+    else:
+        fn = model.log_unnorm_visible
     chunks = []
-    fn = model.log_unnorm_hidden if side == "hidden" else model.log_unnorm_visible
     for start in range(0, 2 ** k, _ENUM_CHUNK):
         states = binary_chunk(start, min(start + _ENUM_CHUNK, 2 ** k), k)
         chunks.append(log_sum_exp(fn(states)))

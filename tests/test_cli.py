@@ -290,6 +290,45 @@ def test_compare_mixed_dimensions_rejected(workspace, tmp_path):
     assert cli.main(["compare", "--config", cfg]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ('{"label": "a", "dim": 4, "bits_per', "cannot read report"),
+        ('{"dim": 4, "bits_per_component": 1.0}', "lacks a valid 'label'"),
+        ('{"label": "b", "dim": 4, "bits_per_component": "x"}',
+         "lacks a valid 'bits_per_component'"),
+    ],
+    ids=["truncated", "missing_label", "text_bits"],
+)
+def test_compare_bad_report_is_data_error(workspace, tmp_path, capsys, text, needle):
+    (tmp_path / "a.json").write_text(
+        canonical_json({"label": "a", "dim": 4, "bits_per_component": 1.0})
+    )
+    bad = tmp_path / "b.json"
+    bad.write_text(text)
+    cfg = write_config(
+        workspace / "cmp.ini",
+        f"""
+        [experiment]
+        out_dir = {workspace / 'cmp'}
+
+        [compare]
+        reports = {tmp_path / '*.json'}
+        """,
+    )
+    assert cli.main(["compare", "--config", cfg]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and needle in err and str(bad) in err
+
+
+def test_bad_thread_env_is_config_error(workspace, monkeypatch, capsys):
+    monkeypatch.setenv("DBNKIT_THREADS", "abc")
+    cfg = preprocess_config(workspace)
+    assert cli.main(["preprocess", "--config", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: DBNKIT_THREADS")
+    assert not (workspace / "data").exists()
+
+
 def test_compare_emits_sweep_series(workspace, tmp_path):
     for i, x in enumerate([100, 1000, 10000]):
         (tmp_path / f"s{i}.json").write_text(
@@ -387,15 +426,6 @@ def test_train_divergence_exit_code(workspace):
         """,
     )
     assert cli.main(["train", "--config", cfg]) == cli.EXIT_DIVERGED
-
-
-def test_numpy_backend_end_to_end(workspace, monkeypatch):
-    monkeypatch.setenv("DBNKIT_BACKEND", "numpy")
-    cli.main(["preprocess", "--config", preprocess_config(workspace)])
-    cli.main(["train", "--config", train_config(workspace)])
-    assert cli.main(["eval", "--config", eval_config(workspace)]) == 0
-    report = json.loads((workspace / "evalout" / "report.json").read_text())
-    assert abs(report["bits_per_component"] - report["brute_force_bits"]) < 0.1
 
 
 def test_eval_single_layer_with_ais_partition(workspace):

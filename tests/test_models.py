@@ -287,6 +287,18 @@ def test_partition_budget():
         brute_force_log_partition(model, budget=2 ** 10)
 
 
+@pytest.mark.parametrize(
+    "variant,m,n,bits",
+    [("rbm", 5, 3, 3), ("rbm", 3, 5, 3), ("grbm", 3, 5, 5), ("srbm", 5, 3, 5)],
+)
+def test_enumeration_bits_is_the_partition_budget_rule(variant, m, n, bits):
+    model = initialize_layer(variant, m, n, RngStream(18).generator(), sigma=0.7)
+    assert models.enumeration_bits(model) == bits
+    brute_force_log_partition(model, budget=2 ** bits)
+    with pytest.raises(EnumerationBudgetError):
+        brute_force_log_partition(model, budget=2 ** bits - 1)
+
+
 def test_srbm_hidden_marginal_brute_force():
     rng = RngStream(17).generator()
     model = random_srbm(rng, m=4, n=3)
