@@ -28,6 +28,7 @@ from .estimation import (
     estimate_lower_bound,
     estimate_potential_log_loss,
     estimate_unnorm_marginal,
+    evaluate_stack,
     run_ais,
 )
 from .training import (

@@ -128,11 +128,6 @@ def _check_simplex(weights, k):
         raise BaselineError("mixing weights must be positive and sum to one")
 
 
-def log_density(model, x):
-    """Exact log density in nats for any of the baseline models."""
-    return model.log_density(x)
-
-
 def average_log_loss_bits(model, data):
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     return float(np.mean(-model.log_density(data) / LOG2) / data.shape[1])

@@ -24,7 +24,7 @@ from . import training
 from .config import ConfigError, ExperimentConfig
 from .estimation import EstimationError
 from .models import EnumerationBudgetError
-from .numerics import LOG2, LogEstimate, RngStream
+from .numerics import LOG2, RngStream
 from .pipeline import PipelineError
 from .storage import StorageError, canonical_json
 from .training import LayerSpec, TrainingDiverged
@@ -35,7 +35,10 @@ EXIT_DIVERGED = 4
 EXIT_ESTIMATION = 5
 
 
-def _sig7(x):
+def _sig7(name, x):
+    """``x`` to 7 significant digits; a report cannot hold a non-finite one."""
+    if not np.isfinite(x):
+        raise EstimationError(f"{name} is not finite ({x})")
     return float(f"{x:.7g}")
 
 
@@ -253,28 +256,30 @@ def cmd_train(cfg):
     return 0
 
 
-def _eval_baseline(cfg, model, dataset, out, started, sweep_x):
-    log_values = model.log_density(dataset.samples)
-    d = dataset.dim
-    bits = float(np.mean(-log_values / LOG2) / d)
+def _write_report(cfg, section, dataset, out, started, log_values, fields, kind):
+    """Write report.json, with ``fields`` added to the shared header, and its sidecar."""
     report = {
         "tool_version": __version__,
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "label": cfg.label,
-        "dim": d,
+        "dim": dataset.dim,
         "n_samples": dataset.n_samples,
-        "bits_per_component": _sig7(bits),
-        "se_path_bits": 0.0,
-        "exact_density": True,
-        "per_sample_log2": [float(v / LOG2) for v in log_values],
+        "bits_per_component": _sig7(
+            "bits_per_component", float(np.mean(-log_values / LOG2) / dataset.dim)
+        ),
+        "per_sample_log2": [float(v / LOG2) if np.isfinite(v) else None for v in log_values],
         "timing": "report.meta.json",
+        **fields,
     }
-    if sweep_x is not None:
-        report["sweep_x"] = sweep_x
+    if "sweep_x" in section:
+        report["sweep_x"] = section["sweep_x"]
     _write_json(out / "report.json", report)
     _write_meta(out / "report.meta.json", time.perf_counter() - started)
-    print(f"exact log-loss: {report['bits_per_component']} bits/component")
+    line = f"{kind} log-loss: {report['bits_per_component']} bits/component"
+    if "brute_force_bits" in report:
+        line += f" (true {report['brute_force_bits']})"
+    print(line)
     return 0
 
 
@@ -299,8 +304,10 @@ def cmd_eval(cfg, threads):
             raise ConfigError(f"cannot load model {section['model']!r}: {exc}") from exc
         if dataset.dim != model.dim:
             raise ConfigError("dataset dimension does not match the model")
-        return _eval_baseline(cfg, model, dataset, out, started,
-                              section.get("sweep_x"))
+        return _write_report(
+            cfg, section, dataset, out, started, model.log_density(dataset.samples),
+            {"se_path_bits": 0.0, "exact_density": True}, "exact",
+        )
     try:
         stack = dbn.load_dbn(model_path)
     except (dbn.DbnError, StorageError, OSError, KeyError, ValueError) as exc:
@@ -309,119 +316,32 @@ def cmd_eval(cfg, threads):
         raise ConfigError("dataset dimension does not match the model")
 
     est = cfg.values["estimator"]
-    ais_cfg = cfg.values["ais"]
-    budget = est["enum_budget"]
-    mode = est["exact"]
-    stream = RngStream(cfg.seed)
-
-    # top partition function
-    exact_z_possible = 2 ** models.enumeration_bits(stack.top) <= budget
-    ais_meta = {"n_betas": ais_cfg["n_betas"], "schedule": "linear", "exact_z": False}
-    if mode == "on" and not exact_z_possible:
-        raise ConfigError("estimator.exact=on but the top layer is not enumerable")
-    if mode in ("on", "auto") and exact_z_possible:
-        log_z_top = LogEstimate(
-            models.brute_force_log_partition(stack.top, budget=budget), 0.0, 1
+    try:
+        result = estimation.evaluate_stack(
+            stack, dataset.samples, n_is=est["n_is"], exact=est["exact"],
+            marginals=est["marginals"], budget=est["enum_budget"], seed=cfg.seed,
+            threads=threads, **cfg.values["ais"],
         )
-        ais_meta["exact_z"] = True
-    else:
-        top_data = ([dataset.samples] + dbn.feed_forward_sample(
-            stack, dataset.samples, stream.substream(31, 0)))[-1]
-        base = estimation.fit_base_model(stack.top, top_data)
-        chains = ais_cfg["chains_top"] if stack.n_layers > 1 else ais_cfg["chains_first"]
-        schedule = estimation.AisSchedule(
-            estimation.linear_betas(ais_cfg["n_betas"]), chains, base
-        )
-        run = estimation.run_ais(stack.top, schedule, RngStream(cfg.seed, 41), threads=threads)
-        log_z_top = run.log_z_estimate
-        ais_meta["chains_top"] = chains
-
-    # interface marginal provider
-    interior_srbm = [
-        i
-        for i in range(stack.n_layers - 1)
-        if stack.layers[i].variant == models.SRBM
-    ]
-    marg_mode = est["marginals"]
-    if not interior_srbm:
-        provider = estimation.AnalyticMarginals(stack)
-    else:
-        enumerable = all(
-            2 ** models.enumeration_bits(stack.layers[i]) <= budget
-            for i in interior_srbm
-        )
-        use_exact = marg_mode == "exact" or (marg_mode == "auto" and enumerable)
-        if use_exact:
-            if not enumerable:
-                raise ConfigError("estimator.marginals=exact but a lateral layer "
-                                  "is not enumerable")
-            provider = estimation.ExactMarginals(stack, budget=budget)
-            ais_meta["marginals"] = "exact"
-        else:
-            runs = {}
-            for i in interior_srbm:
-                layer = stack.layers[i]
-                iface = ([dataset.samples] + dbn.feed_forward_sample(
-                    stack, dataset.samples, stream.substream(31, 1 + i)))[i]
-                base = estimation.fit_base_model(layer, iface)
-                schedule = estimation.AisSchedule(
-                    estimation.linear_betas(ais_cfg["n_betas"]),
-                    ais_cfg["chains_interface"],
-                    base,
-                )
-                runs[i] = estimation.run_ais(
-                    layer, schedule, RngStream(cfg.seed, 42 + i), threads=threads
-                )
-            provider = estimation.AisMarginals(stack, runs)
-            ais_meta["marginals"] = "ais"
-            ais_meta["chains_interface"] = ais_cfg["chains_interface"]
-
-    estimates = estimation.estimate_dataset_log_likelihood(
-        stack, dataset.samples, est["n_is"], provider, log_z_top, RngStream(cfg.seed, 33)
-    )
-    log_values = np.array([e.log_value for e in estimates])
-    ses = np.array([e.standard_error for e in estimates])
-    d = dataset.dim
-    n = dataset.n_samples
-    bits = float(np.mean(-log_values / LOG2) / d)
-    se_path_bits = float(np.sqrt(np.sum(ses ** 2)) / n / (LOG2 * d))
-    if isinstance(provider, estimation.AisMarginals):
-        ais_meta["marginal_se_mean"] = _sig7(provider.mean_standard_error())
-
-    report = {
-        "tool_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "label": cfg.label,
-        "dim": d,
-        "n_samples": n,
+    except EnumerationBudgetError as exc:
+        raise ConfigError(str(exc)) from exc
+    d, n = dataset.dim, dataset.n_samples
+    se_path_bits = float(np.sqrt(np.sum(result.standard_errors ** 2)) / n / (LOG2 * d))
+    fields = {
         "n_is": est["n_is"],
-        "bits_per_component": _sig7(bits),
-        "se_path_bits": _sig7(se_path_bits),
-        "log_z_top": _sig7(log_z_top.log_value),
-        "se_log_z": _sig7(log_z_top.standard_error),
-        "ais": ais_meta,
-        "per_sample_log2": [
-            float(v / LOG2) if np.isfinite(v) else None for v in log_values
-        ],
-        "timing": "report.meta.json",
+        "se_path_bits": _sig7("se_path_bits", se_path_bits),
+        "log_z_top": _sig7("log_z_top", result.log_z_top.log_value),
+        "se_log_z": _sig7("se_log_z", result.log_z_top.standard_error),
+        # the float entries (marginal_se_mean) are Monte Carlo summaries too
+        "ais": {k: _sig7(f"ais.{k}", v) if isinstance(v, float) else v
+                for k, v in result.ais.items()},
     }
-    if "sweep_x" in section:
-        report["sweep_x"] = section["sweep_x"]
-    if mode != "off":
-        try:
-            truth = dbn.brute_force_log_likelihood(stack, dataset.samples, budget=budget)
-            report["brute_force_bits"] = _sig7(float(np.mean(-truth / LOG2) / d))
-        except EnumerationBudgetError:
-            if mode == "on":
-                raise ConfigError("estimator.exact=on but the stack is not enumerable")
-    _write_json(out / "report.json", report)
-    _write_meta(out / "report.meta.json", time.perf_counter() - started)
-    line = f"estimated log-loss: {report['bits_per_component']} bits/component"
-    if "brute_force_bits" in report:
-        line += f" (true {report['brute_force_bits']})"
-    print(line)
-    return 0
+    if result.brute_force is not None:
+        fields["brute_force_bits"] = _sig7(
+            "brute_force_bits", float(np.mean(-result.brute_force / LOG2) / d)
+        )
+    return _write_report(
+        cfg, section, dataset, out, started, result.log_values, fields, "estimated"
+    )
 
 
 def _load_report(path):

@@ -55,13 +55,11 @@ _SCHEMA = {
     },
     "data": {
         "train": _str,
-        "test": _str,
     },
     "preprocess": {
         "source": _str,  # "images" or "synthetic"
         "images": _str,
         "patch_size": _int,
-        "n_patches": _int,
         "pairs": _int,
         "n_train": _int,
         "n_test": _int,
@@ -106,7 +104,6 @@ _SCHEMA = {
     },
     "compare": {
         "reports": _strs,
-        "series_by": _str,
     },
 }
 

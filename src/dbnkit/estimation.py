@@ -23,18 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dbn import average_log_loss
+from .dbn import average_log_loss, brute_force_log_likelihood, feed_forward_sample
 from .models import (
     DEFAULT_ENUM_BUDGET,
     GRBM,
     RBM,
     SRBM,
+    EnumerationBudgetError,
     Grbm,
     ModelError,
     Rbm,
     Srbm,
     binary_states,
     brute_force_hidden_marginal_srbm,
+    brute_force_log_partition,
+    enumeration_bits,
     state_index,
 )
 from .numerics import (
@@ -78,6 +81,8 @@ def fit_base_model(target, data=None):
             data = np.atleast_2d(np.asarray(data, dtype=np.float64))
             b = data.mean(axis=0)
             sigma = float(np.std(data)) or target.sigma
+            if not np.isfinite(sigma):
+                raise EstimationError("the data's scale is not finite; no AIS base fits it")
         return Grbm(w, b, c, sigma)
     if data is None:
         b = np.zeros(m)
@@ -402,6 +407,95 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
             )
         )
     return out
+
+
+@dataclass
+class EvalResult:
+    """Per-sample log p(x) estimates in nats with their path-sampling SEs, the
+    top log Z, how it and the marginals were obtained (``ais``), and the
+    brute-force values when the stack was enumerated."""
+
+    log_values: np.ndarray
+    standard_errors: np.ndarray
+    log_z_top: LogEstimate
+    ais: dict
+    brute_force: np.ndarray | None
+
+
+def _anneal(target, data, n_betas, n_chains, rng, threads):
+    """AIS toward ``target`` from a zero-weight base fitted to ``data``."""
+    base = fit_base_model(target, data)
+    schedule = AisSchedule(linear_betas(n_betas), n_chains, base)
+    return run_ais(target, schedule, rng, threads=threads)
+
+
+def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interface,
+                   chains_first, exact, marginals, budget, seed, threads):
+    """Estimate log p(x) for each row of ``samples``, choosing between
+    enumeration and AIS for every ingredient.
+
+    The top log Z is enumerated unless ``exact`` is "off" or its states
+    exceed ``budget``; otherwise AIS runs ``chains_top`` chains
+    (``chains_first`` for one layer).  Interior lateral layers' marginals
+    are enumerated for ``marginals`` "exact", or "auto" within budget;
+    otherwise one AIS run each supplies them.  Unless ``exact`` is "off",
+    brute-force values are added when the stack is enumerable.  Beyond the
+    budget, ``exact="on"`` and ``marginals="exact"`` raise
+    EnumerationBudgetError.  ``threads`` changes no result.
+    """
+    stream = RngStream(seed)
+    ais = {"n_betas": n_betas, "schedule": "linear", "exact_z": False}
+    exact_z_possible = 2 ** enumeration_bits(stack.top) <= budget
+    if exact == "on" and not exact_z_possible:
+        raise EnumerationBudgetError("estimator.exact=on but the top layer is not enumerable")
+    if exact != "off" and exact_z_possible:
+        log_z_top = LogEstimate(brute_force_log_partition(stack.top, budget=budget), 0.0, 1)
+        ais["exact_z"] = True
+    else:
+        top_data = ([samples] + feed_forward_sample(stack, samples, stream.substream(31, 0)))[-1]
+        chains = chains_top if stack.n_layers > 1 else chains_first
+        run = _anneal(stack.top, top_data, n_betas, chains, RngStream(seed, 41), threads)
+        log_z_top = run.log_z_estimate
+        ais["chains_top"] = chains
+
+    interior_srbm = [i for i in range(stack.n_layers - 1) if stack.layers[i].variant == SRBM]
+    if not interior_srbm:
+        provider = AnalyticMarginals(stack)
+    else:
+        enumerable = all(2 ** enumeration_bits(stack.layers[i]) <= budget for i in interior_srbm)
+        if marginals == "exact" or (marginals == "auto" and enumerable):
+            if not enumerable:
+                raise EnumerationBudgetError(
+                    "estimator.marginals=exact but a lateral layer is not enumerable"
+                )
+            provider = ExactMarginals(stack, budget=budget)
+            ais["marginals"] = "exact"
+        else:
+            runs = {}
+            for i in interior_srbm:
+                iface = ([samples] + feed_forward_sample(
+                    stack, samples, stream.substream(31, 1 + i)))[i]
+                runs[i] = _anneal(stack.layers[i], iface, n_betas, chains_interface,
+                                  RngStream(seed, 42 + i), threads)
+            provider = AisMarginals(stack, runs)
+            ais["marginals"] = "ais"
+            ais["chains_interface"] = chains_interface
+
+    estimates = estimate_dataset_log_likelihood(
+        stack, samples, n_is, provider, log_z_top, RngStream(seed, 33)
+    )
+    if isinstance(provider, AisMarginals):
+        ais["marginal_se_mean"] = provider.mean_standard_error()
+    brute_force = None
+    if exact != "off":
+        try:
+            brute_force = brute_force_log_likelihood(stack, samples, budget=budget)
+        except EnumerationBudgetError:
+            if exact == "on":
+                raise
+    log_values = np.array([e.log_value for e in estimates])
+    ses = np.array([e.standard_error for e in estimates])
+    return EvalResult(log_values, ses, log_z_top, ais, brute_force)
 
 
 def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):

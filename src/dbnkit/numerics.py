@@ -64,9 +64,6 @@ class RngStream:
         )
         return np.random.Generator(np.random.Philox(seq))
 
-    def child(self, k: int) -> "RngStream":
-        return RngStream(self.seed, (self.stream_id << 20) ^ (k + 1))
-
 
 def log_sum_exp(values, axis=None):
     """log(sum(exp(values))), stable under large magnitudes.
@@ -143,10 +140,3 @@ def monte_carlo_se(log_weights) -> LogEstimate:
     log_var = log_m2 + np.log1p(-np.exp(gap)) + np.log(n / (n - 1.0))
     rel_se = float(np.exp(0.5 * log_var - log_mean - 0.5 * np.log(n)))
     return LogEstimate(log_mean, rel_se, n)
-
-
-def require_finite(arr, what="array"):
-    """Hard error on NaN; -inf is allowed only where stated by the caller."""
-    if np.isnan(np.asarray(arr)).any():
-        raise NumericsError(f"NaN encountered in {what}")
-    return arr

@@ -73,7 +73,8 @@ def check_partition_sides():
     return CheckResult("partition-sides", err < 1e-10, err, 1e-10)
 
 
-def _fd_gradient(model, batch, h=1e-5):
+def fd_gradient(model, batch, h=1e-5):
+    """Central differences of the exact mean log-likelihood, per parameter array."""
     def loss(m):
         return float(
             np.mean(m.log_unnorm_visible(batch)) - models.brute_force_log_partition(m)
@@ -108,7 +109,7 @@ def check_gradient_fd():
         else:
             batch = (rng.random((12, 4)) < 0.5).astype(float)
         exact = training.exact_ml_gradient(model, batch)
-        fd = _fd_gradient(model.copy(), batch)
+        fd = fd_gradient(model.copy(), batch)
         for name, ref in fd.items():
             scale = max(np.abs(ref).max(), 1e-8)
             worst = max(

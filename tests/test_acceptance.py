@@ -30,6 +30,7 @@ from dbnkit.models import (
     brute_force_log_partition,
 )
 from dbnkit.numerics import LOG2, LogEstimate, RngStream, log_mean_exp
+from dbnkit.oracle import fd_gradient
 from dbnkit.pipeline import DataSet, preprocess, replay, synthesize
 from dbnkit.training import (
     LayerSpec,
@@ -40,7 +41,6 @@ from dbnkit.training import (
 )
 
 from test_models import random_grbm, random_rbm, random_srbm
-from test_training import fd_gradient
 
 
 def report(n, name, detail):

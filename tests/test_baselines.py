@@ -12,7 +12,6 @@ from dbnkit.baselines import (
     fit_em,
     fit_gaussian,
     fit_mixture,
-    log_density,
     moig_sigma_scorer,
 )
 from dbnkit.numerics import RngStream
@@ -46,7 +45,7 @@ def test_fit_gaussian_whitened_data():
 
 def test_gaussian_log_density_at_origin():
     model = GaussianModel(np.zeros(4), np.eye(4))
-    assert log_density(model, np.zeros(4))[0] == pytest.approx(
+    assert model.log_density(np.zeros(4))[0] == pytest.approx(
         -2 * np.log(2 * np.pi), abs=1e-12
     )
 

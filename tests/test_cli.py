@@ -6,7 +6,7 @@ import pytest
 
 from dbnkit import cli
 from dbnkit.dbn import load_dbn
-from dbnkit.pipeline import load_dataset
+from dbnkit.pipeline import DataSet, load_dataset, save_dataset
 from dbnkit.storage import canonical_json
 
 
@@ -137,15 +137,26 @@ def test_preprocess_missing_images_is_data_error(workspace):
     assert cli.main(["preprocess", "--config", cfg]) == cli.EXIT_DATA
 
 
-def test_unknown_config_key_is_config_error(workspace):
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("experiment", "sneaky"),
+        # keys that nothing reads are refused rather than silently ignored
+        ("data", "test"),
+        ("preprocess", "n_patches"),
+        ("compare", "series_by"),
+    ],
+)
+def test_unknown_config_key_is_config_error(workspace, capsys, section, key):
     cfg = write_config(
         workspace / "bad.ini",
-        """
-        [experiment]
-        sneaky = 1
+        f"""
+        [{section}]
+        {key} = 1
         """,
     )
     assert cli.main(["preprocess", "--config", cfg]) == cli.EXIT_CONFIG
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_train_writes_loadable_model(workspace):
@@ -652,6 +663,65 @@ def test_baseline_fit_eval_and_compare(workspace):
     assert cli.main(["compare", "--config", cmp_cfg]) == 0
     rows = (workspace / "cmp_bl" / "comparison.csv").read_text().strip().splitlines()
     assert len(rows) == 4  # header + three baselines
+
+
+@pytest.mark.parametrize("kind, exact", [("gaussian", "auto"), ("grbm", "auto"), ("grbm", "off")])
+def test_eval_non_finite_is_estimation_error(workspace, capsys, kind, exact):
+    # one finite but huge test value overflows the log-likelihood (and, with
+    # exact = off, the AIS base scale); eval must exit 5 and write no report
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    if kind == "gaussian":
+        train = baseline_train_config(workspace, kind, "run")
+        model = workspace / "run" / "baseline.dbk"
+    else:
+        train = write_config(
+            workspace / "train1.ini",
+            f"""
+            [experiment]
+            out_dir = {workspace / 'run'}
+
+            [data]
+            train = {workspace / 'data' / 'train_00.dbds'}
+
+            [layers]
+            count = 1
+
+            [layer.0]
+            variant = grbm
+            hidden = 4
+            sigma = 0.6
+
+            [layer.0.train]
+            epochs = 1
+            """,
+        )
+        model = workspace / "run" / "model"
+    assert cli.main(["train", "--config", train]) == 0
+    samples = load_dataset(workspace / "data" / "test_00.dbds").samples.copy()
+    samples[0, 0] = 1e200
+    save_dataset(DataSet(samples), workspace / "data" / "huge.dbds")
+    ev = write_config(
+        workspace / "eval_huge.ini",
+        f"""
+        [experiment]
+        out_dir = {workspace / 'ev'}
+
+        [eval]
+        model = {model}
+        dataset = {workspace / 'data' / 'huge.dbds'}
+
+        [ais]
+        n_betas = 10
+        chains_first = 10
+
+        [estimator]
+        n_is = 5
+        exact = {exact}
+        """,
+    )
+    assert cli.main(["eval", "--config", ev]) == cli.EXIT_ESTIMATION
+    assert "not finite" in capsys.readouterr().err
+    assert not (workspace / "ev" / "report.json").exists()
 
 
 def test_layers_and_baseline_conflict(workspace):

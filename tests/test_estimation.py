@@ -13,12 +13,14 @@ from dbnkit.estimation import (
     estimate_potential_log_loss,
     estimate_unnorm_marginal,
     estimate_unnorm_marginal_batch,
+    evaluate_stack,
     fit_base_model,
     linear_betas,
     log_partition_zero_weight,
     run_ais,
 )
 from dbnkit.models import (
+    EnumerationBudgetError,
     Grbm,
     Rbm,
     Srbm,
@@ -304,6 +306,59 @@ def test_estimator_with_exact_marginals_converges():
         errs.append(abs(est.log_value - truth))
     assert errs[2] < 0.01
     assert errs[2] < errs[0] + 1e-12
+
+
+# -- library-level evaluation -----------------------------------------------------
+
+
+def small_three_layer_stack():
+    # grbm-srbm-srbm: the middle layer's hidden marginals need a provider;
+    # the top log Z and the interface marginals each enumerate 2^4 states
+    rng = RngStream(96).generator()
+    layers = [
+        random_grbm(rng, m=3, n=4),
+        random_srbm(rng, m=4, n=4),
+        random_srbm(rng, m=4, n=3),
+    ]
+    return DbnModel(layers), rng.standard_normal((6, 3))
+
+
+EVAL_KNOBS = dict(
+    n_is=20, n_betas=20, chains_top=50, chains_interface=60, chains_first=40,
+    seed=97, threads=1,
+)
+
+
+def test_evaluate_stack_enumerates_within_budget():
+    stack, x = small_three_layer_stack()
+    result = evaluate_stack(stack, x, exact="auto", marginals="auto", budget=2 ** 10,
+                            **EVAL_KNOBS)
+    assert result.ais["exact_z"] is True
+    assert result.ais["marginals"] == "exact"
+    assert result.log_z_top.log_value == brute_force_log_partition(stack.top)
+    assert np.array_equal(result.brute_force, brute_force_log_likelihood(stack, x))
+    assert result.log_values.shape == result.standard_errors.shape == (6,)
+
+
+def test_evaluate_stack_anneals_with_exact_off():
+    stack, x = small_three_layer_stack()
+    result = evaluate_stack(stack, x, exact="off", marginals="ais", budget=2 ** 10,
+                            **EVAL_KNOBS)
+    assert result.brute_force is None
+    assert result.ais["exact_z"] is False
+    assert result.ais["chains_top"] == 50
+    assert result.ais["marginals"] == "ais"
+    assert result.ais["chains_interface"] == 60
+    assert result.ais["marginal_se_mean"] > 0
+    assert result.log_z_top.standard_error > 0
+
+
+@pytest.mark.parametrize("exact, marginals", [("on", "auto"), ("off", "exact")])
+def test_evaluate_stack_refuses_enumeration_over_budget(exact, marginals):
+    stack, x = small_three_layer_stack()
+    with pytest.raises(EnumerationBudgetError, match="not enumerable"):
+        evaluate_stack(stack, x, exact=exact, marginals=marginals, budget=2 ** 4 - 1,
+                       **EVAL_KNOBS)
 
 
 # -- lower bound -------------------------------------------------------------------

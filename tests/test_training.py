@@ -4,6 +4,7 @@ import pytest
 from dbnkit import dbn, models
 from dbnkit.models import Grbm, Rbm, binary_states, brute_force_log_partition
 from dbnkit.numerics import RngStream
+from dbnkit.oracle import fd_gradient
 from dbnkit.training import (
     GradientAccumulator,
     LayerSpec,
@@ -24,25 +25,6 @@ def brute_log_likelihood(model, batch):
     return float(
         np.mean(model.log_unnorm_visible(batch)) - brute_force_log_partition(model)
     )
-
-
-def fd_gradient(model, batch, h=1e-5):
-    out = {}
-    for name, arr in model.parameter_arrays().items():
-        grad = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), grad.ravel()
-        for i in range(flat.size):
-            if name == "lateral" and i // arr.shape[0] == i % arr.shape[0]:
-                continue
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = brute_log_likelihood(model, batch)
-            flat[i] = orig - h
-            lo = brute_log_likelihood(model, batch)
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * h)
-        out[name] = grad
-    return out
 
 
 # -- exact gradient ----------------------------------------------------------
