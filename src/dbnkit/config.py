@@ -10,6 +10,7 @@ import hashlib
 import json
 import re
 
+from .estimation import EXACT_CHOICES, MARGINAL_CHOICES
 from .training import TrainConfig
 
 
@@ -93,8 +94,8 @@ _SCHEMA = {
     },
     "estimator": {
         "n_is": _int,
-        "exact": _str,  # auto | on | off
-        "marginals": _str,  # auto | exact | ais
+        "exact": _str,  # one of estimation.EXACT_CHOICES
+        "marginals": _str,  # one of estimation.MARGINAL_CHOICES
         "enum_budget": _int,
     },
     "eval": {
@@ -221,10 +222,9 @@ class ExperimentConfig:
                 if layer["variant"] == "grbm" and i != 0:
                     raise ConfigError("gaussian layers are only valid at the bottom")
         est = self.values["estimator"]
-        if est["exact"] not in ("auto", "on", "off"):
-            raise ConfigError("estimator.exact must be auto, on or off")
-        if est["marginals"] not in ("auto", "exact", "ais"):
-            raise ConfigError("estimator.marginals must be auto, exact or ais")
+        for key, choices in (("exact", EXACT_CHOICES), ("marginals", MARGINAL_CHOICES)):
+            if est[key] not in choices:
+                raise ConfigError(f"estimator.{key} must be one of {', '.join(choices)}")
 
     # -- convenience ------------------------------------------------------
 

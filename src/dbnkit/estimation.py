@@ -51,6 +51,10 @@ from .numerics import (
 
 AIS_CHUNK = 4096
 
+# the values evaluate_stack (and so the [estimator] config section) accepts
+EXACT_CHOICES = ("auto", "on", "off")
+MARGINAL_CHOICES = ("auto", "exact", "ais")
+
 
 class EstimationError(RuntimeError):
     pass
@@ -441,8 +445,13 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
     otherwise one AIS run each supplies them.  Unless ``exact`` is "off",
     brute-force values are added when the stack is enumerable.  Beyond the
     budget, ``exact="on"`` and ``marginals="exact"`` raise
-    EnumerationBudgetError.  ``threads`` changes no result.
+    EnumerationBudgetError; values outside EXACT_CHOICES and
+    MARGINAL_CHOICES raise EstimationError.  ``threads`` changes no result.
     """
+    for name, value, choices in (("exact", exact, EXACT_CHOICES),
+                                 ("marginals", marginals, MARGINAL_CHOICES)):
+        if value not in choices:
+            raise EstimationError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
     stream = RngStream(seed)
     ais = {"n_betas": n_betas, "schedule": "linear", "exact_z": False}
     exact_z_possible = 2 ** enumeration_bits(stack.top) <= budget

@@ -7,8 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from dbnkit import cli
-from dbnkit.baselines import fit_gaussian, fit_mixture
+from dbnkit import cli, oracle
 from dbnkit.dbn import DbnModel, average_log_loss, brute_force_log_likelihood
 from dbnkit.estimation import (
     AisMarginals,
@@ -16,39 +15,20 @@ from dbnkit.estimation import (
     AnalyticMarginals,
     ExactMarginals,
     estimate_dbn_log_likelihood,
-    estimate_lower_bound,
     estimate_potential_log_loss,
     fit_base_model,
     linear_betas,
     run_ais,
 )
-from dbnkit.models import (
-    Grbm,
-    Rbm,
-    Srbm,
-    binary_states,
-    brute_force_log_partition,
-)
+from dbnkit.models import Grbm, Srbm, binary_states
 from dbnkit.numerics import LOG2, LogEstimate, RngStream, log_mean_exp
-from dbnkit.oracle import fd_gradient
-from dbnkit.pipeline import DataSet, preprocess, replay, synthesize
-from dbnkit.training import (
-    LayerSpec,
-    TrainConfig,
-    exact_ml_gradient,
-    init_srbm_from_grbm,
-    train_dbn_greedy,
-)
-
-from test_models import random_grbm, random_rbm, random_srbm
+from dbnkit.oracle import exact_log_z, random_rbm
+from dbnkit.pipeline import synthesize
+from dbnkit.training import LayerSpec, TrainConfig, train_dbn_greedy
 
 
 def report(n, name, detail):
     print(f"ACCEPTANCE {n:02d} {name}: PASS ({detail})")
-
-
-def exact_z(model):
-    return LogEstimate(brute_force_log_partition(model), 0.0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +62,7 @@ def test_criterion_01_estimator_vs_truth(trained_stack):
     started = time.perf_counter()
     stack, test = trained_stack
     truth_bits = average_log_loss(test, lambda rows: brute_force_log_likelihood(stack, rows))
-    z = exact_z(stack.top)
+    z = exact_log_z(stack.top)
 
     def run_with(provider):
         stream = RngStream(1003)
@@ -118,77 +98,23 @@ def test_criterion_01_estimator_vs_truth(trained_stack):
 
 def test_criterion_02_ais_accuracy():
     started = time.perf_counter()
-    worst = 0.0
-    for seed in range(10):
-        rng = RngStream(1100, seed).generator()
-        model = Rbm(
-            0.1 * rng.standard_normal((12, 10)),
-            0.2 * rng.standard_normal(12),
-            0.2 * rng.standard_normal(10),
-        )
-        base = fit_base_model(model)
-        schedule = AisSchedule(linear_betas(1000), 100, base)
-        run = run_ais(model, schedule, RngStream(1101, seed))
-        err = abs(run.log_z_estimate.log_value - brute_force_log_partition(model))
-        worst = max(worst, err)
-        assert err < 0.05, f"seed {seed}: AIS off by {err:.4f} nats"
+    r = oracle.check_ais_partition()
     elapsed = time.perf_counter() - started
+    assert r.passed, r
     assert elapsed < 30.0
-    report(2, "ais-accuracy", f"worst |logZ error| {worst:.4f} < 0.05 nats, {elapsed:.1f}s")
+    report(2, "ais-accuracy", f"worst |logZ error| {r.measured:.4f} < 0.05 nats, {elapsed:.1f}s")
 
 
 def test_criterion_03_zero_variance_identity():
-    rng = RngStream(1200).generator()
-    grbm = random_grbm(rng, m=5, n=6, scale=0.6)
-    stack = DbnModel([grbm, init_srbm_from_grbm(grbm, 7)])
-    z = exact_z(stack.top)
-    provider = AnalyticMarginals(stack)
-    x = rng.standard_normal(5)
-    truth = brute_force_log_likelihood(stack, x)
-    worst = 0.0
-    for n_is in (1, 100):
-        vals = np.array(
-            [
-                estimate_dbn_log_likelihood(
-                    stack, x, n_is, provider, z, RngStream(1201, i).generator()
-                ).log_value
-                for i in range(50)
-            ]
-        )
-        var = float(np.var(vals))
-        worst = max(worst, var)
-        assert var < 1e-20, f"n_is={n_is}: variance {var:.3e}"
-        assert abs(vals[0] - truth) < 1e-8
-    report(3, "zero-variance-identity", f"max sample variance {worst:.2e} < 1e-20")
+    r = oracle.check_init_identity()
+    assert r.passed, r
+    report(3, "zero-variance-identity", f"max sample variance {r.measured:.2e} < 1e-20")
 
 
 def test_criterion_04_unbiasedness():
-    rng = RngStream(1300).generator()
-    first = random_rbm(rng, m=4, n=3, scale=0.6)
-    top = random_rbm(rng, m=3, n=4, scale=0.6)
-    stack = DbnModel([first, top])
-    z = exact_z(top)
-    provider = AnalyticMarginals(stack)
-    x = binary_states(4)[6]
-    truth = brute_force_log_likelihood(stack, x)
-    reps = 2000
-    details = []
-    for n_is in (1, 10):
-        stream = RngStream(1301 + n_is)
-        vals = np.array(
-            [
-                estimate_dbn_log_likelihood(
-                    stack, x, n_is, provider, z, stream.substream(i)
-                ).log_value
-                for i in range(reps)
-            ]
-        )
-        ratio = np.exp(vals - truth)
-        se = ratio.std(ddof=1) / np.sqrt(reps)
-        gap = abs(ratio.mean() - 1.0)
-        assert gap < 3 * se, f"n_is={n_is}: relative bias {gap:.4f} vs 3se={3 * se:.4f}"
-        details.append(f"n_is={n_is}: |bias| {gap:.4f} < 3se {3 * se:.4f}")
-    report(4, "unbiasedness", "; ".join(details))
+    r = oracle.check_estimator_unbiased()
+    assert r.passed, r
+    report(4, "unbiasedness", r.detail)
 
 
 def test_criterion_05_overestimation_with_noisy_z():
@@ -224,86 +150,27 @@ def test_criterion_05_overestimation_with_noisy_z():
 
 
 def test_criterion_06_lower_bound_never_above():
-    stream = RngStream(1500)
-    worst = -np.inf
-    for i in range(100):
-        rng = stream.substream(i)
-        first = random_rbm(rng, m=4, n=3, scale=0.8)
-        top = random_rbm(rng, m=3, n=3, scale=0.8)
-        stack = DbnModel([first, top])
-        x = (rng.random(4) < 0.5).astype(float)
-        bound = estimate_lower_bound(stack, x, None, exact_z(top), None, exact=True)
-        truth = brute_force_log_likelihood(stack, x)
-        worst = max(worst, bound.log_value - truth)
-        assert bound.log_value <= truth, f"violation at instance {i}"
-    report(6, "lower-bound", f"max(bound - truth) = {worst:.3e} <= 0 on 100 stacks")
+    r = oracle.check_lower_bound()
+    assert r.passed, r
+    report(6, "lower-bound", f"max(bound - truth) = {r.measured:.3e} <= 0 on 100 stacks")
 
 
 def test_criterion_07_gradient_correctness():
-    worst = 0.0
-    for vi, (maker, kind) in enumerate(
-        ((random_rbm, "rbm"), (random_grbm, "grbm"), (random_srbm, "srbm"))
-    ):
-        for i in range(20):
-            rng = RngStream(1600).substream(vi, i)
-            model = maker(rng, m=4, n=3, scale=0.5)
-            if kind == "grbm":
-                batch = rng.standard_normal((8, 4))
-            else:
-                batch = (rng.random((8, 4)) < 0.5).astype(float)
-            exact = exact_ml_gradient(model, batch)
-            reference = fd_gradient(model.copy(), batch, h=1e-5)
-            for name, ref in reference.items():
-                scale = max(np.abs(ref).max(), 1e-8)
-                err = float(np.abs(exact.grads[name] - ref).max() / scale)
-                worst = max(worst, err)
-                assert err < 1e-5, f"{kind} instance {i} {name}: rel err {err:.2e}"
-    report(7, "gradient-correctness", f"max rel err {worst:.2e} < 1e-5 (60 instances)")
+    r = oracle.check_gradient_fd()
+    assert r.passed, r
+    report(7, "gradient-correctness", f"max rel err {r.measured:.2e} < 1e-5 (60 instances)")
 
 
 def test_criterion_08_grbm_mixture_identity():
-    from dbnkit.numerics import log_sum_exp
-
-    rng = RngStream(1700).generator()
-    model = random_grbm(rng, m=4, n=6, scale=0.6, sigma=0.7)
-    log_z = brute_force_log_partition(model)
-    ys = binary_states(6)
-    log_prior = model.log_unnorm_hidden(ys) - log_z
-    xs = rng.standard_normal((40, 4))
-    direct = model.log_unnorm_visible(xs) - log_z
-    comps = np.array(
-        [model.log_visible_conditional(xs, np.tile(y, (40, 1))) for y in ys]
-    ).T
-    mixture = log_sum_exp(comps + log_prior[None, :], axis=1)
-    worst = float(np.abs(np.exp(direct - mixture) - 1.0).max())
-    assert worst < 1e-10
-    report(8, "grbm-mixture-identity", f"max rel err {worst:.2e} < 1e-10")
+    r = oracle.check_grbm_mixture_identity()
+    assert r.passed, r
+    report(8, "grbm-mixture-identity", f"max rel err {r.measured:.2e} < 1e-10")
 
 
 def test_criterion_09_em_monotonicity():
-    worst_drop = 0.0
-    for i in range(10):
-        rng = RngStream(1800, i).generator()
-        scale = np.diag(0.5 + rng.random(3))
-        data = rng.standard_normal((300, 3)) @ scale + 0.5 * rng.standard_normal(3)
-        for kind in ("moig", "mog"):
-            _, trace = fit_mixture(
-                kind, 3, data, sigma=0.8, iters=50, restarts=1,
-                rng=np.random.default_rng(i),
-            )
-            drops = np.diff(trace)
-            if drops.size:
-                worst_drop = max(worst_drop, float(-drops.min()))
-            assert np.all(drops > -1e-8), f"{kind} dataset {i}: EM decreased"
-    rng = RngStream(1801).generator()
-    data = rng.standard_normal((500, 3)) @ np.diag([1.5, 0.7, 0.3])
-    model, _ = fit_mixture("mog", 1, data, iters=10, restarts=1,
-                           rng=np.random.default_rng(0))
-    reference = fit_gaussian(data, zero_mean=True)
-    gap = float(np.abs(model.covariances[0] - reference.covariance).max())
-    assert gap < 1e-10
-    report(9, "em-monotonicity",
-           f"worst drop {worst_drop:.2e} (tol 1e-8); K=1 vs MLE gap {gap:.2e} < 1e-10")
+    r = oracle.check_em_monotone()
+    assert r.passed, r
+    report(9, "em-monotonicity", f"worst drop {r.measured:.2e} (tol 1e-8); {r.detail}")
 
 
 def _toy_three_layer(seed, mid_scale=1.0, lat_scale=0.7):
@@ -348,7 +215,7 @@ def test_criterion_10_marginal_sample_trend():
     pool = 10000
     n_betas = 30
     stack = _toy_three_layer(0)
-    z = exact_z(stack.top)
+    z = exact_log_z(stack.top)
     rng = RngStream(1901).generator()
     test = rng.standard_normal((25, 4))
     base = fit_base_model(stack.layers[1])
@@ -422,17 +289,9 @@ def test_criterion_11_potential_log_loss_trend():
 
 
 def test_criterion_12_preprocessing():
-    rng = RngStream(2100).generator()
-    raw = DataSet(np.exp(0.4 * rng.standard_normal((3000, 16))))
-    out = preprocess(raw)
-    assert out.dim == 15
-    cov = out.samples.T @ out.samples / out.n_samples
-    cov_err = float(np.abs(cov - np.eye(15)).max())
-    assert cov_err < 1e-6
-    again = replay(out.provenance, raw.samples)
-    assert np.array_equal(again.samples, out.samples)
-    report(12, "preprocessing",
-           f"covariance err {cov_err:.1e} < 1e-6; dim 16->15; replay bit-exact")
+    r = oracle.check_preprocess_roundtrip()
+    assert r.passed, r
+    report(12, "preprocessing", f"covariance err {r.measured:.1e} < 1e-6; {r.detail}")
 
 
 def _determinism_configs(ws):

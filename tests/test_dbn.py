@@ -22,9 +22,8 @@ from dbnkit.models import (
     state_index,
 )
 from dbnkit.numerics import RngStream
+from dbnkit.oracle import random_grbm, random_rbm, random_srbm
 from dbnkit.training import init_srbm_from_grbm
-
-from test_models import random_grbm, random_rbm, random_srbm
 
 
 def test_stack_validation():
@@ -127,16 +126,6 @@ def test_single_layer_definition():
     xs = binary_states(4)
     expected = model.log_unnorm_visible(xs) - brute_force_log_partition(model)
     assert np.allclose(brute_force_log_likelihood(stack, xs), expected, atol=1e-12)
-
-
-def test_two_layer_init_trick_identity():
-    rng = RngStream(58).generator()
-    grbm = random_grbm(rng, m=3, n=4)
-    stack = DbnModel([grbm, init_srbm_from_grbm(grbm, 5)])
-    x = rng.standard_normal((6, 3))
-    one = brute_force_log_likelihood(DbnModel([grbm]), x)
-    two = brute_force_log_likelihood(stack, x)
-    assert np.abs(one - two).max() < 1e-10
 
 
 def test_two_layer_against_double_loop_oracle():

@@ -28,15 +28,9 @@ from dbnkit.models import (
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
 )
-from dbnkit.numerics import LOG2, LogEstimate, RngStream
+from dbnkit.numerics import LOG2, RngStream
+from dbnkit.oracle import exact_log_z, random_grbm, random_rbm, random_srbm
 from dbnkit.training import init_srbm_from_grbm
-
-from test_models import random_grbm, random_rbm, random_srbm
-
-
-def exact_z(model):
-    return LogEstimate(brute_force_log_partition(model), 0.0, 1)
-
 
 # -- schedules and bases --------------------------------------------------------
 
@@ -197,7 +191,7 @@ def test_estimator_single_layer_identity():
     rng = RngStream(85).generator()
     model = random_rbm(rng, 4, 3)
     stack = DbnModel([model])
-    z = exact_z(model)
+    z = exact_log_z(model)
     x = binary_states(4)[9]
     est = estimate_dbn_log_likelihood(
         stack, x, 7, AnalyticMarginals(stack), z, RngStream(86).generator()
@@ -205,49 +199,6 @@ def test_estimator_single_layer_identity():
     expected = float(model.log_unnorm_visible(x)) - z.log_value
     assert est.log_value == pytest.approx(expected, abs=1e-12)
     assert est.standard_error == 0.0
-
-
-def test_estimator_zero_variance_after_init():
-    rng = RngStream(87).generator()
-    grbm = random_grbm(rng, m=4, n=5, scale=0.6)
-    stack = DbnModel([grbm, init_srbm_from_grbm(grbm, 6)])
-    z = exact_z(stack.top)
-    x = rng.standard_normal(4)
-    truth = brute_force_log_likelihood(stack, x)
-    provider = AnalyticMarginals(stack)
-    for n_is in (1, 100):
-        vals = [
-            estimate_dbn_log_likelihood(
-                stack, x, n_is, provider, z, RngStream(88, i).generator()
-            ).log_value
-            for i in range(50)
-        ]
-        assert np.var(vals) < 1e-20
-        assert vals[0] == pytest.approx(truth, abs=1e-8)
-
-
-def test_estimator_unbiased_on_enumerable_stack():
-    rng = RngStream(89).generator()
-    first = random_rbm(rng, m=4, n=3, scale=0.6)
-    top = random_rbm(rng, m=3, n=4, scale=0.6)
-    stack = DbnModel([first, top])
-    z = exact_z(top)
-    x = binary_states(4)[5]
-    truth = brute_force_log_likelihood(stack, x)
-    provider = AnalyticMarginals(stack)
-    reps = 1000
-    stream = RngStream(90)
-    vals = np.array(
-        [
-            estimate_dbn_log_likelihood(
-                stack, x, 10, provider, z, stream.substream(i)
-            ).log_value
-            for i in range(reps)
-        ]
-    )
-    ratio = np.exp(vals - truth)
-    se = ratio.std(ddof=1) / np.sqrt(reps)
-    assert abs(ratio.mean() - 1.0) < 3 * se
 
 
 def test_estimator_missing_marginal_names_interface():
@@ -258,7 +209,7 @@ def test_estimator_missing_marginal_names_interface():
     provider = AnalyticMarginals(stack)
     with pytest.raises(EstimationError, match="layer 0"):
         estimate_dbn_log_likelihood(
-            stack, binary_states(4)[2], 5, provider, exact_z(top),
+            stack, binary_states(4)[2], 5, provider, exact_log_z(top),
             RngStream(92).generator(),
         )
     with pytest.raises(EstimationError, match="layer 0"):
@@ -294,7 +245,7 @@ def test_estimator_with_exact_marginals_converges():
         second.lateral,
     )
     stack = DbnModel([grbm, second])
-    z = exact_z(second)
+    z = exact_log_z(second)
     provider = ExactMarginals(stack)
     x = rng.standard_normal(3)
     truth = brute_force_log_likelihood(stack, x)
@@ -361,6 +312,14 @@ def test_evaluate_stack_refuses_enumeration_over_budget(exact, marginals):
                        **EVAL_KNOBS)
 
 
+@pytest.mark.parametrize("key, bad", [("exact", "of"), ("marginals", "nonsense")])
+def test_evaluate_stack_rejects_unknown_choice(key, bad):
+    stack, x = small_three_layer_stack()
+    choices = {"exact": "auto", "marginals": "auto", key: bad}
+    with pytest.raises(EstimationError, match=f"{key} must be one of .*'{bad}'"):
+        evaluate_stack(stack, x, budget=2 ** 10, **choices, **EVAL_KNOBS)
+
+
 # -- lower bound -------------------------------------------------------------------
 
 
@@ -370,38 +329,15 @@ def test_lower_bound_entropy_term():
     assert bernoulli_entropy(np.full(6, 0.5)) == pytest.approx(6 * np.log(2), abs=1e-12)
 
 
-def test_lower_bound_equals_likelihood_after_init():
-    rng = RngStream(96).generator()
-    grbm = random_grbm(rng, m=3, n=4, scale=0.6)
-    stack = DbnModel([grbm, init_srbm_from_grbm(grbm, 5)])
-    x = rng.standard_normal(3)
-    bound = estimate_lower_bound(stack, x, None, exact_z(stack.top), None, exact=True)
-    truth = brute_force_log_likelihood(stack, x)
-    assert bound.log_value == pytest.approx(truth, abs=1e-8)
-
-
-def test_lower_bound_never_exceeds_likelihood():
-    stream = RngStream(97)
-    for i in range(100):
-        rng = stream.substream(i)
-        first = random_rbm(rng, m=4, n=3, scale=0.8)
-        top = random_rbm(rng, m=3, n=3, scale=0.8)
-        stack = DbnModel([first, top])
-        x = (rng.random(4) < 0.5).astype(float)
-        bound = estimate_lower_bound(stack, x, None, exact_z(top), None, exact=True)
-        truth = brute_force_log_likelihood(stack, x)
-        assert bound.log_value <= truth + 1e-10
-
-
 def test_lower_bound_monte_carlo_matches_exact():
     rng = RngStream(98).generator()
     first = random_rbm(rng, m=4, n=3, scale=0.5)
     top = random_rbm(rng, m=3, n=3, scale=0.5)
     stack = DbnModel([first, top])
     x = (rng.random(4) < 0.5).astype(float)
-    exact = estimate_lower_bound(stack, x, None, exact_z(top), None, exact=True)
+    exact = estimate_lower_bound(stack, x, None, exact_log_z(top), None, exact=True)
     mc = estimate_lower_bound(
-        stack, x, 20000, exact_z(top), RngStream(99).generator()
+        stack, x, 20000, exact_log_z(top), RngStream(99).generator()
     )
     assert abs(mc.log_value - exact.log_value) < 4 * mc.standard_error + 1e-3
 

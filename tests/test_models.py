@@ -16,36 +16,8 @@ from dbnkit.models import (
     state_index,
 )
 from dbnkit.numerics import RngStream, log_sum_exp, logistic
+from dbnkit.oracle import random_grbm, random_rbm, random_srbm
 from dbnkit.storage import StorageError, load_model, read_container, save_model
-
-
-def random_rbm(rng, m=3, n=2, scale=0.5):
-    return Rbm(
-        scale * rng.standard_normal((m, n)),
-        0.5 * rng.standard_normal(m),
-        0.5 * rng.standard_normal(n),
-    )
-
-
-def random_grbm(rng, m=2, n=3, scale=0.5, sigma=0.8):
-    return Grbm(
-        scale * rng.standard_normal((m, n)),
-        0.5 * rng.standard_normal(m),
-        0.5 * rng.standard_normal(n),
-        sigma,
-    )
-
-
-def random_srbm(rng, m=4, n=3, scale=0.5):
-    lat = scale * rng.standard_normal((m, m))
-    lat = 0.5 * (lat + lat.T)
-    np.fill_diagonal(lat, 0.0)
-    return Srbm(
-        scale * rng.standard_normal((m, n)),
-        0.5 * rng.standard_normal(m),
-        0.5 * rng.standard_normal(n),
-        lat,
-    )
 
 
 # -- energies ---------------------------------------------------------------
@@ -157,23 +129,6 @@ def test_srbm_needs_start_state():
         model.sample_visible(np.zeros(3), rng)
 
 
-def test_srbm_sweep_leaves_conditional_invariant():
-    # started from an exact conditional sample, one sweep must not move
-    # the state distribution
-    rng = RngStream(8).generator()
-    model = random_srbm(rng, m=6, n=3, scale=0.6)
-    y = (rng.random(3) < 0.5).astype(float)
-    xs = binary_states(6)
-    logp = -model.energy(xs, np.tile(y, (len(xs), 1)))
-    probs = np.exp(logp - log_sum_exp(logp))
-    n = 50000
-    start = xs[rng.choice(len(xs), size=n, p=probs)]
-    swept = model.sample_visible(np.tile(y, (n, 1)), rng, x0=start)
-    freq = np.bincount(state_index(swept), minlength=len(xs)) / n
-    se = np.sqrt(probs * (1 - probs) / n)
-    assert np.all(np.abs(freq - probs) <= 3 * se + 1e-3)
-
-
 # -- mean field -------------------------------------------------------------
 
 
@@ -210,16 +165,6 @@ def test_visible_marginal_zero_params():
     model = Rbm(np.zeros((3, 4)), np.zeros(3), np.zeros(4))
     for x in binary_states(3):
         assert model.log_unnorm_visible(x) == pytest.approx(4 * np.log(2), abs=1e-12)
-
-
-@pytest.mark.parametrize("make", [random_rbm, random_srbm])
-def test_visible_marginal_matches_enumeration(make):
-    rng = RngStream(12).generator()
-    model = make(rng)
-    ys = binary_states(model.n_hidden)
-    for x in binary_states(model.n_visible):
-        summed = log_sum_exp([-model.energy(x, y) for y in ys])
-        assert model.log_unnorm_visible(x) == pytest.approx(summed, rel=1e-10)
 
 
 def test_hidden_marginal_zero_weight_forms():
@@ -264,15 +209,6 @@ def test_srbm_hidden_marginal_not_analytic():
 def test_partition_all_zero_rbm():
     model = Rbm(np.zeros((3, 4)), np.zeros(3), np.zeros(4))
     assert brute_force_log_partition(model) == pytest.approx(7 * np.log(2), abs=1e-12)
-
-
-def test_partition_sides_agree():
-    rng = RngStream(16).generator()
-    model = random_rbm(rng, m=5, n=4)
-    za = log_sum_exp(model.log_unnorm_visible(binary_states(5)))
-    zb = log_sum_exp(model.log_unnorm_hidden(binary_states(4)))
-    assert za == pytest.approx(zb, abs=1e-10)
-    assert brute_force_log_partition(model) == pytest.approx(za, abs=1e-10)
 
 
 def test_partition_grbm_zero_weights():
@@ -323,21 +259,6 @@ def test_srbm_marginal_consistency_with_partition():
     ys = binary_states(4)
     total = log_sum_exp(brute_force_hidden_marginal_srbm(model, ys))
     assert total == pytest.approx(brute_force_log_partition(model), abs=1e-10)
-
-
-def test_grbm_is_a_gaussian_mixture():
-    rng = RngStream(19).generator()
-    model = random_grbm(rng, m=4, n=6, scale=0.5, sigma=0.7)
-    log_z = brute_force_log_partition(model)
-    ys = binary_states(6)
-    log_prior = model.log_unnorm_hidden(ys) - log_z
-    xs = rng.standard_normal((25, 4))
-    direct = model.log_unnorm_visible(xs) - log_z
-    comps = np.array(
-        [model.log_visible_conditional(xs, np.tile(y, (25, 1))) for y in ys]
-    ).T
-    mixture = log_sum_exp(comps + log_prior[None, :], axis=1)
-    assert np.all(np.abs(np.exp(direct - mixture) - 1.0) < 1e-10)
 
 
 # -- initialization and serialization ----------------------------------------

@@ -1,11 +1,12 @@
+import pytest
+
 from dbnkit import models, oracle
 
 
-def test_full_suite_passes():
-    results = oracle.run_suite()
-    failing = [r.name for r in results if not r.passed]
-    assert failing == []
-    assert len(results) == len(oracle.ALL_CHECKS)
+@pytest.mark.parametrize("check", oracle.ALL_CHECKS, ids=oracle.check_name)
+def test_check_passes(check):
+    r = check()
+    assert r.passed, f"{r.name}: measured {r.measured:.3e}, tolerance {r.tolerance:.3e} {r.detail}"
 
 
 def test_filter_selects_single_check():

@@ -51,15 +51,6 @@ def test_patches_uniform_coverage():
     assert chi2 < stats.chi2.ppf(0.99, df=35)
 
 
-def test_preprocess_whitens_and_drops_dc():
-    rng = RngStream(133).generator()
-    raw = DataSet(np.exp(0.5 * rng.standard_normal((2000, 16))))
-    out = preprocess(raw)
-    assert out.dim == 15
-    cov = out.samples.T @ out.samples / out.n_samples
-    assert np.abs(cov - np.eye(15)).max() < 1e-6
-
-
 def test_preprocess_requires_positive_intensities():
     with pytest.raises(PipelineError, match="positive"):
         preprocess(DataSet(np.zeros((10, 4))))

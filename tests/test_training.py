@@ -4,7 +4,7 @@ import pytest
 from dbnkit import dbn, models
 from dbnkit.models import Grbm, Rbm, binary_states, brute_force_log_partition
 from dbnkit.numerics import RngStream
-from dbnkit.oracle import fd_gradient
+from dbnkit.oracle import exact_log_z, random_grbm, random_rbm, random_srbm
 from dbnkit.training import (
     GradientAccumulator,
     LayerSpec,
@@ -18,8 +18,6 @@ from dbnkit.training import (
     train_layer,
 )
 
-from test_models import random_grbm, random_rbm, random_srbm
-
 
 def brute_log_likelihood(model, batch):
     return float(
@@ -28,21 +26,6 @@ def brute_log_likelihood(model, batch):
 
 
 # -- exact gradient ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("maker", [random_rbm, random_grbm, random_srbm])
-def test_exact_gradient_matches_finite_differences(maker):
-    rng = RngStream(30).generator()
-    model = maker(rng, m=4, n=3, scale=0.4)
-    if model.variant == models.GRBM:
-        batch = rng.standard_normal((10, 4))
-    else:
-        batch = (rng.random((10, 4)) < 0.5).astype(float)
-    exact = exact_ml_gradient(model, batch)
-    reference = fd_gradient(model.copy(), batch)
-    for name, ref in reference.items():
-        scale = max(np.abs(ref).max(), 1e-8)
-        assert np.abs(exact.grads[name] - ref).max() / scale < 1e-5
 
 
 def test_exact_gradient_zero_at_symmetric_point():
@@ -256,16 +239,6 @@ def test_init_srbm_matches_grbm_hidden_marginal():
     assert diff.max() - diff.min() < 1e-12
 
 
-def test_init_srbm_preserves_dbn_likelihood():
-    rng = RngStream(42).generator()
-    grbm = random_grbm(rng, m=4, n=5, scale=0.6)
-    second = init_srbm_from_grbm(grbm, 6)
-    x = rng.standard_normal((8, 4))
-    one = dbn.brute_force_log_likelihood(dbn.DbnModel([grbm]), x)
-    two = dbn.brute_force_log_likelihood(dbn.DbnModel([grbm, second]), x)
-    assert np.abs(one - two).max() < 1e-10
-
-
 # -- greedy stacking -----------------------------------------------------------
 
 
@@ -318,7 +291,6 @@ def test_bound_improvement_implies_likelihood_improvement():
     # after the exact-marginal initialization, improving the bound of the
     # second layer can only raise the true likelihood
     from dbnkit.estimation import estimate_lower_bound
-    from dbnkit.numerics import LogEstimate
 
     rng = RngStream(46).generator()
     grbm = random_grbm(rng, m=3, n=4, scale=0.7)
@@ -338,7 +310,7 @@ def test_bound_improvement_implies_likelihood_improvement():
     improved = dbn.DbnModel([grbm, trained])
 
     def bound_mean(s):
-        log_z = LogEstimate(brute_force_log_partition(s.layers[1]), 0.0, 1)
+        log_z = exact_log_z(s.layers[1])
         return np.mean(
             [
                 estimate_lower_bound(s, x, None, log_z, None, exact=True).log_value
