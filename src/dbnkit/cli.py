@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, baselines, dbn, estimation, models, oracle, pipeline
 from . import training
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, positive_int
 from .estimation import EstimationError
 from .models import EnumerationBudgetError
 from .numerics import LOG2, RngStream
@@ -46,8 +46,8 @@ def _write_json(path, obj):
     Path(path).write_text(canonical_json(obj) + "\n")
 
 
-def _write_meta(path, wall_time):
-    _write_json(path, {"wall_time_seconds": wall_time})
+def _write_meta(path, wall_time, **extra):
+    _write_json(path, {"wall_time_seconds": wall_time, **extra})
 
 
 def _synthetic_spec(section, seed):
@@ -256,8 +256,9 @@ def cmd_train(cfg):
     return 0
 
 
-def _write_report(cfg, section, dataset, out, started, log_values, fields, kind):
-    """Write report.json, with ``fields`` added to the shared header, and its sidecar."""
+def _write_report(cfg, section, dataset, out, started, log_values, fields, kind, meta=None):
+    """Write report.json, with ``fields`` added to the shared header, and its
+    sidecar, with ``meta`` added to the wall time."""
     report = {
         "tool_version": __version__,
         "config_hash": cfg.config_hash(),
@@ -275,7 +276,7 @@ def _write_report(cfg, section, dataset, out, started, log_values, fields, kind)
     if "sweep_x" in section:
         report["sweep_x"] = section["sweep_x"]
     _write_json(out / "report.json", report)
-    _write_meta(out / "report.meta.json", time.perf_counter() - started)
+    _write_meta(out / "report.meta.json", time.perf_counter() - started, **(meta or {}))
     line = f"{kind} log-loss: {report['bits_per_component']} bits/component"
     if "brute_force_bits" in report:
         line += f" (true {report['brute_force_bits']})"
@@ -343,7 +344,8 @@ def cmd_eval(cfg, threads):
             "brute_force_bits", float(np.mean(-result.brute_force / LOG2) / d)
         )
     return _write_report(
-        cfg, section, dataset, out, started, result.log_values, fields, "estimated"
+        cfg, section, dataset, out, started, result.log_values, fields, "estimated",
+        {"stages": result.stages, "workers": result.workers},
     )
 
 
@@ -445,23 +447,30 @@ def _build_parser():
     return parser
 
 
+def _thread_count(source, value):
+    try:
+        return positive_int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{source} {exc}") from None
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        env_threads = os.environ.get("DBNKIT_THREADS") or "1"
-        try:
-            default_threads = int(env_threads)
-        except ValueError:
-            raise ConfigError(
-                f"DBNKIT_THREADS must be an integer, not {env_threads!r}"
-            ) from None
+        env_threads = os.environ.get("DBNKIT_THREADS")
+        if env_threads:
+            default_threads = _thread_count("DBNKIT_THREADS", env_threads)
+        else:
+            default_threads = len(os.sched_getaffinity(0))
+        if args.threads is not None:
+            _thread_count("--threads", args.threads)
         if args.command == "oracle":
             return cmd_oracle(args.filter)
         cfg = ExperimentConfig.load(
             args.config,
             overrides={"seed": args.seed, "out": args.out, "threads": args.threads},
         )
-        threads = cfg.threads(env_default=default_threads)
+        threads = cfg.threads(default_threads)
         if args.command == "preprocess":
             return cmd_preprocess(cfg)
         if args.command == "train":

@@ -22,6 +22,17 @@ def _int(v):
     return int(v)
 
 
+def positive_int(v):
+    """``v`` as an integer of at least 1, such as a worker count."""
+    try:
+        n = int(v)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"must be a positive integer, not {v!r}")
+    return n
+
+
 def _float(v):
     return float(v)
 
@@ -51,7 +62,7 @@ _SCHEMA = {
     "experiment": {
         "seed": _int,
         "out_dir": _str,
-        "threads": _int,
+        "threads": positive_int,
         "label": _str,
     },
     "data": {
@@ -240,9 +251,10 @@ class ExperimentConfig:
     def label(self):
         return self.values["experiment"]["label"]
 
-    def threads(self, env_default=1):
+    def threads(self, default):
+        """AIS worker processes: the configured count, else ``default``."""
         t = self.values["experiment"]["threads"]
-        return env_default if t is None else t
+        return default if t is None else t
 
     def section(self, name, required=False):
         if name not in self.values:

@@ -17,7 +17,10 @@ uncertainty of partition-function and marginal estimates is tracked
 separately by the callers and never folded in silently.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +147,7 @@ class AisRun:
     log_z_base: float
     log_z_estimate: LogEstimate
     n_betas: int
+    workers: int = 1  # processes that ran the chains; 1 is this process
 
     def __post_init__(self):
         if self.log_weights.shape[0] != self.final_samples.shape[0]:
@@ -188,16 +192,27 @@ def _chain_chunk(target, base, betas, n_chains, rng):
     )
 
 
+def _chunk_job(job):
+    """One chunk of chains in a worker process; ``job`` is
+    (target, base, betas, n_chains, rng)."""
+    return _chain_chunk(*job)
+
+
 def run_ais(target, schedule, rng, threads=1):
     """Annealed importance sampling toward ``target``.
 
     Chains start as exact samples of the zero-weight base and pass through
     the Gibbs transition of each intermediate augmented machine.  Chains
     are processed in fixed-size chunks with dedicated substreams, so the
-    result is byte-stable for a given stream whatever the thread count.
-    Returns the weights, the final near-target samples, and the log
-    partition function estimate (weights plus the base's analytic log Z).
+    result is byte-stable for a given stream whatever the number of
+    worker processes: up to ``threads`` of them run the chunks when there
+    are several, and a single chunk runs in this process.  A worker that
+    dies raises EstimationError.  Returns the weights, the final
+    near-target samples, and the log partition function estimate (weights
+    plus the base's analytic log Z).
     """
+    if threads < 1:
+        raise EstimationError(f"threads must be at least 1, not {threads}")
     base = schedule.base_model
     if base.variant != target.variant:
         raise EstimationError(
@@ -209,21 +224,27 @@ def run_ais(target, schedule, rng, threads=1):
 
     n = schedule.n_chains
     if isinstance(rng, RngStream):
-        bounds = [(lo, min(lo + AIS_CHUNK, n)) for lo in range(0, n, AIS_CHUNK)]
-        rngs = [rng.substream(9, i) for i in range(len(bounds))]
+        sizes = [min(AIS_CHUNK, n - lo) for lo in range(0, n, AIS_CHUNK)]
+        rngs = [rng.substream(9, i) for i in range(len(sizes))]
     else:
-        bounds = [(0, n)]
-        rngs = [rng]
+        sizes, rngs = [n], [rng]
+    jobs = [(target, base, schedule.betas, size, r) for size, r in zip(sizes, rngs)]
 
-    def one(i):
-        lo, hi = bounds[i]
-        return _chain_chunk(target, base, schedule.betas, hi - lo, rngs[i])
-
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, range(len(bounds))))
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        # the chains' many small numpy calls hold the interpreter lock, so
+        # only processes run them in parallel.  fork, not spawn: a spawned
+        # worker re-imports the caller's main module, which a script without
+        # a __main__ guard cannot survive; a worker touches only its job
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                parts = list(pool.map(_chunk_job, jobs))
+        except BrokenProcessPool as exc:
+            raise EstimationError(f"an AIS worker process died: {exc}") from exc
     else:
-        parts = [one(i) for i in range(len(bounds))]
+        parts = [_chunk_job(job) for job in jobs]
 
     log_w = np.concatenate([p[0] for p in parts])
     samples = np.concatenate([p[1] for p in parts], axis=0)
@@ -232,7 +253,7 @@ def run_ais(target, schedule, rng, threads=1):
         log_z = LogEstimate(est.log_value + log_z_base, est.standard_error, n)
     else:
         log_z = LogEstimate(float(log_w[0]) + log_z_base, 0.0, 1)
-    return AisRun(log_w, samples, log_z_base, log_z, schedule.betas.size)
+    return AisRun(log_w, samples, log_z_base, log_z, schedule.betas.size, workers)
 
 
 def _log_hidden_conditional_terms(target, samples):
@@ -417,13 +438,17 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
 class EvalResult:
     """Per-sample log p(x) estimates in nats with their path-sampling SEs, the
     top log Z, how it and the marginals were obtained (``ais``), and the
-    brute-force values when the stack was enumerated."""
+    brute-force values when the stack was enumerated.  ``stages`` holds the
+    wall seconds of "log_z_top", each "ais_interface[<i>]", "paths" and
+    "brute_force"; ``workers`` is the most worker processes an AIS run used."""
 
     log_values: np.ndarray
     standard_errors: np.ndarray
     log_z_top: LogEstimate
     ais: dict
     brute_force: np.ndarray | None
+    stages: dict
+    workers: int
 
 
 def _anneal(target, data, n_betas, n_chains, rng, threads):
@@ -446,7 +471,8 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
     brute-force values are added when the stack is enumerable.  Beyond the
     budget, ``exact="on"`` and ``marginals="exact"`` raise
     EnumerationBudgetError; values outside EXACT_CHOICES and
-    MARGINAL_CHOICES raise EstimationError.  ``threads`` changes no result.
+    MARGINAL_CHOICES raise EstimationError.  ``threads`` caps the worker
+    processes of each AIS run and changes no result.
     """
     for name, value, choices in (("exact", exact, EXACT_CHOICES),
                                  ("marginals", marginals, MARGINAL_CHOICES)):
@@ -454,6 +480,9 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
             raise EstimationError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
     stream = RngStream(seed)
     ais = {"n_betas": n_betas, "schedule": "linear", "exact_z": False}
+    stages = {}
+    workers = 1
+    started = time.perf_counter()
     exact_z_possible = 2 ** enumeration_bits(stack.top) <= budget
     if exact == "on" and not exact_z_possible:
         raise EnumerationBudgetError("estimator.exact=on but the top layer is not enumerable")
@@ -465,7 +494,9 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
         chains = chains_top if stack.n_layers > 1 else chains_first
         run = _anneal(stack.top, top_data, n_betas, chains, RngStream(seed, 41), threads)
         log_z_top = run.log_z_estimate
+        workers = run.workers
         ais["chains_top"] = chains
+    stages["log_z_top"] = time.perf_counter() - started
 
     interior_srbm = [i for i in range(stack.n_layers - 1) if stack.layers[i].variant == SRBM]
     if not interior_srbm:
@@ -482,19 +513,25 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
         else:
             runs = {}
             for i in interior_srbm:
+                started = time.perf_counter()
                 iface = ([samples] + feed_forward_sample(
                     stack, samples, stream.substream(31, 1 + i)))[i]
                 runs[i] = _anneal(stack.layers[i], iface, n_betas, chains_interface,
                                   RngStream(seed, 42 + i), threads)
+                workers = max(workers, runs[i].workers)
+                stages[f"ais_interface[{i}]"] = time.perf_counter() - started
             provider = AisMarginals(stack, runs)
             ais["marginals"] = "ais"
             ais["chains_interface"] = chains_interface
 
+    started = time.perf_counter()
     estimates = estimate_dataset_log_likelihood(
         stack, samples, n_is, provider, log_z_top, RngStream(seed, 33)
     )
     if isinstance(provider, AisMarginals):
         ais["marginal_se_mean"] = provider.mean_standard_error()
+    stages["paths"] = time.perf_counter() - started
+    started = time.perf_counter()
     brute_force = None
     if exact != "off":
         try:
@@ -502,9 +539,10 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
         except EnumerationBudgetError:
             if exact == "on":
                 raise
+    stages["brute_force"] = time.perf_counter() - started
     log_values = np.array([e.log_value for e in estimates])
     ses = np.array([e.standard_error for e in estimates])
-    return EvalResult(log_values, ses, log_z_top, ais, brute_force)
+    return EvalResult(log_values, ses, log_z_top, ais, brute_force, stages, workers)
 
 
 def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):

@@ -256,22 +256,36 @@ def check_estimator_unbiased():
 
 
 def check_lower_bound():
-    """Acceptance criterion 06: the exact variational bound never exceeds
-    the enumerated likelihood on 100 random two-RBM stacks."""
+    """Acceptance criterion 06: on 100 random two-RBM stacks the exact
+    variational bound never exceeds the enumerated likelihood, and falls
+    short of it by exactly KL(q(y|x) || p(y|x)), enumerated over the 8
+    hidden states."""
     stream = RngStream(1500)
+    ys = models.binary_states(3)
     worst = -np.inf
+    kl_err = 0.0
     for i in range(100):
         rng = stream.substream(i)
         first = random_rbm(rng, m=4, n=3, scale=0.8)
         top = random_rbm(rng, m=3, n=3, scale=0.8)
         stack = dbn.DbnModel([first, top])
         x = (rng.random(4) < 0.5).astype(float)
-        bound = estimation.estimate_lower_bound(
-            stack, x, None, exact_log_z(top), None, exact=True
-        )
+        log_z = exact_log_z(top)
+        bound = estimation.estimate_lower_bound(stack, x, None, log_z, None, exact=True)
         truth = dbn.brute_force_log_likelihood(stack, x)
         worst = max(worst, bound.log_value - truth)
-    return CheckResult("lower-bound", worst <= 0.0, worst, 0.0, "bound minus truth")
+        p = first.hidden_conditional(x)
+        log_q = ys @ np.log(p) + (1.0 - ys) @ np.log1p(-p)
+        log_posterior = (
+            first.log_visible_conditional(np.tile(x, (len(ys), 1)), ys)
+            + top.log_unnorm_visible(ys) - log_z.log_value - truth
+        )
+        kl = float(np.sum(np.exp(log_q) * (log_q - log_posterior)))
+        kl_err = max(kl_err, abs(bound.log_value - (truth - kl)))
+    return CheckResult(
+        "lower-bound", worst <= 0.0 and kl_err < 1e-10, worst, 0.0,
+        f"bound minus truth; |bound - (truth - KL)| {kl_err:.1e} < 1e-10",
+    )
 
 
 def check_em_monotone():

@@ -1,4 +1,5 @@
 import json
+import os
 import textwrap
 
 import numpy as np
@@ -340,6 +341,31 @@ def test_bad_thread_env_is_config_error(workspace, monkeypatch, capsys):
     assert not (workspace / "data").exists()
 
 
+@pytest.mark.parametrize(
+    "where, value, source",
+    [("flag", "0", "--threads"), ("flag", "-1", "--threads"),
+     ("config", "0", "'threads' in [experiment]"), ("env", "0", "DBNKIT_THREADS")],
+    ids=["flag-0", "flag-minus-1", "config-0", "env-0"],
+)
+def test_thread_count_below_one_is_config_error(workspace, monkeypatch, capsys,
+                                                where, value, source):
+    cfg = preprocess_config(workspace)
+    argv = ["preprocess", "--config", cfg]
+    if where == "flag":
+        argv += ["--threads", value]
+    elif where == "config":
+        text = (workspace / "prep.ini").read_text()
+        (workspace / "prep.ini").write_text(
+            text.replace("[experiment]", f"[experiment]\nthreads = {value}")
+        )
+    else:
+        monkeypatch.setenv("DBNKIT_THREADS", value)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and source in err and "positive integer" in err
+    assert not (workspace / "data").exists()
+
+
 def test_compare_emits_sweep_series(workspace, tmp_path):
     for i, x in enumerate([100, 1000, 10000]):
         (tmp_path / f"s{i}.json").write_text(
@@ -405,6 +431,39 @@ def test_eval_estimation_failure_exit_code(workspace, monkeypatch):
         """,
     )
     assert cli.main(["eval", "--config", cfg]) == cli.EXIT_ESTIMATION
+
+
+def test_eval_dead_ais_worker_exit_code(workspace, monkeypatch, capsys):
+    from dbnkit import estimation
+
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    cli.main(["train", "--config", train_config(workspace)])
+    # four chunks of top-layer chains; the forked workers inherit the patch
+    monkeypatch.setattr(estimation, "AIS_CHUNK", 64)
+    monkeypatch.setattr(estimation, "_chain_chunk", lambda *args: os._exit(3))
+    cfg = write_config(
+        workspace / "eval5.ini",
+        f"""
+        [experiment]
+        seed = 11
+        out_dir = {workspace / 'e5'}
+
+        [eval]
+        model = {workspace / 'run' / 'model'}
+        dataset = {workspace / 'data' / 'test_00.dbds'}
+
+        [ais]
+        n_betas = 20
+        chains_top = 200
+
+        [estimator]
+        exact = off
+        """,
+    )
+    assert cli.main(["eval", "--config", cfg, "--threads", "2"]) == cli.EXIT_ESTIMATION
+    assert capsys.readouterr().err.startswith(
+        "estimation failed: an AIS worker process died"
+    )
 
 
 def test_train_divergence_exit_code(workspace):
@@ -588,6 +647,11 @@ def test_eval_three_layer_ais_marginals(workspace):
     )
     assert cli.main(["eval", "--config", ev]) == 0
     report = json.loads((workspace / "ev3" / "report.json").read_text())
+    # the sidecar says where the time went; 400 chains are one chunk
+    meta = json.loads((workspace / "ev3" / "report.meta.json").read_text())
+    assert set(meta["stages"]) == {"log_z_top", "ais_interface[1]", "paths", "brute_force"}
+    assert sum(meta["stages"].values()) <= meta["wall_time_seconds"]
+    assert meta["workers"] == 1
     assert report["ais"]["marginals"] == "ais"
     assert report["ais"]["chains_interface"] == 400
     assert report["ais"]["marginal_se_mean"] > 0

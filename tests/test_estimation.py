@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,67 @@ def test_ais_chunking_is_stable(monkeypatch):
     assert np.array_equal(parts.final_samples, again.final_samples)
     # different chunk sizes change stream assignment but not correctness
     assert abs(one.log_z_estimate.log_value - parts.log_z_estimate.log_value) < 0.2
+
+
+def _multi_chunk_run(monkeypatch, maker=random_rbm, chains=200):
+    """A target and schedule that AIS_CHUNK = 64 splits into several chunks."""
+    import dbnkit.estimation as es
+
+    monkeypatch.setattr(es, "AIS_CHUNK", 64)
+    target = maker(RngStream(80).generator())
+    return target, AisSchedule(linear_betas(20), chains, fit_base_model(target))
+
+
+@pytest.mark.parametrize("maker", [random_rbm, random_grbm, random_srbm])
+def test_ais_is_byte_identical_across_worker_counts(monkeypatch, maker):
+    target, schedule = _multi_chunk_run(monkeypatch, maker)
+    runs = [run_ais(target, schedule, RngStream(81), threads=t) for t in (1, 2, 3)]
+    assert [r.workers for r in runs] == [1, 2, 3]
+    for r in runs[1:]:
+        assert np.array_equal(r.log_weights, runs[0].log_weights)
+        assert np.array_equal(r.final_samples, runs[0].final_samples)
+
+
+@pytest.mark.parametrize("chains, pool_sizes", [(200, [4]), (64, [])],
+                         ids=["four-chunks", "one-chunk"])
+def test_ais_starts_no_more_workers_than_chunks(monkeypatch, chains, pool_sizes):
+    import dbnkit.estimation as es
+
+    sizes = []
+
+    class Recording:
+        """Stands in for the process pool: records its size, maps in this process."""
+
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    target, schedule = _multi_chunk_run(monkeypatch, chains=chains)
+    monkeypatch.setattr(es, "ProcessPoolExecutor", Recording)
+    run = run_ais(target, schedule, RngStream(81), threads=10 ** 6)
+    # 200 chains are 4 chunks of at most 64; a single chunk starts no pool
+    assert sizes == pool_sizes
+    assert run.workers == max(pool_sizes, default=1)
+    with pytest.raises(EstimationError, match="threads must be at least 1"):
+        run_ais(target, schedule, RngStream(81), threads=0)
+
+
+def test_dead_ais_worker_is_estimation_error(monkeypatch):
+    import dbnkit.estimation as es
+
+    target, schedule = _multi_chunk_run(monkeypatch)
+    # the forked workers inherit the patch and die without a result
+    monkeypatch.setattr(es, "_chain_chunk", lambda *args: os._exit(3))
+    with pytest.raises(EstimationError, match="an AIS worker process died"):
+        run_ais(target, schedule, RngStream(81), threads=2)
 
 
 # -- marginal reuse ---------------------------------------------------------------
@@ -296,6 +359,8 @@ def test_evaluate_stack_anneals_with_exact_off():
     result = evaluate_stack(stack, x, exact="off", marginals="ais", budget=2 ** 10,
                             **EVAL_KNOBS)
     assert result.brute_force is None
+    assert set(result.stages) == {"log_z_top", "ais_interface[1]", "paths", "brute_force"}
+    assert result.workers == 1
     assert result.ais["exact_z"] is False
     assert result.ais["chains_top"] == 50
     assert result.ais["marginals"] == "ais"
