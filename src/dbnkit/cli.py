@@ -299,13 +299,15 @@ def cmd_eval(cfg, threads):
     except StorageError as exc:
         raise PipelineError(str(exc)) from exc
     model_path = Path(section["model"])
+    if not model_path.exists():
+        raise ConfigError(f"no model at {section['model']!r}")
     started = time.perf_counter()
     if model_path.is_file():
         # a single container file holds a baseline density
         try:
             model = baselines.load_baseline(model_path)
         except (StorageError, baselines.BaselineError, KeyError) as exc:
-            raise ConfigError(f"cannot load model {section['model']!r}: {exc}") from exc
+            raise PipelineError(f"cannot load model {section['model']!r}: {exc}") from exc
         if dataset.dim != model.dim:
             raise ConfigError("dataset dimension does not match the model")
         return _write_report(
@@ -315,7 +317,7 @@ def cmd_eval(cfg, threads):
     try:
         stack = dbn.load_dbn(model_path)
     except (dbn.DbnError, StorageError, OSError, KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot load model {section['model']!r}: {exc}") from exc
+        raise PipelineError(f"cannot load model {section['model']!r}: {exc}") from exc
     if dataset.dim != stack.n_visible:
         raise ConfigError("dataset dimension does not match the model")
 

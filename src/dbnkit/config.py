@@ -8,6 +8,7 @@ command-line overrides) is hashed into every report.
 import configparser
 import hashlib
 import json
+import math
 import re
 
 from .estimation import EXACT_CHOICES, MARGINAL_CHOICES
@@ -72,9 +73,9 @@ _SCHEMA = {
         "source": _str,  # "images" or "synthetic"
         "images": _str,
         "patch_size": _int,
-        "pairs": _int,
-        "n_train": _int,
-        "n_test": _int,
+        "pairs": positive_int,
+        "n_train": positive_int,
+        "n_test": positive_int,
     },
     "synthetic": {
         "kind": _str,
@@ -121,7 +122,7 @@ _SCHEMA = {
 
 _LAYER_KEYS = {
     "variant": _str,
-    "hidden": _int,
+    "hidden": positive_int,
     "sigma": _float,
     "sigma_candidates": _floats,
     "sigma_folds": _int,
@@ -232,6 +233,10 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown variant in [{sect}]")
                 if layer["variant"] == "grbm" and i != 0:
                     raise ConfigError("gaussian layers are only valid at the bottom")
+                sigmas = layer.get("sigma_candidates", []) + (
+                    [layer["sigma"]] if "sigma" in layer else [])
+                if not all(math.isfinite(v) and v > 0 for v in sigmas):
+                    raise ConfigError(f"[{sect}] sigma values must be finite and positive")
         est = self.values["estimator"]
         for key, choices in (("exact", EXACT_CHOICES), ("marginals", MARGINAL_CHOICES)):
             if est[key] not in choices:

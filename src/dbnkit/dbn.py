@@ -220,8 +220,10 @@ def load_dbn(directory):
     if not manifest_path.is_file():
         raise DbnError(f"no stack manifest in {directory}")
     manifest = json.loads(manifest_path.read_text())
-    layers = [load_model(directory / name) for name in manifest["layers"]]
-    return DbnModel(layers)
+    names = manifest.get("layers") if isinstance(manifest, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise DbnError(f"{manifest_path} does not list its layer files")
+    return DbnModel([load_model(directory / name) for name in names])
 
 
 def read_manifest(directory):

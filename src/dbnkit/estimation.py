@@ -41,7 +41,6 @@ from .models import (
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
     enumeration_bits,
-    state_index,
 )
 from .numerics import (
     LogEstimate,
@@ -75,8 +74,7 @@ def fit_base_model(target, data=None):
 
     Visible biases are fitted to the data base rates (binary) or mean and
     scale (gaussian) when data is given, improving the proposal overlap;
-    hidden biases are zero so the base hidden units contribute an exact
-    constant at every annealing weight.
+    hidden biases are zero, as AisSchedule requires of a base.
     """
     m, n = target.n_visible, target.n_hidden
     w = np.zeros((m, n))
@@ -136,6 +134,10 @@ class AisSchedule:
             raise EstimationError("annealing weights must lie in [0, 1]")
         if self.n_chains < 1:
             raise EstimationError("need at least one chain")
+        # the kernels leave out the base hidden units' softplus terms, which
+        # cancel between annealing weights only when these biases are zero
+        if np.any(self.base_model.hidden_bias != 0.0):
+            raise EstimationError("base model must have zero hidden biases")
 
 
 @dataclass
@@ -155,41 +157,9 @@ class AisRun:
 
 
 def _chain_chunk(target, base, betas, n_chains, rng):
-    if target.variant == RBM:
-        return kernels.ais_rbm(
-            base.visible_bias,
-            base.hidden_bias,
-            target.weights,
-            target.visible_bias,
-            target.hidden_bias,
-            betas,
-            n_chains,
-            rng,
-        )
-    if target.variant == GRBM:
-        return kernels.ais_grbm(
-            base.visible_bias,
-            base.hidden_bias,
-            base.sigma,
-            target.weights,
-            target.visible_bias,
-            target.hidden_bias,
-            target.sigma,
-            betas,
-            n_chains,
-            rng,
-        )
-    return kernels.ais_srbm(
-        base.visible_bias,
-        base.hidden_bias,
-        target.weights,
-        target.visible_bias,
-        target.hidden_bias,
-        target.lateral,
-        betas,
-        n_chains,
-        rng,
-    )
+    # looked up per call, so a wrapper set on a kernels attribute is the one called
+    kernel = {RBM: kernels.ais_rbm, GRBM: kernels.ais_grbm, SRBM: kernels.ais_srbm}[target.variant]
+    return kernel(target, base, betas, n_chains, rng)
 
 
 def _chunk_job(job):
@@ -317,7 +287,7 @@ class AnalyticMarginals:
 
 
 class _TableMarginals:
-    """Shared memoization: values are cached per packed binary state."""
+    """Shared memoization: values are cached per exact state (its row bytes)."""
 
     def __init__(self, dbn):
         self.dbn = dbn
@@ -332,15 +302,16 @@ class _TableMarginals:
             return layer.log_unnorm_hidden(states)
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         table = self._tables.setdefault(layer_index, {})
-        idx = state_index(states)
-        missing = np.array(sorted({int(i) for i in idx if int(i) not in table}), dtype=np.int64)
-        if missing.size:
-            k = layer.n_hidden
-            rows = ((missing[:, None] >> np.arange(k)) & 1).astype(np.float64)
-            vals = self._compute(layer_index, rows)
-            for key, val in zip(missing, vals):
-                table[int(key)] = float(val)
-        return np.array([table[int(i)] for i in idx])
+        keys = [row.tobytes() for row in states]
+        missing = {key: row for key, row in zip(keys, states) if key not in table}
+        if missing:
+            rows = np.array(list(missing.values()))
+            # new states are computed in ascending binary index (last column
+            # most significant), whatever order the call lists them in
+            rows = rows[np.lexsort(rows.T)]
+            for row, val in zip(rows, self._compute(layer_index, rows)):
+                table[row.tobytes()] = float(val)
+        return np.array([table[key] for key in keys])
 
 
 class ExactMarginals(_TableMarginals):

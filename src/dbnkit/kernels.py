@@ -1,12 +1,14 @@
 """Hot sampling kernels: annealed-importance chains and the sequential
 Gibbs sweep of lateral-connected layers, in numpy.
 
-Annealed-importance chains run against a zero-weight base model of the
-same variant, so kernels only receive the base biases (and scale).  The
-intermediate distribution at inverse temperature ``beta`` is the visible
-marginal of the augmented machine whose two hidden-unit groups carry the
-base and target energies scaled by ``1 - beta`` and ``beta``; because the
-base has no weights, its hidden group decouples and is never sampled.
+Annealed-importance chains run against a base model of the target's
+variant with zero weights and zero hidden biases (``AisSchedule`` checks
+the biases), so a kernel reads only the base's visible biases (and
+scale).  The intermediate distribution at inverse temperature ``beta`` is
+the visible marginal of the augmented machine whose two hidden-unit groups
+carry the base and target energies scaled by ``1 - beta`` and ``beta``;
+the base's hidden group adds the same constant at every ``beta`` and is
+never sampled.
 """
 
 import numpy as np
@@ -44,16 +46,21 @@ def srbm_sweep(x, lateral, drive, u):
     return x
 
 
-def ais_rbm(base_b, base_c, wt, bt, ct, betas, n_chains, rng):
-    """AIS chains for a binary RBM target from a zero-weight base.
+def _ais_binary(target, base, lateral, betas, n_chains, rng):
+    """AIS chains for a binary target with visible couplings ``lateral``
+    (None for none).
 
     Weight increments are accumulated in delta form,
     log f_k(x) - log f_{k-1}(x) factored so that shared subexpressions
-    cancel exactly; for target == base every weight is exactly zero.
-    Returns per-chain log importance weights (base partition function not
-    included) and the final visible states, distributed near the target.
+    cancel exactly; for target == base every weight is exactly zero.  The
+    visible update is factorial without couplings, else one sequential
+    Gibbs sweep with them scaled by beta.  Returns per-chain log importance
+    weights (base partition function not included) and the final visible
+    states, distributed near the target.
     """
     n_steps = betas.shape[0] - 1
+    base_b = base.visible_bias
+    wt, bt, ct = target.weights, target.visible_bias, target.hidden_bias
     m = base_b.shape[0]
 
     x = (rng.random((n_chains, m)) < _sigmoid(base_b)).astype(np.float64)
@@ -63,24 +70,40 @@ def ais_rbm(base_b, base_c, wt, bt, ct, betas, n_chains, rng):
         b0 = betas[k - 1]
         b1 = betas[k]
         act = np.dot(x, wt) + ct
+        target_lin = np.dot(x, bt)
+        if lateral is not None:
+            target_lin = target_lin + 0.5 * np.sum(np.dot(x, lateral) * x, axis=1)
         log_w += (
-            (b1 - b0) * (np.dot(x, bt) - np.dot(x, base_b))
-            + (softplus_log((1.0 - b1) * base_c).sum()
-               - softplus_log((1.0 - b0) * base_c).sum())
+            (b1 - b0) * (target_lin - np.dot(x, base_b))
             + (softplus_log(b1 * act).sum(axis=1) - softplus_log(b0 * act).sum(axis=1))
         )
         if k < n_steps:
             u_h = rng.random((n_chains, ct.shape[0]))
             y = (u_h < _sigmoid(b1 * act)).astype(np.float64)
             u_v = rng.random((n_chains, m))
-            vis_logits = (1.0 - b1) * base_b + b1 * (np.dot(y, wt.T) + bt)
-            x = (u_v < _sigmoid(vis_logits)).astype(np.float64)
+            drive = (1.0 - b1) * base_b + b1 * (np.dot(y, wt.T) + bt)
+            if lateral is None:
+                x = (u_v < _sigmoid(drive)).astype(np.float64)
+            else:
+                x = srbm_sweep(x, b1 * lateral, drive, u_v)
     return log_w, x
 
 
-def ais_grbm(base_b, base_c, base_sigma, wt, bt, ct, sigma_t, betas, n_chains, rng):
-    """AIS chains for a Gaussian-visible target from a zero-weight base."""
+def ais_rbm(target, base, betas, n_chains, rng):
+    """AIS chains for a binary RBM target; see _ais_binary."""
+    return _ais_binary(target, base, None, betas, n_chains, rng)
+
+
+def ais_srbm(target, base, betas, n_chains, rng):
+    """AIS chains for a lateral-connected binary target; see _ais_binary."""
+    return _ais_binary(target, base, target.lateral, betas, n_chains, rng)
+
+
+def ais_grbm(target, base, betas, n_chains, rng):
+    """AIS chains for a Gaussian-visible target."""
     n_steps = betas.shape[0] - 1
+    base_b, base_sigma = base.visible_bias, base.sigma
+    wt, bt, ct, sigma_t = target.weights, target.visible_bias, target.hidden_bias, target.sigma
     m = base_b.shape[0]
 
     x = base_b + base_sigma * rng.standard_normal((n_chains, m))
@@ -96,8 +119,6 @@ def ais_grbm(base_b, base_c, base_sigma, wt, bt, ct, sigma_t, betas, n_chains, r
         quad_target = np.sum(dt * dt, axis=1) / (2.0 * sigma_t * sigma_t)
         log_w += (
             (b1 - b0) * (quad_base - quad_target)
-            + (softplus_log((1.0 - b1) * base_c).sum()
-               - softplus_log((1.0 - b0) * base_c).sum())
             + (softplus_log(b1 * act).sum(axis=1) - softplus_log(b0 * act).sum(axis=1))
         )
         if k < n_steps:
@@ -111,36 +132,4 @@ def ais_grbm(base_b, base_c, base_sigma, wt, bt, ct, sigma_t, betas, n_chains, r
                 + b1 * np.dot(y, wt.T) / sigma_t
             ) / lam
             x = mean + rng.standard_normal((n_chains, m)) / np.sqrt(lam)
-    return log_w, x
-
-
-def ais_srbm(base_b, base_c, wt, bt, ct, lt, betas, n_chains, rng):
-    """AIS chains for a lateral-connected binary target from a zero-weight base.
-
-    The visible update is one full sequential Gibbs sweep per annealing
-    step, with the lateral matrix scaled by beta.
-    """
-    n_steps = betas.shape[0] - 1
-    m = base_b.shape[0]
-
-    x = (rng.random((n_chains, m)) < _sigmoid(base_b)).astype(np.float64)
-    log_w = np.zeros(n_chains)
-
-    for k in range(1, n_steps + 1):
-        b0 = betas[k - 1]
-        b1 = betas[k]
-        act = np.dot(x, wt) + ct
-        target_lin = np.dot(x, bt) + 0.5 * np.sum(np.dot(x, lt) * x, axis=1)
-        log_w += (
-            (b1 - b0) * (target_lin - np.dot(x, base_b))
-            + (softplus_log((1.0 - b1) * base_c).sum()
-               - softplus_log((1.0 - b0) * base_c).sum())
-            + (softplus_log(b1 * act).sum(axis=1) - softplus_log(b0 * act).sum(axis=1))
-        )
-        if k < n_steps:
-            u_h = rng.random((n_chains, ct.shape[0]))
-            y = (u_h < _sigmoid(b1 * act)).astype(np.float64)
-            drive = (1.0 - b1) * base_b + b1 * (np.dot(y, wt.T) + bt)
-            u_v = rng.random((n_chains, m))
-            x = srbm_sweep(x, b1 * lt, drive, u_v)
     return log_w, x

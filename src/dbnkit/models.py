@@ -53,8 +53,13 @@ def binary_chunk(start, stop, k):
 
 
 def state_index(x):
-    """Bit-pack binary state rows into integer indices (inverse of binary_states)."""
+    """Bit-pack binary state rows into integer indices (inverse of binary_states).
+
+    The packing is a float64 dot product, exact up to 53 columns only.
+    """
     x = np.atleast_2d(np.asarray(x))
+    if x.shape[1] > 53:
+        raise ModelError(f"cannot index states of {x.shape[1]} units exactly; at most 53")
     powers = (1 << np.arange(x.shape[1], dtype=np.int64)).astype(np.float64)
     return np.rint(x @ powers).astype(np.int64)
 

@@ -367,6 +367,27 @@ def check_determinism():
     return CheckResult("determinism", same, 0.0 if same else 1.0, 0.0, "byte-stable AIS")
 
 
+def check_wide_state_keys():
+    """The memoized marginals of a 60-hidden-unit lateral layer tell apart
+    states whose binary indices 2^59 and 2^59 + 1 share one float64."""
+    rng = RngStream(2200).generator()
+    stack = dbn.DbnModel(
+        [random_grbm(rng, 4, 6), random_srbm(rng, 6, 60), random_rbm(rng, 60, 3)]
+    )
+    states = np.zeros((2, 60))
+    states[:, 59] = 1.0
+    states[1, 0] = 1.0
+    truth = models.brute_force_hidden_marginal_srbm(stack.layers[1], states)
+    provider = estimation.ExactMarginals(stack)
+    first = provider(1, states)
+    cached = provider(1, states[::-1])[::-1]
+    err = float(max(np.abs(first - truth).max(), np.abs(cached - truth).max()))
+    return CheckResult(
+        "wide-state-keys", err < 1e-10, err, 1e-10,
+        f"true marginals {truth[0]:.8f} and {truth[1]:.8f}",
+    )
+
+
 ALL_CHECKS = [
     check_marginal_consistency,
     check_partition_sides,
@@ -380,6 +401,7 @@ ALL_CHECKS = [
     check_preprocess_roundtrip,
     check_sweep_invariance,
     check_determinism,
+    check_wide_state_keys,
 ]
 
 

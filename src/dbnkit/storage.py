@@ -50,6 +50,13 @@ def write_container(path, kind, meta, arrays):
             fh.write(blob)
 
 
+def _read_exact(fh, n, path, what):
+    data = fh.read(n)
+    if len(data) != n:
+        raise StorageError(f"{path} is truncated: its {what} is short")
+    return data
+
+
 def read_container(path, expect_kind=None):
     path = Path(path)
     if not path.is_file():
@@ -57,9 +64,13 @@ def read_container(path, expect_kind=None):
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise StorageError(f"{path} is not a dbnkit container")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
+        blob = _read_exact(fh, hlen, path, "header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON
+            raise StorageError(f"{path} has an unreadable header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
             raise StorageError(f"unsupported format version in {path}")
         if expect_kind is not None and header["kind"] != expect_kind:
             raise StorageError(
@@ -69,8 +80,8 @@ def read_container(path, expect_kind=None):
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            arrays[entry["name"]] = data.copy()
+            blob = _read_exact(fh, count * 8, path, f"array {entry['name']!r}")
+            arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
     return header["kind"], header["meta"], arrays
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +222,47 @@ def test_eval_unknown_model_is_config_error(workspace):
     cli.main(["preprocess", "--config", preprocess_config(workspace)])
     cfg = eval_config(workspace, model="nowhere/model")
     assert cli.main(["eval", "--config", cfg]) == cli.EXIT_CONFIG
+
+
+def _truncate(path):
+    # ends mid-array, so the payload is not a whole number of float64s
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda ws: _truncate(ws / "data" / "test_00.dbds"),
+        lambda ws: (ws / "data" / "test_00.dbds").write_bytes(b"DBNK\x10\x00"),
+        lambda ws: _truncate(ws / "run" / "model" / "layer_01.dbk"),
+        lambda ws: (ws / "run" / "model" / "manifest.json").write_text('{"layers": 3}'),
+    ],
+    ids=["truncated-dataset", "six-byte-dataset", "truncated-layer", "layers-not-a-list"],
+)
+def test_eval_unreadable_input_is_data_error(workspace, capsys, damage):
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    cli.main(["train", "--config", train_config(workspace)])
+    damage(workspace)
+    assert cli.main(["eval", "--config", eval_config(workspace)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("train", "hidden = 4", "hidden = 0"),
+        ("train", "sigma = 0.6", "sigma = -1"),
+        ("train", "sigma = 0.6", "sigma_candidates = 0.5, nan"),
+        ("preprocess", "n_test = 60", "n_test = 0"),
+    ],
+    ids=["hidden-0", "sigma-negative", "sigma-candidate-nan", "n_test-0"],
+)
+def test_config_the_models_would_reject_is_config_error(workspace, capsys, command, old, new):
+    make = train_config if command == "train" else preprocess_config
+    path = workspace / "bad.ini"
+    path.write_text(Path(make(workspace)).read_text().replace(old, new, 1))
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_compare_identical_models(workspace, tmp_path):

@@ -45,6 +45,9 @@ def test_schedule_validation():
         AisSchedule(np.array([0.0, 0.7, 0.3, 1.0]), 10, base)
     with pytest.raises(EstimationError):
         AisSchedule(linear_betas(10), 0, base)
+    # the kernels drop the base hidden units' terms, exact only at zero biases
+    with pytest.raises(EstimationError, match="zero hidden biases"):
+        AisSchedule(linear_betas(10), 10, Rbm(np.zeros((2, 2)), np.zeros(2), np.array([0.0, 0.3])))
 
 
 def test_base_model_fitted_to_rates():

@@ -1,4 +1,5 @@
-"""Fixed-seed regression pins for the AIS kernels, and sweep ordering.
+"""Fixed-seed regression pins for the AIS kernels, the agreement of the
+binary body's factorial and lateral branches, and sweep ordering.
 
 The pins guard the kernels' arithmetic and the order in which they draw
 random numbers: final states must match bit for bit (sha256 of their
@@ -11,35 +12,32 @@ import numpy as np
 import pytest
 
 from dbnkit import kernels
+from dbnkit.models import Grbm, Rbm, Srbm
 from dbnkit.numerics import RngStream
 
 
 def _rbm_args(rng):
     m, n = 7, 5
-    return (
-        0.3 * rng.standard_normal(m),
-        np.zeros(n),
+    base_b = 0.3 * rng.standard_normal(m)
+    target = Rbm(
         0.5 * rng.standard_normal((m, n)),
         0.3 * rng.standard_normal(m),
         0.3 * rng.standard_normal(n),
-        np.linspace(0.0, 1.0, 41),
-        64,
     )
+    return target, Rbm(np.zeros((m, n)), base_b, np.zeros(n)), np.linspace(0.0, 1.0, 41), 64
 
 
 def _grbm_args(rng):
     m, n = 6, 4
-    return (
-        0.2 * rng.standard_normal(m),
-        np.zeros(n),
-        0.9,
+    base_b = 0.2 * rng.standard_normal(m)
+    target = Grbm(
         0.5 * rng.standard_normal((m, n)),
         0.3 * rng.standard_normal(m),
         0.3 * rng.standard_normal(n),
         0.7,
-        np.linspace(0.0, 1.0, 41),
-        64,
     )
+    base = Grbm(np.zeros((m, n)), base_b, np.zeros(n), 0.9)
+    return target, base, np.linspace(0.0, 1.0, 41), 64
 
 
 def _srbm_args(rng):
@@ -47,16 +45,15 @@ def _srbm_args(rng):
     lat = 0.3 * rng.standard_normal((m, m))
     lat = 0.5 * (lat + lat.T)
     np.fill_diagonal(lat, 0.0)
-    return (
-        0.3 * rng.standard_normal(m),
-        np.zeros(n),
+    base_b = 0.3 * rng.standard_normal(m)
+    target = Srbm(
         0.5 * rng.standard_normal((m, n)),
         0.3 * rng.standard_normal(m),
         0.3 * rng.standard_normal(n),
         lat,
-        np.linspace(0.0, 1.0, 41),
-        64,
     )
+    base = Srbm(np.zeros((m, n)), base_b, np.zeros(n), np.zeros((m, m)))
+    return target, base, np.linspace(0.0, 1.0, 41), 64
 
 
 @pytest.mark.parametrize(
@@ -92,6 +89,19 @@ def test_ais_fixed_seed_pins(maker, fn, state_sha256, log_w_head, log_w_sum):
     assert hashlib.sha256(x.tobytes()).hexdigest() == state_sha256
     np.testing.assert_allclose(log_w[:4], log_w_head, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(log_w.sum(), log_w_sum, rtol=1e-12, atol=0.0)
+
+
+def test_srbm_kernel_without_couplings_matches_rbm_kernel():
+    # pins the lateral and the factorial branch of the shared binary body
+    # to each other: with zero couplings the sweep is the factorial update
+    rbm, base, betas, n_chains = _rbm_args(np.random.default_rng(0))
+    m, n = rbm.weights.shape
+    srbm = Srbm(rbm.weights, rbm.visible_bias, rbm.hidden_bias, np.zeros((m, m)))
+    srbm_base = Srbm(np.zeros((m, n)), base.visible_bias, np.zeros(n), np.zeros((m, m)))
+    log_w_r, x_r = kernels.ais_rbm(rbm, base, betas, n_chains, RngStream(11).generator())
+    log_w_s, x_s = kernels.ais_srbm(srbm, srbm_base, betas, n_chains, RngStream(11).generator())
+    assert np.array_equal(log_w_s, log_w_r)
+    assert np.array_equal(x_s, x_r)
 
 
 def test_srbm_sweep_is_sequential():

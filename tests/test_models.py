@@ -300,6 +300,22 @@ def test_read_container_rejects_garbage(tmp_path):
     path.write_bytes(b"not a container")
     with pytest.raises(StorageError):
         read_container(path)
+    path.write_bytes(b"DBNK" + (3).to_bytes(4, "little") + b"\xff{}")
+    with pytest.raises(StorageError, match="header"):
+        read_container(path)
+    # every truncation of a valid file
+    save_model(random_srbm(RngStream(23).generator()), path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(StorageError):
+            read_container(path)
+
+
+def test_state_index_refuses_inexact_widths():
+    assert state_index(np.ones((1, 53)))[0] == 2 ** 53 - 1
+    with pytest.raises(ModelError, match="at most 53"):
+        state_index(np.ones((1, 54)))
 
 
 def test_srbm_validation():
