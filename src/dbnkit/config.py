@@ -19,10 +19,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _int(v):
-    return int(v)
-
-
 def positive_int(v):
     """``v`` as an integer of at least 1, such as a worker count."""
     try:
@@ -32,23 +28,6 @@ def positive_int(v):
     if n < 1:
         raise ValueError(f"must be a positive integer, not {v!r}")
     return n
-
-
-def _float(v):
-    return float(v)
-
-
-def _str(v):
-    return str(v)
-
-
-def _bool(v):
-    lowered = v.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {v!r}")
 
 
 def _floats(v):
@@ -61,59 +40,59 @@ def _strs(v):
 
 _SCHEMA = {
     "experiment": {
-        "seed": _int,
-        "out_dir": _str,
+        "seed": int,
+        "out_dir": str,
         "threads": positive_int,
-        "label": _str,
+        "label": str,
     },
     "data": {
-        "train": _str,
+        "train": str,
     },
     "preprocess": {
-        "source": _str,  # "images" or "synthetic"
-        "images": _str,
-        "patch_size": _int,
+        "source": str,  # "images" or "synthetic"
+        "images": str,
+        "patch_size": int,
         "pairs": positive_int,
         "n_train": positive_int,
         "n_test": positive_int,
     },
     "synthetic": {
-        "kind": _str,
-        "dim": _int,
-        "components": _int,
-        "sigma": _float,
-        "spread": _float,
-        "n_hidden": _int,
-        "weight_scale": _float,
+        "kind": str,
+        "dim": int,
+        "components": int,
+        "sigma": float,
+        "spread": float,
+        "n_hidden": int,
+        "weight_scale": float,
     },
     "layers": {
-        "count": _int,
+        "count": int,
     },
     "baseline": {
-        "kind": _str,  # gaussian | moig | mog
-        "components": _int,
-        "sigma": _float,
+        "kind": str,  # gaussian | moig | mog
+        "components": positive_int,
+        "sigma": float,
         "sigma_candidates": _floats,
-        "sigma_folds": _int,
-        "em_iters": _int,
-        "restarts": _int,
+        "sigma_folds": int,
+        "em_iters": int,
+        "restarts": int,
     },
     "ais": {
-        "n_betas": _int,
-        "chains_top": _int,
-        "chains_interface": _int,
-        "chains_first": _int,
+        "n_betas": int,
+        "chains_top": int,
+        "chains_interface": int,
+        "chains_first": int,
     },
     "estimator": {
-        "n_is": _int,
-        "exact": _str,  # one of estimation.EXACT_CHOICES
-        "marginals": _str,  # one of estimation.MARGINAL_CHOICES
-        "enum_budget": _int,
+        "n_is": int,
+        "exact": str,  # one of estimation.EXACT_CHOICES
+        "marginals": str,  # one of estimation.MARGINAL_CHOICES
+        "enum_budget": int,
     },
     "eval": {
-        "model": _str,
-        "dataset": _str,
-        "sweep_x": _float,
+        "model": str,
+        "dataset": str,
+        "sweep_x": float,
     },
     "compare": {
         "reports": _strs,
@@ -121,24 +100,24 @@ _SCHEMA = {
 }
 
 _LAYER_KEYS = {
-    "variant": _str,
+    "variant": str,
     "hidden": positive_int,
-    "sigma": _float,
+    "sigma": float,
     "sigma_candidates": _floats,
-    "sigma_folds": _int,
-    "weight_scale": _float,
+    "sigma_folds": int,
+    "weight_scale": float,
 }
 
 _TRAIN_KEYS = {
-    "cd_steps": _int,
-    "epochs": _int,
-    "lr_start": _float,
-    "lr_end": _float,
-    "momentum": _float,
-    "weight_decay": _float,
-    "batch_size": _int,
-    "mean_field_steps": _int,
-    "mean_field_damping": _float,
+    "cd_steps": int,
+    "epochs": int,
+    "lr_start": float,
+    "lr_end": float,
+    "momentum": float,
+    "weight_decay": float,
+    "batch_size": int,
+    "mean_field_steps": int,
+    "mean_field_damping": float,
 }
 
 _DEFAULTS = {
@@ -159,6 +138,12 @@ _DEFAULTS = {
 
 _LAYER_RE = re.compile(r"^layer\.(\d+)$")
 _LAYER_TRAIN_RE = re.compile(r"^layer\.(\d+)\.train$")
+
+
+def _check_folds(section, name):
+    # cross-validating a sigma needs a held-out fold and a fold to fit on
+    if section.get("sigma_folds", 2) < 2:
+        raise ConfigError(f"[{name}] sigma_folds must be at least 2")
 
 
 class ExperimentConfig:
@@ -220,6 +205,7 @@ class ExperimentConfig:
                 raise ConfigError("baseline.kind must be gaussian, moig or mog")
             if "layers" in self.values:
                 raise ConfigError("configure either [layers] or [baseline], not both")
+            _check_folds(baseline, "baseline")
         n_layers = self.values.get("layers", {}).get("count")
         if n_layers is not None:
             for i in range(n_layers):
@@ -237,6 +223,7 @@ class ExperimentConfig:
                     [layer["sigma"]] if "sigma" in layer else [])
                 if not all(math.isfinite(v) and v > 0 for v in sigmas):
                     raise ConfigError(f"[{sect}] sigma values must be finite and positive")
+                _check_folds(layer, sect)
         est = self.values["estimator"]
         for key, choices in (("exact", EXACT_CHOICES), ("marginals", MARGINAL_CHOICES)):
             if est[key] not in choices:

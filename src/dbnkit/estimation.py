@@ -33,10 +33,7 @@ from .models import (
     RBM,
     SRBM,
     EnumerationBudgetError,
-    Grbm,
     ModelError,
-    Rbm,
-    Srbm,
     binary_states,
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
@@ -76,28 +73,18 @@ def fit_base_model(target, data=None):
     scale (gaussian) when data is given, improving the proposal overlap;
     hidden biases are zero, as AisSchedule requires of a base.
     """
-    m, n = target.n_visible, target.n_hidden
-    w = np.zeros((m, n))
-    c = np.zeros(n)
-    if target.variant == GRBM:
-        if data is None:
-            b, sigma = np.zeros(m), target.sigma
-        else:
-            data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-            b = data.mean(axis=0)
-            sigma = float(np.std(data)) or target.sigma
-            if not np.isfinite(sigma):
-                raise EstimationError("the data's scale is not finite; no AIS base fits it")
-        return Grbm(w, b, c, sigma)
-    if data is None:
-        b = np.zeros(m)
-    else:
+    base = {k: np.zeros_like(v) for k, v in target.parameter_arrays().items()}
+    if data is not None:
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        rate = np.clip(data.mean(axis=0), 1e-3, 1.0 - 1e-3)
-        b = np.log(rate) - np.log1p(-rate)
-    if target.variant == SRBM:
-        return Srbm(w, b, c, np.zeros((m, m)))
-    return Rbm(w, b, c)
+        if target.variant == GRBM:
+            base["visible_bias"] = data.mean(axis=0)
+            base["sigma"] = float(np.std(data)) or target.sigma
+            if not np.isfinite(base["sigma"]):
+                raise EstimationError("the data's scale is not finite; no AIS base fits it")
+        else:
+            rate = np.clip(data.mean(axis=0), 1e-3, 1.0 - 1e-3)
+            base["visible_bias"] = np.log(rate) - np.log1p(-rate)
+    return target.replace(**base)
 
 
 def log_partition_zero_weight(model):
@@ -193,12 +180,10 @@ def run_ais(target, schedule, rng, threads=1):
     log_z_base = log_partition_zero_weight(base)
 
     n = schedule.n_chains
-    if isinstance(rng, RngStream):
-        sizes = [min(AIS_CHUNK, n - lo) for lo in range(0, n, AIS_CHUNK)]
-        rngs = [rng.substream(9, i) for i in range(len(sizes))]
-    else:
-        sizes, rngs = [n], [rng]
-    jobs = [(target, base, schedule.betas, size, r) for size, r in zip(sizes, rngs)]
+    jobs = [
+        (target, base, schedule.betas, min(AIS_CHUNK, n - lo), rng.substream(9, i))
+        for i, lo in enumerate(range(0, n, AIS_CHUNK))
+    ]
 
     workers = min(threads, len(jobs))
     if workers > 1:
@@ -396,10 +381,9 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     out = []
     for i in range(data.shape[0]):
-        rng = stream.substream(13, i) if isinstance(stream, RngStream) else stream
         out.append(
             estimate_dbn_log_likelihood(
-                dbn, data[i], n_is, marginal_provider, log_z_top, rng
+                dbn, data[i], n_is, marginal_provider, log_z_top, stream.substream(13, i)
             )
         )
     return out

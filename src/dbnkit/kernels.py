@@ -24,9 +24,9 @@ def backend_name() -> str:
 
 def _sigmoid(z):
     # tanh form, kept local rather than numerics.logistic: on the
-    # (n_chains,) vectors of the sequential sweep it measured 2.5-5x
-    # faster (about 74 vs 260-370 us at 20000 chains, 2-vCPU Xeon), and
-    # the SRBM sweep dominates interface AIS.  Its relative error reaches
+    # (n_chains,) vectors of the sequential sweep it measured about 2.4x
+    # faster (66-70 vs 166 us at 20000 chains, 2-vCPU Xeon), and the
+    # SRBM sweep dominates interface AIS.  Its relative error reaches
     # 1.7e-4 at z = -30 (3e-16 for logistic), too coarse to replace
     # logistic elsewhere.
     return 0.5 * (np.tanh(0.5 * z) + 1.0)

@@ -160,9 +160,6 @@ class LayerModel:
         y, single = _rows(y, self.n_hidden, "hidden state")
         return _ret(self._log_unnorm_hidden_rows(y), single)
 
-    def copy(self):
-        raise NotImplementedError
-
     def parameter_arrays(self):
         """Names and arrays of all trainable parameters, in a fixed order."""
         return {
@@ -170,6 +167,18 @@ class LayerModel:
             "visible_bias": self.visible_bias,
             "hidden_bias": self.hidden_bias,
         }
+
+    def settings(self):
+        """Fixed, non-trained constructor values by name."""
+        return {}
+
+    def replace(self, **changes):
+        """A model of the same variant with the named constructor values changed."""
+        return type(self)(**{**self.parameter_arrays(), **self.settings(), **changes})
+
+    def copy(self):
+        """The same model with its own copy of every array."""
+        return self.replace(**{k: v.copy() for k, v in self.parameter_arrays().items()})
 
 
 class Rbm(LayerModel):
@@ -186,11 +195,6 @@ class Rbm(LayerModel):
     def _log_unnorm_hidden_rows(self, y):
         return y @ self.hidden_bias + softplus_log(y @ self.weights.T + self.visible_bias).sum(axis=1)
 
-    def visible_conditional(self, y):
-        """Bernoulli means of the visible units given hidden states."""
-        y, single = _rows(y, self.n_hidden, "hidden state")
-        return _ret(logistic(y @ self.weights.T + self.visible_bias), single)
-
     def sample_visible(self, y, rng, x0=None):
         y, single = _rows(y, self.n_hidden, "hidden state")
         p = logistic(y @ self.weights.T + self.visible_bias)
@@ -204,9 +208,6 @@ class Rbm(LayerModel):
         act = y @ self.weights.T + self.visible_bias
         ll = -(softplus_log(-act) * x + softplus_log(act) * (1.0 - x)).sum(axis=1)
         return _ret(ll, sx and sy)
-
-    def copy(self):
-        return Rbm(self.weights.copy(), self.visible_bias.copy(), self.hidden_bias.copy())
 
 
 class Grbm(LayerModel):
@@ -260,11 +261,6 @@ class Grbm(LayerModel):
             + 0.5 * np.sum(wy * wy, axis=1)
         )
 
-    def visible_mean(self, y):
-        """Mean of the Gaussian visible conditional, b + s W y."""
-        y, single = _rows(y, self.n_hidden, "hidden state")
-        return _ret(self.visible_bias + self.sigma * (y @ self.weights.T), single)
-
     def sample_visible(self, y, rng, x0=None):
         y, single = _rows(y, self.n_hidden, "hidden state")
         mean = self.visible_bias + self.sigma * (y @ self.weights.T)
@@ -282,13 +278,8 @@ class Grbm(LayerModel):
         )
         return _ret(ll, sx and sy)
 
-    def copy(self):
-        return Grbm(
-            self.weights.copy(),
-            self.visible_bias.copy(),
-            self.hidden_bias.copy(),
-            self.sigma,
-        )
+    def settings(self):
+        return {"sigma": self.sigma}
 
 
 class Srbm(LayerModel):
@@ -371,18 +362,13 @@ class Srbm(LayerModel):
             mu = (1.0 - damping) * logistic(mu @ self.lateral + drive) + damping * mu
         return _ret(mu, single)
 
-    def copy(self):
-        return Srbm(
-            self.weights.copy(),
-            self.visible_bias.copy(),
-            self.hidden_bias.copy(),
-            self.lateral.copy(),
-        )
-
     def parameter_arrays(self):
         d = super().parameter_arrays()
         d["lateral"] = self.lateral
         return d
+
+
+LAYER_CLASSES = {RBM: Rbm, GRBM: Grbm, SRBM: Srbm}
 
 
 def initialize_layer(variant, n_visible, n_hidden, rng, sigma=None, weight_scale=0.01):

@@ -94,8 +94,8 @@ def log_mean_exp(values, axis=None):
 def logistic(x):
     """1 / (1 + exp(-x)), saturating cleanly for |x| up to 1e6 and beyond."""
     x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return float(out) if np.ndim(out) == 0 else out
 
 

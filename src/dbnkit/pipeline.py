@@ -11,7 +11,7 @@ import numpy as np
 
 from .models import Grbm, Rbm, binary_states, brute_force_log_partition
 from .numerics import log_sum_exp
-from .storage import write_container, read_container
+from .storage import StorageError, read_container, write_container
 from . import baselines
 
 logger = logging.getLogger(__name__)
@@ -252,16 +252,20 @@ def save_dataset(dataset, path):
 
 def load_dataset(path):
     _, meta, arrays = read_container(path, expect_kind="dataset")
-    provenance = []
-    for entry in meta["provenance"]:
-        restored = {}
-        for key, value in entry.items():
-            if isinstance(value, dict) and "__array__" in value:
-                restored[key] = arrays[value["__array__"]]
-            else:
-                restored[key] = value
-        provenance.append(restored)
-    return DataSet(arrays["samples"], provenance)
+    try:
+        provenance = []
+        for entry in meta["provenance"]:
+            restored = {}
+            for key, value in entry.items():
+                if isinstance(value, dict) and "__array__" in value:
+                    restored[key] = arrays[value["__array__"]]
+                else:
+                    restored[key] = value
+            provenance.append(restored)
+        samples = arrays["samples"]
+    except KeyError as exc:
+        raise StorageError(f"{path} is not a complete dataset: it has no {exc}") from exc
+    return DataSet(samples, provenance)
 
 
 def save_images(images, path):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import GRBM, RBM, SRBM, Grbm, ModelError, Rbm, Srbm
+from .models import LAYER_CLASSES
 
 MAGIC = b"DBNK"
 FORMAT_VERSION = 1
@@ -91,36 +91,18 @@ def save_model(model, path):
         "variant": model.variant,
         "n_visible": model.n_visible,
         "n_hidden": model.n_hidden,
+        **model.settings(),
     }
-    arrays = {
-        "weights": model.weights,
-        "visible_bias": model.visible_bias,
-        "hidden_bias": model.hidden_bias,
-    }
-    if model.variant == GRBM:
-        meta["sigma"] = model.sigma
-    elif model.variant == SRBM:
-        arrays["lateral"] = model.lateral
-    write_container(path, "layer_model", meta, arrays)
+    write_container(path, "layer_model", meta, model.parameter_arrays())
 
 
 def load_model(path):
     _, meta, arrays = read_container(path, expect_kind="layer_model")
-    variant = meta["variant"]
-    if variant == RBM:
-        return Rbm(arrays["weights"], arrays["visible_bias"], arrays["hidden_bias"])
-    if variant == GRBM:
-        return Grbm(
-            arrays["weights"],
-            arrays["visible_bias"],
-            arrays["hidden_bias"],
-            meta["sigma"],
-        )
-    if variant == SRBM:
-        return Srbm(
-            arrays["weights"],
-            arrays["visible_bias"],
-            arrays["hidden_bias"],
-            arrays["lateral"],
-        )
-    raise ModelError(f"unknown variant {variant!r} in {path}")
+    variant = meta.get("variant")
+    if variant not in LAYER_CLASSES:
+        raise StorageError(f"unknown variant {variant!r} in {path}")
+    settings = {k: v for k, v in meta.items() if k not in ("variant", "n_visible", "n_hidden")}
+    try:
+        return LAYER_CLASSES[variant](**arrays, **settings)
+    except TypeError as exc:  # a missing, extra or misplaced field
+        raise StorageError(f"{path} does not hold a {variant} layer: {exc}") from exc

@@ -12,11 +12,8 @@ from .dbn import DbnModel, average_log_loss
 from .models import (
     DEFAULT_ENUM_BUDGET,
     GRBM,
-    RBM,
     SRBM,
-    Grbm,
     ModelError,
-    Rbm,
     Srbm,
     binary_states,
     brute_force_log_partition,
@@ -85,9 +82,9 @@ class GradientAccumulator:
                 raise ModelError("accumulator shape does not match the model")
 
 
-def _positive_stats(model, x):
+def _stats(model, x, p):
+    """Sufficient statistics of visible rows ``x`` and their hidden means ``p``."""
     n = x.shape[0]
-    p = model.hidden_conditional(x)
     stats = {
         "xy": x.T @ p / n,
         "x": x.mean(axis=0),
@@ -95,7 +92,7 @@ def _positive_stats(model, x):
     }
     if model.variant == SRBM:
         stats["xx"] = x.T @ x / n
-    return stats, p
+    return stats
 
 
 def _fill_grads(acc, model, pos, neg):
@@ -131,7 +128,8 @@ def cd_gradient(model, batch, n, rng, out=None, mean_field_steps=20, mean_field_
         out = GradientAccumulator(model)
     out.check_shapes(model)
 
-    pos, p_pos = _positive_stats(model, batch)
+    p_pos = model.hidden_conditional(batch)
+    pos = _stats(model, batch, p_pos)
     hidden = (rng.random(p_pos.shape) < p_pos).astype(np.float64)
     recon = None
     for step in range(n):
@@ -144,15 +142,7 @@ def cd_gradient(model, batch, n, rng, out=None, mean_field_steps=20, mean_field_
         p_neg = model.hidden_conditional(recon)
         if step + 1 < n:
             hidden = (rng.random(p_neg.shape) < p_neg).astype(np.float64)
-    n_rows = recon.shape[0]
-    neg = {
-        "xy": recon.T @ p_neg / n_rows,
-        "x": recon.mean(axis=0),
-        "y": p_neg.mean(axis=0),
-    }
-    if model.variant == SRBM:
-        neg["xx"] = recon.T @ recon / n_rows
-    _fill_grads(out, model, pos, neg)
+    _fill_grads(out, model, pos, _stats(model, recon, p_neg))
     out.last_recon_error = float(np.mean((batch - recon) ** 2))
     return out
 
@@ -168,7 +158,7 @@ def exact_ml_gradient(model, batch, budget=DEFAULT_ENUM_BUDGET, out=None):
     if out is None:
         out = GradientAccumulator(model)
     out.check_shapes(model)
-    pos, _ = _positive_stats(model, batch)
+    pos = _stats(model, batch, model.hidden_conditional(batch))
 
     neg = {}
     if model.variant == GRBM:
@@ -217,13 +207,11 @@ def apply_update(model, acc, config, epoch):
         v = config.momentum * acc.velocity[name] + lr * g
         acc.velocity[name][...] = v
         new[name] = value + v
-    if model.variant == RBM:
-        return Rbm(new["weights"], new["visible_bias"], new["hidden_bias"])
-    if model.variant == GRBM:
-        return Grbm(new["weights"], new["visible_bias"], new["hidden_bias"], model.sigma)
-    lat = 0.5 * (new["lateral"] + new["lateral"].T)
-    np.fill_diagonal(lat, 0.0)
-    return Srbm(new["weights"], new["visible_bias"], new["hidden_bias"], lat)
+    if "lateral" in new:
+        lat = 0.5 * (new["lateral"] + new["lateral"].T)
+        np.fill_diagonal(lat, 0.0)
+        new["lateral"] = lat
+    return model.replace(**new)
 
 
 def _guard(model, epoch):
@@ -371,7 +359,7 @@ class LayerSpec:
     weight_scale: float = 0.01
 
 
-def train_dbn_greedy(layer_specs, data, configs, log_dir=None, exact_loss=False):
+def train_dbn_greedy(layer_specs, data, configs, log_dir=None):
     """Greedy layer-wise training of a stack.
 
     The first layer trains on the data; each higher layer trains on
@@ -426,7 +414,6 @@ def train_dbn_greedy(layer_specs, data, configs, log_dir=None, exact_loss=False)
             layer_data,
             config,
             data_provider=provider,
-            exact_loss=exact_loss,
             log_path=log_path,
         )
         trained.append(model)

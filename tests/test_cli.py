@@ -9,7 +9,7 @@ import pytest
 from dbnkit import cli
 from dbnkit.dbn import load_dbn
 from dbnkit.pipeline import DataSet, load_dataset, save_dataset
-from dbnkit.storage import canonical_json
+from dbnkit.storage import canonical_json, write_container
 
 
 def write_config(path, body):
@@ -247,6 +247,27 @@ def test_eval_unreadable_input_is_data_error(workspace, capsys, damage):
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "meta, arrays",
+    [({}, {"samples": np.zeros((5, 4))}), ({"provenance": []}, {"other": np.zeros(4)})],
+    ids=["no-provenance", "no-samples"],
+)
+def test_incomplete_dataset_is_data_error(workspace, capsys, command, meta, arrays):
+    # both commands read their dataset before anything else
+    (workspace / "data").mkdir()
+    for name in ("train_00.dbds", "test_00.dbds"):
+        write_container(workspace / "data" / name, "dataset", meta, arrays)
+    make = train_config if command == "train" else eval_config
+    assert cli.main([command, "--config", make(workspace)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def _moig_config(ws):
+    extra = "components = 2\nsigma_candidates = 0.3, 0.5\nsigma_folds = 2"
+    return baseline_train_config(ws, "moig", "run", extra)
+
+
 @pytest.mark.parametrize(
     "command, old, new",
     [
@@ -254,14 +275,23 @@ def test_eval_unreadable_input_is_data_error(workspace, capsys, damage):
         ("train", "sigma = 0.6", "sigma = -1"),
         ("train", "sigma = 0.6", "sigma_candidates = 0.5, nan"),
         ("preprocess", "n_test = 60", "n_test = 0"),
+        ("train", "sigma = 0.6", "sigma_candidates = 0.5, 0.7\nsigma_folds = 0"),
+        ("train", "sigma = 0.6", "sigma_candidates = 0.5, 0.7\nsigma_folds = 1"),
+        ("baseline", "sigma_folds = 2", "sigma_folds = 1"),
+        ("baseline", "components = 2", "components = 0"),
+        ("baseline", "components = 2", "components = -1"),
     ],
-    ids=["hidden-0", "sigma-negative", "sigma-candidate-nan", "n_test-0"],
+    ids=[
+        "hidden-0", "sigma-negative", "sigma-candidate-nan", "n_test-0", "sigma_folds-0",
+        "sigma_folds-1", "baseline-sigma_folds-1", "components-0", "components-negative",
+    ],
 )
 def test_config_the_models_would_reject_is_config_error(workspace, capsys, command, old, new):
-    make = train_config if command == "train" else preprocess_config
+    make = {"train": train_config, "preprocess": preprocess_config, "baseline": _moig_config}
     path = workspace / "bad.ini"
-    path.write_text(Path(make(workspace)).read_text().replace(old, new, 1))
-    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    path.write_text(Path(make[command](workspace)).read_text().replace(old, new, 1))
+    run = "preprocess" if command == "preprocess" else "train"
+    assert cli.main([run, "--config", str(path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
 
 

@@ -17,7 +17,7 @@ from dbnkit.models import (
 )
 from dbnkit.numerics import RngStream, log_sum_exp, logistic
 from dbnkit.oracle import random_grbm, random_rbm, random_srbm
-from dbnkit.storage import StorageError, load_model, read_container, save_model
+from dbnkit.storage import StorageError, load_model, read_container, save_model, write_container
 
 
 # -- energies ---------------------------------------------------------------
@@ -285,6 +285,24 @@ def test_model_roundtrip_bit_exact(tmp_path):
             assert np.array_equal(loaded.parameter_arrays()[name], arr)
         if model.variant == models.GRBM:
             assert loaded.sigma == model.sigma
+
+
+@pytest.mark.parametrize(
+    "make, extra, drop",
+    [(random_rbm, "lateral", None), (random_srbm, None, "lateral"), (random_grbm, None, None)],
+    ids=["extra-array", "missing-array", "grbm-without-sigma"],
+)
+def test_load_model_rejects_wrong_fields(tmp_path, make, extra, drop):
+    # the meta names only the variant, so the GRBM file lacks its sigma
+    model = make(RngStream(24).generator())
+    arrays = dict(model.parameter_arrays())
+    arrays.pop(drop, None)
+    if extra:
+        arrays[extra] = np.zeros((model.n_visible, model.n_visible))
+    path = tmp_path / "layer.dbk"
+    write_container(path, "layer_model", {"variant": model.variant}, arrays)
+    with pytest.raises(StorageError, match=f"does not hold a {model.variant} layer"):
+        load_model(path)
 
 
 def test_model_files_are_deterministic(tmp_path):

@@ -1,0 +1,93 @@
+"""Property tests: the elementary functions against references, and
+layer models through their file format and copies."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from dbnkit.models import Grbm, Rbm, Srbm
+from dbnkit.numerics import log_mean_exp, log_sum_exp, logistic
+from dbnkit.storage import load_model, save_model
+
+# no example database, so failing examples are not saved under .hypothesis/
+# (hypothesis still caches source constants there, hence .gitignore); no
+# deadline, since the first examples pay for imports and warm-up
+PROPERTY = settings(database=None, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+shapes = st.integers(1, 4)
+
+
+def _two_exp_logistic(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+@PROPERTY
+@given(arrays(np.float64, st.integers(1, 50), elements=st.floats(allow_nan=False)))
+def test_logistic_matches_two_exp_form(x):
+    assert np.array_equal(logistic(x), _two_exp_logistic(x))
+
+
+log_values = arrays(
+    np.float64,
+    st.integers(1, 30),
+    elements=st.floats(-1e300, 1e300) | st.just(-np.inf),
+)
+
+
+@PROPERTY
+@given(log_values)
+def test_log_sum_exp_matches_scipy(v):
+    with np.errstate(divide="ignore"):
+        want = scipy.special.logsumexp(v)
+    np.testing.assert_allclose(log_sum_exp(v), want, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(log_mean_exp(v), want - np.log(v.size), rtol=1e-13, atol=1e-13)
+
+
+@st.composite
+def layers(draw):
+    m, n = draw(shapes), draw(shapes)
+    fields = {
+        "weights": draw(arrays(np.float64, (m, n), elements=finite)),
+        "visible_bias": draw(arrays(np.float64, m, elements=finite)),
+        "hidden_bias": draw(arrays(np.float64, n, elements=finite)),
+    }
+    cls = draw(st.sampled_from([Rbm, Grbm, Srbm]))
+    if cls is Grbm:
+        fields["sigma"] = draw(st.floats(0.0, allow_infinity=False, exclude_min=True))
+    if cls is Srbm:
+        upper = np.triu(draw(arrays(np.float64, (m, m), elements=finite)), 1)
+        fields["lateral"] = upper + upper.T
+    return cls(**fields)
+
+
+@PROPERTY
+@given(layers())
+def test_model_file_round_trip_is_bit_exact(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "layer.dbk"
+        save_model(model, path)
+        loaded = load_model(path)
+    assert type(loaded) is type(model)
+    assert loaded.settings() == model.settings()
+    got = loaded.parameter_arrays()
+    assert list(got) == list(model.parameter_arrays())
+    for name, arr in model.parameter_arrays().items():
+        assert got[name].tobytes() == arr.tobytes()
+
+
+@PROPERTY
+@given(layers())
+def test_copy_shares_no_array(model):
+    twin = model.copy()
+    assert type(twin) is type(model)
+    assert twin.settings() == model.settings()
+    for name, arr in model.parameter_arrays().items():
+        assert np.array_equal(twin.parameter_arrays()[name], arr)
+        assert not np.shares_memory(twin.parameter_arrays()[name], arr)
