@@ -58,15 +58,15 @@ _SCHEMA = {
     },
     "synthetic": {
         "kind": str,
-        "dim": int,
-        "components": int,
+        "dim": positive_int,
+        "components": positive_int,
         "sigma": float,
         "spread": float,
-        "n_hidden": int,
+        "n_hidden": positive_int,
         "weight_scale": float,
     },
     "layers": {
-        "count": int,
+        "count": positive_int,
     },
     "baseline": {
         "kind": str,  # gaussian | moig | mog
@@ -199,6 +199,9 @@ class ExperimentConfig:
             self.values["experiment"]["threads"] = int(overrides["threads"])
 
     def _validate(self):
+        sigma = self.values.get("synthetic", {}).get("sigma")
+        if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+            raise ConfigError("[synthetic] sigma must be finite and positive")
         baseline = self.values.get("baseline")
         if baseline is not None:
             if baseline.get("kind") not in ("gaussian", "moig", "mog"):

@@ -43,12 +43,13 @@ from .numerics import (
     LogEstimate,
     RngStream,
     bernoulli_entropy,
-    log_mean_exp,
     monte_carlo_se,
     softplus_log,
 )
 
 AIS_CHUNK = 4096
+# cells (rows x components, 8 MB) of the potential log-loss's reused block
+POTENTIAL_BLOCK = 2 ** 20
 
 # the values evaluate_stack (and so the [estimator] config section) accepts
 EXACT_CHOICES = ("auto", "on", "off")
@@ -546,23 +547,6 @@ def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):
     return LogEstimate(expect + entropy - log_z_top.log_value, se, max(n_used, 1))
 
 
-def _component_log_density(layer, components, x_chunk):
-    """log q(x | y) for every eval row against every sampled component."""
-    if layer.variant == GRBM:
-        means = layer.visible_bias + layer.sigma * (components @ layer.weights.T)
-        sq = (
-            np.sum(x_chunk ** 2, axis=1)[:, None]
-            - 2.0 * x_chunk @ means.T
-            + np.sum(means ** 2, axis=1)[None, :]
-        )
-        return -sq / (2.0 * layer.sigma ** 2) - 0.5 * layer.n_visible * np.log(
-            2.0 * np.pi * layer.sigma ** 2
-        )
-    act = components @ layer.weights.T + layer.visible_bias
-    log_on, log_off = -softplus_log(-act), -softplus_log(act)
-    return x_chunk @ log_on.T + (1.0 - x_chunk) @ log_off.T
-
-
 def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng=None):
     """Reconstruction-mixture estimate of the best-case log-loss, in bits
     per component.
@@ -572,6 +556,9 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
     visible conditionals at those states.  By default the evaluation set
     doubles as the reconstruction set, which deliberately encourages
     optimistic estimates.
+
+    Every log q(x | y_k) is folded into x . A[:, k] + c[k] + r(x), so the
+    mixture over K components costs one GEMM and one exp per row block.
     """
     if layer1.variant == SRBM:
         raise EstimationError("potential log-loss needs an analytic visible conditional")
@@ -583,6 +570,10 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
     )
     if eval_set.shape[0] == 0 or recon.shape[0] == 0:
         raise EstimationError("empty evaluation or reconstruction set")
+    for name, rows in (("eval_set", eval_set), ("recon_set", recon)):
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise EstimationError(f"{name} row {int(np.argmax(bad))} is not finite")
     if rng is None:
         rng = RngStream(0).generator()
 
@@ -593,12 +584,37 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
     components = np.concatenate(parts, axis=0)
     n_comp = components.shape[0]
 
+    # r(x) = r_shift - r_scale |x|^2
+    if layer1.variant == GRBM:
+        # -|x - m|^2 / 2s^2 = x.m/s^2 - |m|^2/2s^2 - |x|^2/2s^2
+        var = layer1.sigma ** 2
+        means = layer1.visible_bias + layer1.sigma * (components @ layer1.weights.T)
+        a = means.T / var
+        c = -np.sum(means ** 2, axis=1) / (2.0 * var)
+        r_scale, r_shift = 0.5 / var, -0.5 * layer1.n_visible * np.log(2.0 * np.pi * var)
+    else:
+        # x log sigmoid(act) + (1 - x) log sigmoid(-act) = x act - softplus(act)
+        act = components @ layer1.weights.T + layer1.visible_bias
+        a = act.T
+        c = -np.sum(softplus_log(act), axis=1)
+        r_scale, r_shift = 0.0, 0.0
+    # a row-major right operand keeps the GEMM off a transposed BLAS path
+    a = np.ascontiguousarray(a)
+    step = max(1, POTENTIAL_BLOCK // n_comp)
+    buf = np.empty((min(step, eval_set.shape[0]), n_comp))
+
     def evaluator(rows):
         out = np.empty(rows.shape[0])
-        chunk = max(1, int(2 ** 22 // max(n_comp, 1)))
-        for lo in range(0, rows.shape[0], chunk):
-            dens = _component_log_density(layer1, components, rows[lo : lo + chunk])
-            out[lo : lo + chunk] = log_mean_exp(dens, axis=1)
+        for lo in range(0, rows.shape[0], step):
+            x = rows[lo : lo + step]
+            block = buf[: x.shape[0]]
+            np.matmul(x, a, out=block)
+            block += c
+            top = block.max(axis=1)
+            block -= top[:, None]
+            np.exp(block, out=block)
+            r = r_shift - r_scale * np.sum(x * x, axis=1)
+            out[lo : lo + step] = top + np.log(block.sum(axis=1)) - np.log(n_comp) + r
         return out
 
     return average_log_loss(eval_set, evaluator)

@@ -280,10 +280,18 @@ def _moig_config(ws):
         ("baseline", "sigma_folds = 2", "sigma_folds = 1"),
         ("baseline", "components = 2", "components = 0"),
         ("baseline", "components = 2", "components = -1"),
+        ("train", "count = 2", "count = 0"),
+        ("preprocess", "dim = 4", "dim = 0"),
+        ("preprocess", "components = 2", "components = 0"),
+        ("preprocess", "kind = isotropic_mixture", "kind = rbm\nn_hidden = 0"),
+        ("preprocess", "sigma = 0.5", "sigma = -1"),
+        ("preprocess", "sigma = 0.5", "sigma = nan"),
     ],
     ids=[
         "hidden-0", "sigma-negative", "sigma-candidate-nan", "n_test-0", "sigma_folds-0",
         "sigma_folds-1", "baseline-sigma_folds-1", "components-0", "components-negative",
+        "layers-count-0", "synthetic-dim-0", "synthetic-components-0", "synthetic-n_hidden-0",
+        "synthetic-sigma-negative", "synthetic-sigma-nan",
     ],
 )
 def test_config_the_models_would_reject_is_config_error(workspace, capsys, command, old, new):

@@ -2,8 +2,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.special
 
-from dbnkit.dbn import DbnModel, brute_force_log_likelihood
+from dbnkit import estimation
+from dbnkit.dbn import DbnModel, average_log_loss, brute_force_log_likelihood
 from dbnkit.estimation import (
     AisMarginals,
     AisSchedule,
@@ -439,6 +441,53 @@ def test_potential_log_loss_single_point_definition():
     log_q = model.log_visible_conditional(x[None, :], y)
     expected = float(-log_q[0] / LOG2 / 3)
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["grbm", "rbm"])
+def test_potential_log_loss_matches_pairwise_definition(monkeypatch, variant):
+    rng = RngStream(106).generator()
+    if variant == "grbm":
+        model = random_grbm(rng, m=3, n=4, scale=0.8, sigma=0.7)
+        data = rng.standard_normal((23, 3))
+    else:
+        model = random_rbm(rng, m=5, n=4, scale=0.8)
+        data = (rng.random((23, 5)) < 0.4).astype(np.float64)
+    recon = data[:10] + 0.25
+    # 10 points x 2 reconstructions = 20 components, 5 rows per block: four
+    # full blocks and a ragged last one of 3 rows
+    monkeypatch.setattr(estimation, "POTENTIAL_BLOCK", 100)
+    rows = []
+
+    def keep_rows(dataset, evaluator):
+        rows.append(evaluator(dataset))
+        return average_log_loss(dataset, evaluator)
+
+    monkeypatch.setattr(estimation, "average_log_loss", keep_rows)
+    got = estimate_potential_log_loss(
+        model, data, recon_set=recon, k_recon=2, rng=RngStream(107).generator()
+    )
+    redo = RngStream(107).generator()
+    probs = model.hidden_conditional(recon)
+    ys = np.concatenate([(redo.random(probs.shape) < probs).astype(float) for _ in range(2)])
+    want = np.array([
+        scipy.special.logsumexp(model.log_visible_conditional(np.tile(x, (len(ys), 1)), ys))
+        - np.log(len(ys))
+        for x in data
+    ])
+    np.testing.assert_allclose(rows[0], want, rtol=0, atol=1e-10)
+    assert got == pytest.approx(float(np.mean(-want / LOG2) / data.shape[1]), abs=1e-10)
+
+
+@pytest.mark.parametrize("which", ["eval_set", "recon_set"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_potential_log_loss_names_first_non_finite_row(which, bad):
+    rng = RngStream(108).generator()
+    model = random_grbm(rng, m=3, n=4)
+    sets = {"eval_set": rng.standard_normal((50, 3)), "recon_set": rng.standard_normal((50, 3))}
+    sets[which][30, 0] = bad
+    sets[which][7, 2] = bad
+    with pytest.raises(EstimationError, match=f"{which} row 7 "):
+        estimate_potential_log_loss(model, sets["eval_set"], recon_set=sets["recon_set"])
 
 
 def test_potential_log_loss_grows_with_reconstruction_set():

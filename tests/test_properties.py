@@ -1,5 +1,6 @@
-"""Property tests: the elementary functions against references, and
-layer models through their file format and copies."""
+"""Property tests: the elementary functions and the Monte Carlo standard
+error against references, and layer models through their file format and
+copies."""
 
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dbnkit.models import Grbm, Rbm, Srbm
-from dbnkit.numerics import log_mean_exp, log_sum_exp, logistic
+from dbnkit.numerics import log_mean_exp, log_sum_exp, logistic, monte_carlo_se
 from dbnkit.storage import load_model, save_model
 
 # no example database, so failing examples are not saved under .hypothesis/
@@ -48,6 +49,19 @@ def test_log_sum_exp_matches_scipy(v):
         want = scipy.special.logsumexp(v)
     np.testing.assert_allclose(log_sum_exp(v), want, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(log_mean_exp(v), want - np.log(v.size), rtol=1e-13, atol=1e-13)
+
+
+@PROPERTY
+@given(arrays(np.float64, st.integers(2, 40), elements=st.floats(-30, 30)))
+def test_monte_carlo_se_matches_moment_formula(lw):
+    est = monte_carlo_se(lw)
+    w = np.exp(lw)
+    n, mean, m2 = w.size, w.mean(), np.mean(w * w)
+    var = n / (n - 1) * (m2 - mean * mean)
+    assert est.n_samples == n
+    np.testing.assert_allclose(est.log_value, np.log(mean), rtol=1e-13, atol=1e-13)
+    # both forms lose digits to the m2 - mean^2 cancellation: a few ulps of m2
+    assert abs(n * (est.standard_error * mean) ** 2 - max(var, 0.0)) <= 1e-12 * m2
 
 
 @st.composite
