@@ -78,16 +78,16 @@ _SCHEMA = {
         "restarts": int,
     },
     "ais": {
-        "n_betas": int,
-        "chains_top": int,
-        "chains_interface": int,
-        "chains_first": int,
+        "n_betas": positive_int,
+        "chains_top": positive_int,
+        "chains_interface": positive_int,
+        "chains_first": positive_int,
     },
     "estimator": {
-        "n_is": int,
+        "n_is": positive_int,
         "exact": str,  # one of estimation.EXACT_CHOICES
         "marginals": str,  # one of estimation.MARGINAL_CHOICES
-        "enum_budget": int,
+        "enum_budget": positive_int,
     },
     "eval": {
         "model": str,
@@ -140,7 +140,12 @@ _LAYER_RE = re.compile(r"^layer\.(\d+)$")
 _LAYER_TRAIN_RE = re.compile(r"^layer\.(\d+)\.train$")
 
 
-def _check_folds(section, name):
+def _check_sigmas(section, name):
+    """The sigma rules shared by [synthetic], [baseline] and [layer.N]."""
+    sigmas = section.get("sigma_candidates", []) + (
+        [section["sigma"]] if "sigma" in section else [])
+    if not all(math.isfinite(v) and v > 0 for v in sigmas):
+        raise ConfigError(f"[{name}] sigma values must be finite and positive")
     # cross-validating a sigma needs a held-out fold and a fold to fit on
     if section.get("sigma_folds", 2) < 2:
         raise ConfigError(f"[{name}] sigma_folds must be at least 2")
@@ -155,7 +160,10 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path, overrides=None):
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         values = {}
@@ -199,16 +207,14 @@ class ExperimentConfig:
             self.values["experiment"]["threads"] = int(overrides["threads"])
 
     def _validate(self):
-        sigma = self.values.get("synthetic", {}).get("sigma")
-        if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
-            raise ConfigError("[synthetic] sigma must be finite and positive")
+        _check_sigmas(self.values.get("synthetic", {}), "synthetic")
         baseline = self.values.get("baseline")
         if baseline is not None:
             if baseline.get("kind") not in ("gaussian", "moig", "mog"):
                 raise ConfigError("baseline.kind must be gaussian, moig or mog")
             if "layers" in self.values:
                 raise ConfigError("configure either [layers] or [baseline], not both")
-            _check_folds(baseline, "baseline")
+            _check_sigmas(baseline, "baseline")
         n_layers = self.values.get("layers", {}).get("count")
         if n_layers is not None:
             for i in range(n_layers):
@@ -222,11 +228,11 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown variant in [{sect}]")
                 if layer["variant"] == "grbm" and i != 0:
                     raise ConfigError("gaussian layers are only valid at the bottom")
-                sigmas = layer.get("sigma_candidates", []) + (
-                    [layer["sigma"]] if "sigma" in layer else [])
-                if not all(math.isfinite(v) and v > 0 for v in sigmas):
-                    raise ConfigError(f"[{sect}] sigma values must be finite and positive")
-                _check_folds(layer, sect)
+                _check_sigmas(layer, sect)
+                try:
+                    self.train_config(i)
+                except ValueError as exc:
+                    raise ConfigError(f"[{sect}.train] {exc}") from exc
         est = self.values["estimator"]
         for key, choices in (("exact", EXACT_CHOICES), ("marginals", MARGINAL_CHOICES)):
             if est[key] not in choices:

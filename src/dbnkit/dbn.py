@@ -13,13 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import (
-    DEFAULT_ENUM_BUDGET,
-    GRBM,
-    SRBM,
-    EnumerationBudgetError,
-    binary_states,
-)
+from .models import DEFAULT_ENUM_BUDGET, GRBM, SRBM, binary_states
 from .numerics import LOG2, log_sum_exp
 from .storage import canonical_json, load_model, save_model
 from . import models as _models
@@ -111,23 +105,17 @@ def ancestral_sample(dbn, gibbs_steps=100, rng=None, n_samples=1, lateral_sweeps
     return x[0] if n_samples == 1 else x
 
 
-def _log_downward_conditional_table(layer, budget):
-    """Matrix of log q(x | y) over all (visible state, hidden state) pairs."""
-    m, n = layer.n_visible, layer.n_hidden
-    if 2 ** m * 2 ** n > budget or max(m, n) > 22:
-        raise EnumerationBudgetError(
-            f"conditional table needs 2^{m + n} entries, above the budget"
-        )
-    xs = binary_states(m)
-    ys = binary_states(n)
-    if layer.variant == SRBM:
-        # normalize exp(-E) column-wise over the visible states
-        neg_e = -(layer.energy(np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))))
-        neg_e = neg_e.reshape(len(xs), len(ys))
-        return neg_e - log_sum_exp(neg_e, axis=0)
-    return layer.log_visible_conditional(
-        np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
-    ).reshape(len(xs), len(ys))
+def _log_conditional_table(layer, xs, ys, budget):
+    """Matrix of log q(x | y) over every (row of ``xs``, row of ``ys``) pair.
+
+    A lateral-connected layer has no analytic conditional: exp(-E(x, y))
+    is normalized by its enumerated hidden marginal q*(y).
+    """
+    pairs = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
+    if layer.variant != SRBM:
+        return layer.log_visible_conditional(*pairs).reshape(len(xs), len(ys))
+    norms = _models.brute_force_hidden_marginal_srbm(layer, ys, budget)
+    return -layer.energy(*pairs).reshape(len(xs), len(ys)) - norms
 
 
 def brute_force_log_likelihood(dbn, x, budget=DEFAULT_ENUM_BUDGET):
@@ -136,7 +124,9 @@ def brute_force_log_likelihood(dbn, x, budget=DEFAULT_ENUM_BUDGET):
     Tables are built top-down: the top layer's normalized visible marginal
     over all of its 2^d states, then each interface in turn absorbs the
     layer's downward conditional, so the nesting order is fixed as
-    top-to-bottom regardless of layer widths.  Accepts a single state or a
+    top-to-bottom regardless of layer widths.  No table or block holds
+    more than ``budget`` states or cells; the bottom layer's conditional is
+    evaluated in row blocks to keep to that.  Accepts a single state or a
     batch of rows.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -144,31 +134,33 @@ def brute_force_log_likelihood(dbn, x, budget=DEFAULT_ENUM_BUDGET):
     x = np.atleast_2d(x)
     if x.shape[1] != dbn.n_visible:
         raise DbnError("data dimension does not match the stack")
-    first = dbn.layers[0]
-    log_z = _models.brute_force_log_partition(dbn.top, budget=budget)
+    first, top = dbn.layers[0], dbn.top
+    log_z = _models.brute_force_log_partition(top, budget=budget)
     if dbn.n_layers == 1:
         out = first.log_unnorm_visible(x) - log_z
         return float(out[0]) if single else out
 
-    top_states = binary_states(dbn.top.n_visible)
-    table = dbn.top.log_unnorm_visible(top_states) - log_z
-    for layer in reversed(dbn.layers[1:-1]):
-        cond = _log_downward_conditional_table(layer, budget)
-        table = log_sum_exp(cond + table[None, :], axis=1)
+    table = np.concatenate([
+        top.log_unnorm_visible(s)
+        for s in _models.state_chunks(top.n_visible, budget, "top table")
+    ]) - log_z
+    for i in range(dbn.n_layers - 2, 0, -1):
+        layer = dbn.layers[i]
+        _models.check_budget(
+            layer.n_visible + layer.n_hidden, budget, f"conditional table of layer {i}"
+        )
+        cond = _log_conditional_table(
+            layer, binary_states(layer.n_visible), binary_states(layer.n_hidden), budget
+        )
+        table = log_sum_exp(cond + table, axis=1)
 
-    # bottom layer: evaluate q_1(x | x1) at the requested points
-    hidden1 = binary_states(first.n_hidden)
-    if first.variant == SRBM:
-        neg_e = -first.energy(
-            np.repeat(x, len(hidden1), axis=0), np.tile(hidden1, (len(x), 1))
-        ).reshape(len(x), len(hidden1))
-        norms = _models.brute_force_hidden_marginal_srbm(first, hidden1, budget)
-        log_cond = neg_e - norms[None, :]
-    else:
-        log_cond = first.log_visible_conditional(
-            np.repeat(x, len(hidden1), axis=0), np.tile(hidden1, (len(x), 1))
-        ).reshape(len(x), len(hidden1))
-    out = log_sum_exp(log_cond + table[None, :], axis=1)
+    _models.check_budget(first.n_hidden, budget, "bottom table")
+    hidden = binary_states(first.n_hidden)
+    rows = budget // len(hidden)
+    out = np.concatenate([
+        log_sum_exp(_log_conditional_table(first, x[i:i + rows], hidden, budget) + table, axis=1)
+        for i in range(0, len(x), rows)
+    ])
     return float(out[0]) if single else out
 
 

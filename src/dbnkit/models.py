@@ -10,8 +10,6 @@ all state-level operations accept either a single state vector or a
 (batch, dim) matrix and return matching shapes.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import kernels
@@ -33,23 +31,32 @@ class EnumerationBudgetError(ModelError):
     """Raised when an exact computation would enumerate too many states."""
 
 
+def check_budget(k, budget, what):
+    """Refuse an exact computation over 2^k states or cells above ``budget``."""
+    if 2 ** k > budget:
+        raise EnumerationBudgetError(
+            f"{what} needs 2^{k} states, above the budget of {budget}; "
+            "use annealed importance sampling instead"
+        )
+
+
+def state_chunks(k, budget, what):
+    """The 2^k binary states, low bit first, in blocks of at most _ENUM_CHUNK rows.
+
+    The budget is checked before any block is built.
+    """
+    check_budget(k, budget, what)
+    n, bits = 2 ** k, np.arange(k)
+    return (
+        ((np.arange(i, min(i + _ENUM_CHUNK, n), dtype=np.int64)[:, None] >> bits) & 1)
+        .astype(np.float64)
+        for i in range(0, n, _ENUM_CHUNK)
+    )
+
+
 def binary_states(k):
     """All 2^k binary states as a (2^k, k) float64 matrix, low bit first."""
-    if k > 22:
-        raise EnumerationBudgetError(f"2^{k} states is too many to materialize")
-    return _binary_states_cached(k).copy()
-
-
-@lru_cache(maxsize=16)
-def _binary_states_cached(k):
-    idx = np.arange(2 ** k, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(k)) & 1).astype(np.float64)
-
-
-def binary_chunk(start, stop, k):
-    """States start..stop-1 of the 2^k enumeration, for chunked scans."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    return np.concatenate(list(state_chunks(k, 2 ** 22, "a binary state matrix")))
 
 
 def state_index(x):
@@ -62,14 +69,6 @@ def state_index(x):
         raise ModelError(f"cannot index states of {x.shape[1]} units exactly; at most 53")
     powers = (1 << np.arange(x.shape[1], dtype=np.int64)).astype(np.float64)
     return np.rint(x @ powers).astype(np.int64)
-
-
-def _check_budget(k, budget, what):
-    if 2 ** k > budget:
-        raise EnumerationBudgetError(
-            f"{what} needs 2^{k} states, above the budget of {budget}; "
-            "use annealed importance sampling instead"
-        )
 
 
 def _rows(x, dim, what):
@@ -404,16 +403,11 @@ def enumeration_bits(model):
 def brute_force_log_partition(model, budget=DEFAULT_ENUM_BUDGET):
     """Exact log Z by enumerating the cheaper analytic marginal."""
     k = enumeration_bits(model)
-    _check_budget(k, budget, "partition function")
     if model.variant != SRBM and k == model.n_hidden:
         fn = model.log_unnorm_hidden
     else:
         fn = model.log_unnorm_visible
-    chunks = []
-    for start in range(0, 2 ** k, _ENUM_CHUNK):
-        states = binary_chunk(start, min(start + _ENUM_CHUNK, 2 ** k), k)
-        chunks.append(log_sum_exp(fn(states)))
-    return log_sum_exp(chunks)
+    return log_sum_exp([log_sum_exp(fn(s)) for s in state_chunks(k, budget, "partition function")])
 
 
 def brute_force_hidden_marginal_srbm(model, y, budget=DEFAULT_ENUM_BUDGET):
@@ -422,20 +416,10 @@ def brute_force_hidden_marginal_srbm(model, y, budget=DEFAULT_ENUM_BUDGET):
         raise ModelError("visible enumeration of the hidden marginal is for "
                          "lateral-connected models; others have it analytically")
     y, single = _rows(y, model.n_hidden, "hidden state")
-    m = model.n_visible
-    _check_budget(m, budget, "hidden marginal")
     wy = y @ model.weights.T  # (ny, m)
     pieces = []
-    for start in range(0, 2 ** m, _ENUM_CHUNK):
-        x = binary_chunk(start, min(start + _ENUM_CHUNK, 2 ** m), m)
+    for x in state_chunks(model.n_visible, budget, "hidden marginal"):
         quad = x @ model.visible_bias + 0.5 * np.sum((x @ model.lateral) * x, axis=1)
         # (chunk, ny) log terms: x'(Wy) + b'x + x'Lx/2
-        logs = quad[:, None] + x @ wy.T
-        vmax = logs.max(axis=0)
-        pieces.append((vmax, np.exp(logs - vmax).sum(axis=0)))
-    vmax = np.max([p[0] for p in pieces], axis=0)
-    total = np.zeros(y.shape[0])
-    for pm, ps in pieces:
-        total += np.exp(pm - vmax) * ps
-    out = y @ model.hidden_bias + vmax + np.log(total)
-    return _ret(out, single)
+        pieces.append(log_sum_exp(quad[:, None] + x @ wy.T, axis=0))
+    return _ret(y @ model.hidden_bias + log_sum_exp(pieces, axis=0), single)

@@ -17,6 +17,7 @@ from .models import (
     Srbm,
     binary_states,
     brute_force_log_partition,
+    check_budget,
     initialize_layer,
 )
 from .numerics import RngStream
@@ -162,8 +163,7 @@ def exact_ml_gradient(model, batch, budget=DEFAULT_ENUM_BUDGET, out=None):
 
     neg = {}
     if model.variant == GRBM:
-        if 2 ** model.n_hidden > budget:
-            raise ModelError("hidden enumeration above budget")
+        check_budget(model.n_hidden, budget, "exact gradient")
         hs = binary_states(model.n_hidden)
         logw = model.log_unnorm_hidden(hs)
         w = np.exp(logw - logw.max())
@@ -173,8 +173,7 @@ def exact_ml_gradient(model, batch, budget=DEFAULT_ENUM_BUDGET, out=None):
         neg["x"] = w @ mu
         neg["y"] = w @ hs
     else:
-        if 2 ** model.n_visible > budget:
-            raise ModelError("visible enumeration above budget")
+        check_budget(model.n_visible, budget, "exact gradient")
         vs = binary_states(model.n_visible)
         logw = model.log_unnorm_visible(vs)
         w = np.exp(logw - logw.max())

@@ -286,19 +286,37 @@ def _moig_config(ws):
         ("preprocess", "kind = isotropic_mixture", "kind = rbm\nn_hidden = 0"),
         ("preprocess", "sigma = 0.5", "sigma = -1"),
         ("preprocess", "sigma = 0.5", "sigma = nan"),
+        ("eval", "n_is = 50", "n_is = 0"),
+        ("eval", "n_betas = 60", "n_betas = 0"),
+        ("eval", "chains_top = 50", "chains_top = 0"),
+        ("eval", "chains_interface = 200", "chains_interface = -1"),
+        ("eval", "chains_interface = 200", "chains_interface = 200\nchains_first = 0"),
+        ("eval", "marginals = auto", "marginals = auto\nenum_budget = 0"),
+        ("baseline", "sigma_candidates = 0.3, 0.5", "sigma = -1"),
+        ("baseline", "sigma_candidates = 0.3, 0.5", "sigma_candidates = 0.3, -0.5"),
+        ("train", "batch_size = 100", "batch_size = 100\nmomentum = 1.0"),
+        ("train", "batch_size = 100", "batch_size = 100\ncd_steps = 0"),
+        ("train", "batch_size = 100", "batch_size = 100\nlr_end = 1.0"),
+        ("train", "batch_size = 100", "batch_size = 100\nbatch_size = 50"),
     ],
     ids=[
         "hidden-0", "sigma-negative", "sigma-candidate-nan", "n_test-0", "sigma_folds-0",
         "sigma_folds-1", "baseline-sigma_folds-1", "components-0", "components-negative",
         "layers-count-0", "synthetic-dim-0", "synthetic-components-0", "synthetic-n_hidden-0",
-        "synthetic-sigma-negative", "synthetic-sigma-nan",
+        "synthetic-sigma-negative", "synthetic-sigma-nan", "n_is-0", "n_betas-0",
+        "chains_top-0", "chains_interface-negative", "chains_first-0", "enum_budget-0",
+        "baseline-sigma-negative", "baseline-sigma-candidate-negative", "train-momentum-1",
+        "train-cd_steps-0", "train-lr_end-above-lr_start", "duplicate-key",
     ],
 )
 def test_config_the_models_would_reject_is_config_error(workspace, capsys, command, old, new):
-    make = {"train": train_config, "preprocess": preprocess_config, "baseline": _moig_config}
+    make = {"train": train_config, "preprocess": preprocess_config, "baseline": _moig_config,
+            "eval": eval_config}
     path = workspace / "bad.ini"
-    path.write_text(Path(make[command](workspace)).read_text().replace(old, new, 1))
-    run = "preprocess" if command == "preprocess" else "train"
+    text = Path(make[command](workspace)).read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    run = "train" if command == "baseline" else command
     assert cli.main([run, "--config", str(path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dbnkit import dbn
 from dbnkit.dbn import (
     DbnError,
     DbnModel,
@@ -15,6 +16,7 @@ from dbnkit.dbn import (
     save_dbn,
 )
 from dbnkit.models import (
+    EnumerationBudgetError,
     Rbm,
     binary_states,
     brute_force_hidden_marginal_srbm,
@@ -196,6 +198,37 @@ def test_ancestral_matches_brute_force_chi_square():
     probs = np.exp(brute_force_log_likelihood(stack, binary_states(4)))
     chi2 = ((freq - n * probs) ** 2 / (n * probs)).sum()
     assert chi2 < stats.chi2.ppf(0.99, df=15)
+
+
+def test_budget_bounds_every_table():
+    # log Z of the top enumerates its 2^3 hidden states, but the top and
+    # bottom tables span the 2^12 states of the interface
+    rng = RngStream(65).generator()
+    stack = DbnModel([random_grbm(rng, m=4, n=12), random_rbm(rng, 12, 3)])
+    x = rng.standard_normal((200, 4))
+    with pytest.raises(EnumerationBudgetError, match="2\\^12"):
+        brute_force_log_likelihood(stack, x, budget=2 ** 10)
+
+
+def test_small_budget_evaluates_the_bottom_in_row_blocks(monkeypatch):
+    rng = RngStream(66).generator()
+    stack = DbnModel([random_rbm(rng, 4, 2), random_srbm(rng, 2, 3), random_rbm(rng, 3, 2)])
+    x = binary_states(4)[:10]
+    expected = brute_force_log_likelihood(stack, x)
+    with pytest.raises(EnumerationBudgetError, match="layer 1"):
+        brute_force_log_likelihood(stack, x, budget=2 ** 4)
+    calls = []
+    table = dbn._log_conditional_table
+
+    def spy(layer, xs, ys, budget):
+        calls.append((layer.variant, len(xs), len(ys)))
+        return table(layer, xs, ys, budget)
+
+    monkeypatch.setattr(dbn, "_log_conditional_table", spy)
+    got = brute_force_log_likelihood(stack, x, budget=2 ** 5)
+    # the 2^2 x 2^3 interior table, then 10 rows as blocks of 2^5 // 2^2 = 8 and 2
+    assert calls == [("srbm", 4, 8), ("rbm", 8, 4), ("rbm", 2, 4)]
+    assert np.max(np.abs(got - expected)) < 1e-12
 
 
 # -- log loss -----------------------------------------------------------------

@@ -235,6 +235,18 @@ def test_enumeration_bits_is_the_partition_budget_rule(variant, m, n, bits):
         brute_force_log_partition(model, budget=2 ** bits - 1)
 
 
+def test_state_chunks_enumerate_every_state_once_in_blocks():
+    chunks = list(models.state_chunks(17, 2 ** 17, "a test"))
+    assert [c.shape for c in chunks] == [(2 ** 16, 17)] * 2
+    assert np.array_equal(state_index(np.concatenate(chunks)), np.arange(2 ** 17))
+    assert np.array_equal(binary_states(3), np.concatenate(list(models.state_chunks(3, 8, ""))))
+    # the budget is checked when the iterator is made, before a block exists
+    with pytest.raises(EnumerationBudgetError, match="a test needs 2\\^17"):
+        models.state_chunks(17, 2 ** 17 - 1, "a test")
+    with pytest.raises(EnumerationBudgetError):
+        binary_states(23)
+
+
 def test_srbm_hidden_marginal_brute_force():
     rng = RngStream(17).generator()
     model = random_srbm(rng, m=4, n=3)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dbnkit.models import Grbm, Rbm, Srbm
-from dbnkit.numerics import log_mean_exp, log_sum_exp, logistic, monte_carlo_se
+from dbnkit.numerics import log_mean_exp, log_sum_exp, logistic, monte_carlo_se, softplus_log
 from dbnkit.storage import load_model, save_model
 
 # no example database, so failing examples are not saved under .hypothesis/
@@ -33,6 +33,17 @@ def _two_exp_logistic(x):
 @given(arrays(np.float64, st.integers(1, 50), elements=st.floats(allow_nan=False)))
 def test_logistic_matches_two_exp_form(x):
     assert np.array_equal(logistic(x), _two_exp_logistic(x))
+
+
+@PROPERTY
+@given(arrays(np.float64, st.integers(1, 50), elements=finite))
+def test_softplus_log_matches_logaddexp(x):
+    out = softplus_log(x)
+    assert not np.isnan(out).any() and (out >= 0).all()
+    np.testing.assert_allclose(out, np.logaddexp(0.0, x), rtol=1e-15, atol=0)
+    # exp(-40) is below half an ulp of 40, so the correction term vanishes
+    big = x >= 40
+    assert np.array_equal(out[big], x[big])
 
 
 log_values = arrays(

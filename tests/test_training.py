@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from dbnkit import dbn, models
-from dbnkit.models import Grbm, Rbm, binary_states, brute_force_log_partition
+from dbnkit.models import (
+    EnumerationBudgetError,
+    Grbm,
+    Rbm,
+    binary_states,
+    brute_force_log_partition,
+)
 from dbnkit.numerics import RngStream
 from dbnkit.oracle import exact_log_z, random_grbm, random_rbm, random_srbm
 from dbnkit.training import (
@@ -51,6 +57,14 @@ def test_exact_gradient_vanishes_when_data_equals_model():
     acc = exact_ml_gradient(model, batch)
     norm = max(np.abs(g).max() for g in acc.grads.values())
     assert norm < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["grbm", "rbm", "srbm"])
+def test_exact_gradient_over_budget_is_budget_error(variant):
+    # the Gaussian layer enumerates its 6 hidden units, the binary ones their 5 visible
+    model = models.initialize_layer(variant, 5, 6, RngStream(19).generator(), sigma=0.7)
+    with pytest.raises(EnumerationBudgetError, match="exact gradient"):
+        exact_ml_gradient(model, np.zeros((3, 5)), budget=2 ** 4)
 
 
 # -- CD gradient -------------------------------------------------------------
