@@ -27,7 +27,6 @@ from .estimation import (
     estimate_dbn_log_likelihood,
     estimate_lower_bound,
     estimate_potential_log_loss,
-    estimate_unnorm_marginal,
     evaluate_stack,
     run_ais,
 )

@@ -3,17 +3,26 @@ Gaussians with shared scale (means free), and zero-mean mixtures with free
 covariances, trained by EM."""
 
 import logging
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .numerics import LOG2, log_sum_exp
+from .numerics import LOG2, is_gaussian_scale, log_sum_exp
 
 logger = logging.getLogger(__name__)
 
 
 class BaselineError(ValueError):
     pass
+
+
+def _check_sigma(sigma, what="sigma"):
+    if not is_gaussian_scale(sigma):
+        raise BaselineError(
+            f"{what} must be positive, with sigma**2 finite and nonzero, not {sigma!r}"
+        )
 
 
 def _chol_logdet(cov):
@@ -55,8 +64,7 @@ class MoigModel:
         self.means = np.atleast_2d(np.asarray(means, dtype=np.float64))
         self.sigma = float(sigma)
         self.weights = np.asarray(weights, dtype=np.float64)
-        if self.sigma <= 0:
-            raise BaselineError("sigma must be positive")
+        _check_sigma(self.sigma)
         _check_simplex(self.weights, self.means.shape[0])
 
     @property
@@ -229,18 +237,32 @@ def init_mog(k, data, rng):
     return MogModel(np.array(covs), np.full(k, 1.0 / k))
 
 
-def fit_mixture(kind, k, data, sigma=None, iters=100, tol=1e-8, restarts=5, rng=None):
-    """EM with random restarts; the best final log-likelihood wins."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def check_mixture(kind, k, sigma, iters, restarts):
+    """fit_mixture's rules on its scalar arguments, which need no data."""
     if kind not in ("moig", "mog"):
         raise BaselineError(f"unknown mixture kind {kind!r}")
+    if k < 1:
+        raise BaselineError("a mixture needs at least one component")
+    if iters < 1:
+        raise BaselineError("EM needs at least one iteration")
+    if restarts < 1:
+        raise BaselineError("EM needs at least one restart")
+    if kind == "moig":
+        _check_sigma(sigma, "an isotropic mixture's sigma")
+
+
+def fit_mixture(kind, k, data, sigma=None, iters=100, tol=1e-8, restarts=5, rng=None):
+    """EM with random restarts; the best final log-likelihood wins."""
+    check_mixture(kind, k, sigma, iters, restarts)
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if k > data.shape[0]:
+        raise BaselineError(f"{k} components need at least {k} rows, not {data.shape[0]}")
+    if rng is None:
+        rng = np.random.default_rng(0)
     best = None
     best_trace = None
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         if kind == "moig":
-            if sigma is None:
-                raise BaselineError("isotropic mixture needs a sigma")
             model = init_moig(k, data, sigma, rng)
         else:
             model = init_mog(k, data, rng)
@@ -248,6 +270,17 @@ def fit_mixture(kind, k, data, sigma=None, iters=100, tol=1e-8, restarts=5, rng=
         if best is None or trace[-1] > best_trace[-1]:
             best, best_trace = model, trace
     return best, best_trace
+
+
+def check_cross_validation(candidates, folds):
+    """cross_validate_sigma's rules on its candidates and fold count."""
+    if len(candidates) == 0:
+        raise BaselineError("empty candidate list")
+    for sigma in candidates:
+        _check_sigma(sigma, "every sigma candidate")
+    # a held-out fold and a fold to fit on
+    if folds < 2:
+        raise BaselineError("need at least two folds")
 
 
 def cross_validate_sigma(candidates, data, folds, scorer, seed=0):
@@ -258,12 +291,11 @@ def cross_validate_sigma(candidates, data, folds, scorer, seed=0):
     larger value) and the full table of per-fold losses.
     """
     candidates = list(candidates)
-    if not candidates:
-        raise BaselineError("empty candidate list")
-    if folds < 2:
-        raise BaselineError("need at least two folds")
+    check_cross_validation(candidates, folds)
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n = data.shape[0]
+    if folds > n:
+        raise BaselineError(f"{folds} folds need at least {folds} rows, not {n}")
     perm = np.random.default_rng(seed).permutation(n)
     splits = np.array_split(perm, folds)
     table = []
@@ -288,6 +320,55 @@ def moig_sigma_scorer(k, iters=50, tol=1e-8, restarts=2):
         return average_log_loss_bits(model, val)
 
     return scorer
+
+
+@dataclass
+class BaselineSpec:
+    """A baseline density to fit: ``kind`` is gaussian, moig or mog.
+
+    The mixtures run EM on ``components`` components with ``em_iters``
+    iterations and ``restarts`` restarts.  The isotropic mixture takes
+    ``sigma``, or picks it from ``sigma_candidates`` by
+    ``sigma_folds``-fold cross-validation.  Building a spec checks every
+    rule that needs no data.
+    """
+
+    kind: str
+    components: int = 2
+    sigma: float = None
+    sigma_candidates: tuple = ()
+    sigma_folds: int = 3
+    em_iters: int = 100
+    restarts: int = 5
+
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "moig", "mog"):
+            raise BaselineError(f"kind must be gaussian, moig or mog, not {self.kind!r}")
+        if self.sigma_candidates:
+            check_cross_validation(self.sigma_candidates, self.sigma_folds)
+        if self.kind != "gaussian":
+            sigma = self.sigma_candidates[0] if self.sigma_candidates else self.sigma
+            check_mixture(self.kind, self.components, sigma, self.em_iters, self.restarts)
+
+
+def fit_baseline(spec, data, seed=0):
+    """Fit ``spec``'s density to ``data``.
+
+    Returns the model and the cross-validation table of its sigma, which
+    is empty unless an isotropic mixture picked one from candidates.
+    """
+    if spec.kind == "gaussian":
+        return fit_gaussian(data), []
+    sigma, table = spec.sigma, []
+    if spec.kind == "moig" and spec.sigma_candidates:
+        scorer = moig_sigma_scorer(spec.components, iters=spec.em_iters)
+        sigma, table = cross_validate_sigma(
+            spec.sigma_candidates, data, spec.sigma_folds, scorer, seed=seed
+        )
+    model, _ = fit_mixture(spec.kind, spec.components, data, sigma=sigma,
+                           iters=spec.em_iters, restarts=spec.restarts,
+                           rng=np.random.default_rng(seed))
+    return model, table
 
 
 def save_baseline(model, path):

@@ -19,15 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baselines, dbn, estimation, models, oracle, pipeline
-from . import training
+from . import __version__, baselines, dbn, estimation, oracle, pipeline, training
+from .baselines import BaselineError
 from .config import ConfigError, ExperimentConfig, positive_int
 from .estimation import EstimationError
 from .models import EnumerationBudgetError
 from .numerics import LOG2, RngStream
 from .pipeline import PipelineError
 from .storage import StorageError, canonical_json
-from .training import LayerSpec, TrainingDiverged
+from .training import TrainingDiverged
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -50,42 +50,15 @@ def _write_meta(path, wall_time, **extra):
     _write_json(path, {"wall_time_seconds": wall_time, **extra})
 
 
-def _synthetic_spec(section, seed):
-    rng = RngStream(seed, 17).generator()
-    kind = section.get("kind", "isotropic_mixture")
-    dim = section.get("dim", 6)
-    k = section.get("components", 3)
-    sigma = section.get("sigma", 0.5)
-    spread = section.get("spread", 1.0)
-    if kind == "isotropic_mixture":
-        return {
-            "kind": kind,
-            "means": spread * rng.standard_normal((k, dim)),
-            "sigma": sigma,
-            "weights": np.full(k, 1.0 / k),
-        }
-    if kind == "full_cov_mixture":
-        covs = []
-        for _ in range(k):
-            a = rng.standard_normal((dim, dim))
-            covs.append(spread * (a @ a.T) / dim + 0.05 * np.eye(dim))
-        return {
-            "kind": kind,
-            "covariances": np.array(covs),
-            "weights": np.full(k, 1.0 / k),
-        }
-    if kind in ("grbm", "rbm"):
-        n_hidden = section.get("n_hidden", 6)
-        scale = section.get("weight_scale", 0.5)
-        w = scale * rng.standard_normal((dim, n_hidden))
-        b = 0.3 * rng.standard_normal(dim)
-        c = 0.3 * rng.standard_normal(n_hidden)
-        if kind == "grbm":
-            model = models.Grbm(w, b, c, sigma)
-        else:
-            model = models.Rbm(w, b, c)
-        return {"kind": kind, "model": model}
-    raise ConfigError(f"unknown synthetic kind {kind!r}")
+def _write_cv_table(path, table, fold_columns):
+    """A sigma cross-validation table as CSV, with a column per fold if asked."""
+    folds = len(table[0]["fold_losses"]) if fold_columns else 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sigma", "mean_loss_bits"] + [f"fold{j}" for j in range(folds)])
+        for row in table:
+            writer.writerow([row["sigma"], f"{row['mean_loss']:.7g}"]
+                            + [f"{v:.7g}" for v in row["fold_losses"][:folds]])
 
 
 def cmd_preprocess(cfg):
@@ -98,13 +71,12 @@ def cmd_preprocess(cfg):
     n_test = section.get("n_test", 50000)
     started = time.perf_counter()
     if source == "synthetic":
-        spec = _synthetic_spec(cfg.section("synthetic"), cfg.seed)
         for i in range(pairs):
             train = pipeline.synthesize(
-                spec, n_train, RngStream(cfg.seed).substream(21, i, 0)
+                cfg.synthetic, n_train, RngStream(cfg.seed).substream(21, i, 0)
             )
             test = pipeline.synthesize(
-                spec, n_test, RngStream(cfg.seed).substream(21, i, 1)
+                cfg.synthetic, n_test, RngStream(cfg.seed).substream(21, i, 1)
             )
             pipeline.save_dataset(train, out / f"train_{i:02d}.dbds")
             pipeline.save_dataset(test, out / f"test_{i:02d}.dbds")
@@ -112,7 +84,10 @@ def cmd_preprocess(cfg):
         if "images" not in section:
             raise ConfigError("preprocess.source=images needs an 'images' path")
         images = pipeline.load_images(section["images"])
-        src = pipeline.PatchSource(tuple(images), section.get("patch_size", 4))
+        try:
+            src = pipeline.PatchSource(tuple(images), section.get("patch_size", 4))
+        except PipelineError as exc:
+            raise ConfigError(f"[preprocess] {exc}") from exc
         for i in range(pairs):
             raw_train = pipeline.sample_patches(
                 src, n_train, RngStream(cfg.seed).substream(22, i, 0)
@@ -132,84 +107,29 @@ def cmd_preprocess(cfg):
 
 
 def _layer_specs(cfg, data):
+    """The configured layers, each cross-validated sigma chosen and its table written."""
     specs = []
-    for i in range(cfg.n_layers()):
-        section = cfg.layer(i)
-        sigma = section.get("sigma")
-        if section["variant"] == "grbm" and "sigma_candidates" in section:
-            sigma = _select_sigma(cfg, i, section, data)
-        specs.append(
-            LayerSpec(
-                section["variant"],
-                section["hidden"],
-                sigma=sigma,
-                weight_scale=section.get("weight_scale", 0.01),
-            )
-        )
+    for i, (spec, train_cfg) in enumerate(zip(cfg.layer_specs, cfg.train_configs)):
+        try:
+            spec, table = training.choose_sigma(spec, data, train_cfg, seed=cfg.seed)
+        except BaselineError as exc:
+            raise ConfigError(f"[layer.{i}] {exc}") from exc
+        if table:
+            _write_cv_table(Path(cfg.out_dir) / f"cv_sigma_layer{i}.csv", table, True)
+        specs.append(spec)
     return specs
 
 
-def _select_sigma(cfg, index, section, data):
-    candidates = section["sigma_candidates"]
-    folds = section.get("sigma_folds", 3)
-    train_cfg = cfg.train_config(index)
-
-    def scorer(sigma, train, val, rng):
-        spec = LayerSpec("grbm", section["hidden"], sigma=sigma)
-        stack, _ = training.train_dbn_greedy([spec], train, [train_cfg])
-        model = stack.layers[0]
-        log_z = models.brute_force_log_partition(model)
-        return dbn.average_log_loss(val, lambda rows: model.log_unnorm_visible(rows) - log_z)
-
-    sigma, table = baselines.cross_validate_sigma(
-        candidates, data, folds, scorer, seed=cfg.seed
-    )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"cv_sigma_layer{index}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "mean_loss_bits"] + [f"fold{j}" for j in range(folds)])
-        for row in table:
-            writer.writerow(
-                [row["sigma"], f"{row['mean_loss']:.7g}"]
-                + [f"{v:.7g}" for v in row["fold_losses"]]
-            )
-    return sigma
-
-
 def _train_baseline(cfg, dataset, out, started):
-    section = cfg.section("baseline", required=True)
-    kind = section["kind"]
-    rng = np.random.default_rng(cfg.seed)
-    if kind == "gaussian":
-        model = baselines.fit_gaussian(dataset.samples)
-    else:
-        k = section.get("components", 2)
-        iters = section.get("em_iters", 100)
-        restarts = section.get("restarts", 5)
-        sigma = section.get("sigma")
-        if kind == "moig" and "sigma_candidates" in section:
-            sigma, table = baselines.cross_validate_sigma(
-                section["sigma_candidates"],
-                dataset.samples,
-                section.get("sigma_folds", 3),
-                baselines.moig_sigma_scorer(k, iters=iters),
-                seed=cfg.seed,
-            )
-            with open(out / "cv_sigma_baseline.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["sigma", "mean_loss_bits"])
-                for row in table:
-                    writer.writerow([row["sigma"], f"{row['mean_loss']:.7g}"])
-        if kind == "moig" and sigma is None:
-            raise ConfigError("baseline.kind=moig needs sigma or sigma_candidates")
-        model, _ = baselines.fit_mixture(
-            kind, k, dataset.samples, sigma=sigma, iters=iters,
-            restarts=restarts, rng=rng,
-        )
+    try:
+        model, table = baselines.fit_baseline(cfg.baseline, dataset.samples, seed=cfg.seed)
+    except BaselineError as exc:
+        raise ConfigError(f"[baseline] {exc}") from exc
+    if table:
+        _write_cv_table(out / "cv_sigma_baseline.csv", table, False)
     baselines.save_baseline(model, out / "baseline.dbk")
     _write_meta(out / "train.meta.json", time.perf_counter() - started)
-    print(f"fitted {kind} baseline -> {out / 'baseline.dbk'}")
+    print(f"fitted {cfg.baseline.kind} baseline -> {out / 'baseline.dbk'}")
     return 0
 
 
@@ -224,10 +144,12 @@ def cmd_train(cfg):
     except StorageError as exc:
         raise PipelineError(str(exc)) from exc
     started = time.perf_counter()
-    if "baseline" in cfg.values:
+    if cfg.baseline is not None:
         return _train_baseline(cfg, dataset, out, started)
+    if not cfg.layer_specs:
+        raise ConfigError("missing section [layers]")
     specs = _layer_specs(cfg, dataset.samples)
-    configs = [cfg.train_config(i) for i in range(cfg.n_layers())]
+    configs = cfg.train_configs
     stack, _ = training.train_dbn_greedy(
         specs, dataset.samples, configs, log_dir=str(out)
     )
@@ -322,14 +244,11 @@ def cmd_eval(cfg, threads):
         raise ConfigError("dataset dimension does not match the model")
 
     est = cfg.values["estimator"]
-    try:
-        result = estimation.evaluate_stack(
-            stack, dataset.samples, n_is=est["n_is"], exact=est["exact"],
-            marginals=est["marginals"], budget=est["enum_budget"], seed=cfg.seed,
-            threads=threads, **cfg.values["ais"],
-        )
-    except EnumerationBudgetError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = estimation.evaluate_stack(
+        stack, dataset.samples, n_is=est["n_is"], exact=est["exact"],
+        marginals=est["marginals"], budget=est["enum_budget"], seed=cfg.seed,
+        threads=threads, **cfg.values["ais"],
+    )
     d, n = dataset.dim, dataset.n_samples
     se_path_bits = float(np.sqrt(np.sum(result.standard_errors ** 2)) / n / (LOG2 * d))
     fields = {
@@ -482,7 +401,8 @@ def main(argv=None):
         if args.command == "compare":
             return cmd_compare(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    # an exact computation beyond the enumeration budget is a config choice
+    except (ConfigError, EnumerationBudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PipelineError as exc:

@@ -11,23 +11,38 @@ import json
 import math
 import re
 
-from .estimation import EXACT_CHOICES, MARGINAL_CHOICES
-from .training import TrainConfig
+from .baselines import BaselineSpec
+from .estimation import EstimationError, check_choices
+from .pipeline import synthetic_spec
+from .training import LayerSpec, TrainConfig, check_stack
 
 
 class ConfigError(ValueError):
     pass
 
 
-def positive_int(v):
-    """``v`` as an integer of at least 1, such as a worker count."""
-    try:
-        n = int(v)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"must be a positive integer, not {v!r}")
-    return n
+def _int_at_least(low, what):
+    def parse(v):
+        try:
+            n = int(v)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise ValueError(f"must be {what} integer, not {v!r}")
+        return n
+
+    return parse
+
+
+positive_int = _int_at_least(1, "a positive")  # such as a worker count
+non_negative_int = _int_at_least(0, "a non-negative")  # such as a seed
+
+
+def finite_float(v):
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, not {v!r}")
+    return x
 
 
 def _floats(v):
@@ -40,7 +55,7 @@ def _strs(v):
 
 _SCHEMA = {
     "experiment": {
-        "seed": int,
+        "seed": non_negative_int,
         "out_dir": str,
         "threads": positive_int,
         "label": str,
@@ -58,11 +73,11 @@ _SCHEMA = {
     },
     "synthetic": {
         "kind": str,
-        "dim": positive_int,
-        "components": positive_int,
+        "dim": int,
+        "components": int,
         "sigma": float,
         "spread": float,
-        "n_hidden": positive_int,
+        "n_hidden": int,
         "weight_scale": float,
     },
     "layers": {
@@ -70,7 +85,7 @@ _SCHEMA = {
     },
     "baseline": {
         "kind": str,  # gaussian | moig | mog
-        "components": positive_int,
+        "components": int,
         "sigma": float,
         "sigma_candidates": _floats,
         "sigma_folds": int,
@@ -92,7 +107,7 @@ _SCHEMA = {
     "eval": {
         "model": str,
         "dataset": str,
-        "sweep_x": float,
+        "sweep_x": finite_float,
     },
     "compare": {
         "reports": _strs,
@@ -101,7 +116,7 @@ _SCHEMA = {
 
 _LAYER_KEYS = {
     "variant": str,
-    "hidden": positive_int,
+    "hidden": int,
     "sigma": float,
     "sigma_candidates": _floats,
     "sigma_folds": int,
@@ -136,23 +151,24 @@ _DEFAULTS = {
     },
 }
 
-_LAYER_RE = re.compile(r"^layer\.(\d+)$")
-_LAYER_TRAIN_RE = re.compile(r"^layer\.(\d+)\.train$")
+_LAYER_RE = re.compile(r"^layer\.\d+(\.train)?$")
 
 
-def _check_sigmas(section, name):
-    """The sigma rules shared by [synthetic], [baseline] and [layer.N]."""
-    sigmas = section.get("sigma_candidates", []) + (
-        [section["sigma"]] if "sigma" in section else [])
-    if not all(math.isfinite(v) and v > 0 for v in sigmas):
-        raise ConfigError(f"[{name}] sigma values must be finite and positive")
-    # cross-validating a sigma needs a held-out fold and a fold to fit on
-    if section.get("sigma_folds", 2) < 2:
-        raise ConfigError(f"[{name}] sigma_folds must be at least 2")
+def _build(section, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its rejection of a value reported against ``section``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, EstimationError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 class ExperimentConfig:
-    """Parsed and validated configuration with command-line overrides applied."""
+    """Parsed and validated configuration with command-line overrides applied.
+
+    Loading builds the library objects that need no data (``layer_specs``,
+    ``train_configs``, ``baseline`` and ``synthetic``); each checks its own
+    values, so a bad one is a ConfigError naming its section.
+    """
 
     def __init__(self, values):
         self.values = values
@@ -169,11 +185,8 @@ class ExperimentConfig:
         values = {}
         for section in parser.sections():
             layer_m = _LAYER_RE.match(section)
-            train_m = _LAYER_TRAIN_RE.match(section)
             if layer_m:
-                keys = _LAYER_KEYS
-            elif train_m:
-                keys = _TRAIN_KEYS
+                keys = _TRAIN_KEYS if layer_m.group(1) else _LAYER_KEYS
             elif section in _SCHEMA:
                 keys = _SCHEMA[section]
             else:
@@ -185,14 +198,10 @@ class ExperimentConfig:
                 try:
                     parsed[key] = keys[key](raw)
                 except ValueError as exc:
-                    raise ConfigError(
-                        f"bad value for {key!r} in [{section}]: {exc}"
-                    ) from exc
+                    raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}") from exc
             values[section] = parsed
         for section, defaults in _DEFAULTS.items():
-            merged = dict(defaults)
-            merged.update(values.get(section, {}))
-            values[section] = merged
+            values[section] = {**defaults, **values.get(section, {})}
         cfg = cls(values)
         cfg._apply_overrides(overrides or {})
         cfg._validate()
@@ -200,43 +209,41 @@ class ExperimentConfig:
 
     def _apply_overrides(self, overrides):
         if overrides.get("seed") is not None:
-            self.values["experiment"]["seed"] = int(overrides["seed"])
+            try:
+                self.values["experiment"]["seed"] = non_negative_int(overrides["seed"])
+            except ValueError as exc:
+                raise ConfigError(f"--seed {exc}") from None
         if overrides.get("out") is not None:
             self.values["experiment"]["out_dir"] = str(overrides["out"])
         if overrides.get("threads") is not None:
             self.values["experiment"]["threads"] = int(overrides["threads"])
 
     def _validate(self):
-        _check_sigmas(self.values.get("synthetic", {}), "synthetic")
-        baseline = self.values.get("baseline")
-        if baseline is not None:
-            if baseline.get("kind") not in ("gaussian", "moig", "mog"):
-                raise ConfigError("baseline.kind must be gaussian, moig or mog")
-            if "layers" in self.values:
-                raise ConfigError("configure either [layers] or [baseline], not both")
-            _check_sigmas(baseline, "baseline")
-        n_layers = self.values.get("layers", {}).get("count")
-        if n_layers is not None:
-            for i in range(n_layers):
-                sect = f"layer.{i}"
-                if sect not in self.values:
-                    raise ConfigError(f"missing section [{sect}]")
-                layer = self.values[sect]
-                if "variant" not in layer or "hidden" not in layer:
-                    raise ConfigError(f"[{sect}] needs 'variant' and 'hidden'")
-                if layer["variant"] not in ("rbm", "grbm", "srbm"):
-                    raise ConfigError(f"unknown variant in [{sect}]")
-                if layer["variant"] == "grbm" and i != 0:
-                    raise ConfigError("gaussian layers are only valid at the bottom")
-                _check_sigmas(layer, sect)
-                try:
-                    self.train_config(i)
-                except ValueError as exc:
-                    raise ConfigError(f"[{sect}.train] {exc}") from exc
-        est = self.values["estimator"]
-        for key, choices in (("exact", EXACT_CHOICES), ("marginals", MARGINAL_CHOICES)):
-            if est[key] not in choices:
-                raise ConfigError(f"estimator.{key} must be one of {', '.join(choices)}")
+        v = self.values
+        if "baseline" in v and "layers" in v:
+            raise ConfigError("configure either [layers] or [baseline], not both")
+        if "baseline" in v and "kind" not in v["baseline"]:
+            raise ConfigError("[baseline] needs 'kind'")
+        self.layer_specs, self.train_configs = [], []
+        for i in range(v.get("layers", {}).get("count", 0)):
+            sect = f"layer.{i}"
+            if sect not in v:
+                raise ConfigError(f"missing section [{sect}]")
+            layer = dict(v[sect])
+            if "variant" not in layer or "hidden" not in layer:
+                raise ConfigError(f"[{sect}] needs 'variant' and 'hidden'")
+            layer["n_hidden"] = layer.pop("hidden")
+            self.layer_specs.append(_build(sect, LayerSpec, **layer))
+            self.train_configs.append(_build(
+                f"{sect}.train", TrainConfig, seed=self.seed * 1000003 + i,
+                **v.get(f"{sect}.train", {}),
+            ))
+        _build("layers", check_stack, self.layer_specs)
+        self.baseline = _build("baseline", BaselineSpec, **v["baseline"]) if "baseline" in v else None
+        self.synthetic = (_build("synthetic", synthetic_spec, self.seed, **v.get("synthetic", {}))
+                          if "synthetic" in v or "preprocess" in v else None)
+        est = v["estimator"]
+        _build("estimator", check_choices, est["exact"], est["marginals"])
 
     # -- convenience ------------------------------------------------------
 
@@ -263,17 +270,6 @@ class ExperimentConfig:
                 raise ConfigError(f"missing section [{name}]")
             return {}
         return self.values[name]
-
-    def n_layers(self):
-        return self.section("layers", required=True)["count"]
-
-    def layer(self, i):
-        return self.section(f"layer.{i}", required=True)
-
-    def train_config(self, i):
-        overrides = self.section(f"layer.{i}.train")
-        cfg = TrainConfig(seed=self.seed * 1000003 + i, **overrides)
-        return cfg
 
     def config_hash(self):
         # output placement and thread counts must not change any result, so

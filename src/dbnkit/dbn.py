@@ -217,6 +217,3 @@ def load_dbn(directory):
         raise DbnError(f"{manifest_path} does not list its layer files")
     return DbnModel([load_model(directory / name) for name in names])
 
-
-def read_manifest(directory):
-    return json.loads((Path(directory) / "manifest.json").read_text())

@@ -248,13 +248,6 @@ def estimate_unnorm_marginal_batch(run, target, states):
     return values, errors
 
 
-def estimate_unnorm_marginal(run, target, y):
-    """Single-state convenience form of the marginal estimator."""
-    y = np.asarray(y, dtype=np.float64)
-    values, errors = estimate_unnorm_marginal_batch(run, target, y)
-    return LogEstimate(float(values[0]), float(errors[0]), run.log_weights.size)
-
-
 class AnalyticMarginals:
     """Hidden marginals straight from the closed forms; refuses lateral layers."""
 
@@ -414,6 +407,14 @@ def _anneal(target, data, n_betas, n_chains, rng, threads):
     return run_ais(target, schedule, rng, threads=threads)
 
 
+def check_choices(exact, marginals):
+    """evaluate_stack's rule on its ``exact`` and ``marginals`` settings."""
+    for name, value, choices in (("exact", exact, EXACT_CHOICES),
+                                 ("marginals", marginals, MARGINAL_CHOICES)):
+        if value not in choices:
+            raise EstimationError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
+
+
 def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interface,
                    chains_first, exact, marginals, budget, seed, threads):
     """Estimate log p(x) for each row of ``samples``, choosing between
@@ -430,10 +431,7 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
     MARGINAL_CHOICES raise EstimationError.  ``threads`` caps the worker
     processes of each AIS run and changes no result.
     """
-    for name, value, choices in (("exact", exact, EXACT_CHOICES),
-                                 ("marginals", marginals, MARGINAL_CHOICES)):
-        if value not in choices:
-            raise EstimationError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
+    check_choices(exact, marginals)
     stream = RngStream(seed)
     ais = {"n_betas": n_betas, "schedule": "linear", "exact_z": False}
     stages = {}

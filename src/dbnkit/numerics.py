@@ -16,6 +16,11 @@ class NumericsError(ValueError):
     pass
 
 
+def is_gaussian_scale(sigma):
+    """Whether ``sigma`` can scale a Gaussian: positive, with sigma**2 finite and nonzero."""
+    return sigma is not None and sigma > 0 and 0 < sigma * sigma < np.inf
+
+
 @dataclass(frozen=True)
 class LogEstimate:
     """A point estimate in log domain (nats) with a Monte Carlo error bar.

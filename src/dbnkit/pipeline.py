@@ -3,6 +3,7 @@ the log / center / DC-removal / whitening chain with replayable provenance,
 and synthetic generators with attached ground-truth densities."""
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from .models import Grbm, Rbm, binary_states, brute_force_log_partition
-from .numerics import log_sum_exp
+from .numerics import RngStream, is_gaussian_scale, log_sum_exp
 from .storage import StorageError, read_container, write_container
+from .training import RUNAWAY
 from . import baselines
 
 logger = logging.getLogger(__name__)
@@ -53,7 +55,11 @@ class DataSet:
 
 @dataclass
 class PatchSource:
-    """Grayscale images to draw square patches from."""
+    """Grayscale images to draw square patches from.
+
+    A patch has at least 2 x 2 pixels: one pixel is all DC component,
+    which ``preprocess`` projects out.
+    """
 
     images: tuple
     patch_size: int
@@ -61,6 +67,8 @@ class PatchSource:
 
     def __post_init__(self):
         self.images = tuple(np.asarray(img, dtype=np.float64) for img in self.images)
+        if self.patch_size < 2:
+            raise PipelineError("patch_size must be at least 2")
         if not self.images:
             raise PipelineError("need at least one image")
         for img in self.images:
@@ -157,6 +165,51 @@ def replay(provenance, data):
     for entry in provenance:
         data = _apply(entry, data)
     return DataSet(data, list(provenance))
+
+
+def synthetic_spec(seed, kind="isotropic_mixture", dim=6, components=3, sigma=0.5,
+                   spread=1.0, n_hidden=6, weight_scale=0.5):
+    """A ground-truth density for ``synthesize``, drawn from stream 17 of ``seed``.
+
+    "isotropic_mixture" has ``components`` means of scale ``spread`` and a
+    shared ``sigma``; "full_cov_mixture" has zero-mean components with
+    random covariances of scale ``spread``; "grbm" and "rbm" are layers
+    with ``n_hidden`` hidden units and weights of scale ``weight_scale``
+    (and ``sigma`` for the gaussian one).
+    """
+    if min(dim, components, n_hidden) < 1:
+        raise PipelineError("dim, components and n_hidden must be at least 1")
+    if not is_gaussian_scale(sigma):
+        raise PipelineError("sigma must be positive, with sigma**2 finite and nonzero")
+    if not (0 <= spread < math.inf):
+        raise PipelineError("spread must be finite and nonnegative")
+    # the bound training puts on a layer's parameters
+    if not (0 <= weight_scale <= RUNAWAY):
+        raise PipelineError(f"weight_scale must lie in [0, {RUNAWAY:g}]")
+    rng = RngStream(seed, 17).generator()
+    weights = np.full(components, 1.0 / components)
+    # a scale so large that the draws overflow is refused below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "isotropic_mixture":
+            spec = {"kind": kind, "means": spread * rng.standard_normal((components, dim)),
+                    "sigma": sigma, "weights": weights}
+        elif kind == "full_cov_mixture":
+            covs = []
+            for _ in range(components):
+                a = rng.standard_normal((dim, dim))
+                covs.append(spread * (a @ a.T) / dim + 0.05 * np.eye(dim))
+            spec = {"kind": kind, "covariances": np.array(covs), "weights": weights}
+        elif kind in ("grbm", "rbm"):
+            w = weight_scale * rng.standard_normal((dim, n_hidden))
+            b = 0.3 * rng.standard_normal(dim)
+            c = 0.3 * rng.standard_normal(n_hidden)
+            model = Grbm(w, b, c, sigma) if kind == "grbm" else Rbm(w, b, c)
+            return {"kind": kind, "model": model}
+        else:
+            raise PipelineError(f"unknown synthetic kind {kind!r}")
+    if not all(np.isfinite(v).all() for v in spec.values() if isinstance(v, np.ndarray)):
+        raise PipelineError("spread is so large that the mixture overflows")
+    return spec
 
 
 def synthesize(spec, n, rng):

@@ -7,6 +7,8 @@ fixed-seed runs can be compared file-wise.
 """
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -51,10 +53,34 @@ def write_container(path, kind, meta, arrays):
 
 
 def _read_exact(fh, n, path, what):
-    data = fh.read(n)
-    if len(data) != n:
+    # checked against the file size first, so a corrupt length cannot ask
+    # for more memory than the file holds
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise StorageError(f"{path} is truncated: its {what} is short")
-    return data
+    return fh.read(n)
+
+
+def _is_shape(shape):
+    return isinstance(shape, list) and all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
+    )
+
+
+def _check_header(header, path):
+    """Raise StorageError unless ``header`` has the fields read_container uses."""
+    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
+        raise StorageError(f"unsupported format version in {path}")
+    entries = header.get("arrays")
+    if not (
+        isinstance(header.get("kind"), str)
+        and isinstance(header.get("meta"), dict)
+        and isinstance(entries, list)
+        and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str) and _is_shape(e.get("shape"))
+            for e in entries
+        )
+    ):
+        raise StorageError(f"{path} has a malformed header")
 
 
 def read_container(path, expect_kind=None):
@@ -70,8 +96,7 @@ def read_container(path, expect_kind=None):
             header = json.loads(blob.decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or JSON
             raise StorageError(f"{path} has an unreadable header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
-            raise StorageError(f"unsupported format version in {path}")
+        _check_header(header, path)
         if expect_kind is not None and header["kind"] != expect_kind:
             raise StorageError(
                 f"{path} holds a {header['kind']!r} container, expected {expect_kind!r}"
@@ -79,7 +104,7 @@ def read_container(path, expect_kind=None):
         arrays = {}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             blob = _read_exact(fh, count * 8, path, f"array {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
     return header["kind"], header["meta"], arrays

@@ -3,15 +3,18 @@ momentum updates with a linear learning-rate schedule, and greedy
 layer-wise stacking."""
 
 import csv
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .baselines import check_cross_validation, cross_validate_sigma
 from .dbn import DbnModel, average_log_loss
 from .models import (
     DEFAULT_ENUM_BUDGET,
     GRBM,
+    LAYER_CLASSES,
     SRBM,
     ModelError,
     Srbm,
@@ -20,7 +23,10 @@ from .models import (
     check_budget,
     initialize_layer,
 )
-from .numerics import RngStream
+from .numerics import RngStream, is_gaussian_scale
+
+# a parameter beyond this magnitude means training has diverged
+RUNAWAY = 1e6
 
 
 class TrainingDiverged(RuntimeError):
@@ -53,14 +59,18 @@ class TrainConfig:
             raise ValueError("cd_steps must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if not (0 < self.lr_end <= self.lr_start):
-            raise ValueError("need 0 < lr_end <= lr_start")
+        if not (0 < self.lr_end <= self.lr_start < math.inf):
+            raise ValueError("need 0 < lr_end <= lr_start, both finite")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not (0 <= self.weight_decay < math.inf):
+            raise ValueError("weight_decay must be finite and nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.mean_field_steps < 1:
+            raise ValueError("mean_field_steps must be at least 1")
+        if not (0 <= self.mean_field_damping < 1):
+            raise ValueError("mean_field_damping must lie in [0, 1)")
 
     def learning_rate(self, epoch):
         if self.epochs <= 1:
@@ -194,7 +204,8 @@ def apply_update(model, acc, config, epoch):
     velocity <- momentum * velocity + lr * (grad - weight_decay * weights),
     parameters += velocity.  Weight decay touches weight and lateral
     matrices only.  The lateral matrix is re-symmetrized with a zero
-    diagonal after the step.
+    diagonal after the step.  A step that leaves a parameter non-finite
+    raises TrainingDiverged.
     """
     lr = config.learning_rate(epoch)
     params = model.parameter_arrays()
@@ -210,17 +221,26 @@ def apply_update(model, acc, config, epoch):
         lat = 0.5 * (new["lateral"] + new["lateral"].T)
         np.fill_diagonal(lat, 0.0)
         new["lateral"] = lat
-    return model.replace(**new)
+    try:
+        return model.replace(**new)
+    except ModelError:
+        _guard(new, epoch)  # a step that overflowed has diverged
+        raise
 
 
-def _guard(model, epoch):
-    for name, arr in model.parameter_arrays().items():
-        if np.isnan(arr).any():
-            raise TrainingDiverged(f"NaN in {name} at epoch {epoch}")
-        if np.abs(arr).max() > 1e6:
-            raise TrainingDiverged(f"{name} exceeded 1e6 at epoch {epoch}")
+def _guard(arrays, epoch):
+    """Raise TrainingDiverged unless every array is finite and within RUNAWAY."""
+    for name, arr in arrays.items():
+        peak = np.abs(arr).max()
+        if not np.isfinite(peak):
+            raise TrainingDiverged(f"non-finite {name} at epoch {epoch}")
+        if peak > RUNAWAY:
+            raise TrainingDiverged(f"{name} exceeded {RUNAWAY:g} at epoch {epoch}")
 
 
+# a step that overflows is reported as divergence, so numpy's warnings
+# would only add noise
+@np.errstate(over="ignore", invalid="ignore")
 def train_layer(
     model,
     data,
@@ -237,9 +257,9 @@ def train_layer(
     diagnostics (reconstruction error, learning rate, optional exact
     log-loss in bits per component, wall time) and optionally a CSV log.
     ``data_provider(epoch)`` may replace the fixed data matrix to feed
-    fresh samples every epoch.  Aborts with TrainingDiverged on NaNs,
-    runaway parameters, or a log-loss that worsens by more than one bit
-    over ten epochs.
+    fresh samples every epoch.  Aborts with TrainingDiverged on a step that
+    leaves a parameter non-finite, an epoch that leaves one beyond RUNAWAY,
+    or a log-loss that worsens by more than one bit over ten epochs.
     """
     model = model.copy()
     if data is None and data_provider is None:
@@ -283,7 +303,7 @@ def train_layer(
                 model = apply_update(model, acc, config, epoch)
                 if acc.last_recon_error is not None:
                     errors.append(acc.last_recon_error)
-            _guard(model, epoch)
+            _guard(model.parameter_arrays(), epoch)
             entry = {
                 "epoch": epoch,
                 "lr": config.learning_rate(epoch),
@@ -352,10 +372,66 @@ def init_srbm_from_grbm(grbm, n_hidden):
 
 @dataclass
 class LayerSpec:
+    """One layer of a stack to train: its variant, size and initial weight scale.
+
+    A gaussian layer needs a ``sigma``, or ``sigma_candidates`` for
+    ``choose_sigma`` to pick one from by ``sigma_folds``-fold
+    cross-validation.
+    """
+
     variant: str
     n_hidden: int
     sigma: float = None
     weight_scale: float = 0.01
+    sigma_candidates: tuple = ()
+    sigma_folds: int = 3
+
+    def __post_init__(self):
+        if self.variant not in LAYER_CLASSES:
+            raise ValueError(
+                f"unknown variant {self.variant!r}; expected one of {', '.join(LAYER_CLASSES)}"
+            )
+        if self.n_hidden < 1:
+            raise ValueError("a layer needs at least one hidden unit")
+        if self.sigma_candidates:
+            check_cross_validation(self.sigma_candidates, self.sigma_folds)
+        elif self.variant == GRBM and self.sigma is None:
+            raise ValueError("a gaussian layer needs a sigma or sigma_candidates")
+        if self.sigma is not None and not is_gaussian_scale(self.sigma):
+            raise ValueError("sigma must be positive, with sigma**2 finite and nonzero")
+        # larger initial weights would already count as diverged
+        if not (0 <= self.weight_scale <= RUNAWAY):
+            raise ValueError(f"weight_scale must lie in [0, {RUNAWAY:g}]")
+
+
+def check_stack(layer_specs):
+    """train_dbn_greedy's rule on the order of its layers."""
+    if any(spec.variant == GRBM for spec in layer_specs[1:]):
+        raise ValueError("gaussian layers are only valid at the bottom")
+
+
+def choose_sigma(spec, data, config, seed=0):
+    """``spec`` with the sigma that cross-validation picks from its candidates.
+
+    Only a gaussian layer with ``sigma_candidates`` is cross-validated;
+    each candidate trains the layer alone on the other folds and scores
+    its exact log-loss on the held-out fold.  Returns the spec and the
+    table of ``baselines.cross_validate_sigma`` (empty when nothing was
+    cross-validated).
+    """
+    if spec.variant != GRBM or not spec.sigma_candidates:
+        return spec, []
+
+    def scorer(sigma, train, val, rng):
+        stack, _ = train_dbn_greedy([replace(spec, sigma=sigma)], train, [config])
+        model = stack.layers[0]
+        log_z = brute_force_log_partition(model)
+        return average_log_loss(val, lambda rows: model.log_unnorm_visible(rows) - log_z)
+
+    sigma, table = cross_validate_sigma(
+        spec.sigma_candidates, data, spec.sigma_folds, scorer, seed=seed
+    )
+    return replace(spec, sigma=sigma), table
 
 
 def train_dbn_greedy(layer_specs, data, configs, log_dir=None):
@@ -371,6 +447,7 @@ def train_dbn_greedy(layer_specs, data, configs, log_dir=None):
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if len(layer_specs) != len(configs):
         raise ValueError("need one config per layer spec")
+    check_stack(layer_specs)
     trained = []
     all_diagnostics = []
     for idx, (spec, config) in enumerate(zip(layer_specs, configs)):

@@ -4,6 +4,7 @@ from scipy import stats
 
 from dbnkit.baselines import (
     BaselineError,
+    BaselineSpec,
     GaussianModel,
     MogModel,
     MoigModel,
@@ -195,3 +196,39 @@ def test_baseline_roundtrip(tmp_path):
         save_baseline(model, path)
         loaded = load_baseline(path)
         assert np.array_equal(loaded.log_density(x), model.log_density(x))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"restarts": 0}, {"iters": 0}, {"iters": -3}, {"k": 0}, {"k": 41}, {"sigma": None},
+     {"sigma": float("nan")}, {"sigma": 0.0}, {"kind": "gaussian"}],
+    ids=["restarts-0", "iters-0", "iters-negative", "k-0", "k-above-rows", "no-sigma",
+         "sigma-nan", "sigma-0", "not-a-mixture"],
+)
+def test_fit_mixture_rejects_bad_arguments(kwargs):
+    data = RngStream(127).generator().standard_normal((40, 2))
+    args = {"kind": "moig", "k": 2, "sigma": 0.5, "iters": 5, "restarts": 1, **kwargs}
+    with pytest.raises(BaselineError):
+        fit_mixture(args.pop("kind"), args.pop("k"), data, **args)
+
+
+@pytest.mark.parametrize(
+    "candidates, folds",
+    [([], 2), ([0.5, float("nan")], 2), ([0.5, -1.0], 2), ([0.5], 1), ([0.5], 41)],
+    ids=["empty", "nan", "negative", "one-fold", "folds-above-rows"],
+)
+def test_cross_validate_rejects_bad_arguments(candidates, folds):
+    data = RngStream(128).generator().standard_normal((40, 2))
+    with pytest.raises(BaselineError):
+        cross_validate_sigma(candidates, data, folds, lambda *a: 0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"kind": "gmm"}, {"kind": "moig"}, {"kind": "moig", "sigma": 0.5, "em_iters": 0},
+     {"kind": "mog", "components": 0}, {"kind": "moig", "sigma_candidates": [0.5, float("inf")]}],
+    ids=["unknown-kind", "moig-no-sigma", "em_iters-0", "components-0", "candidate-inf"],
+)
+def test_baseline_spec_rejects_without_data(kwargs):
+    with pytest.raises(BaselineError):
+        BaselineSpec(**kwargs)

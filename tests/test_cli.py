@@ -8,7 +8,7 @@ import pytest
 
 from dbnkit import cli
 from dbnkit.dbn import load_dbn
-from dbnkit.pipeline import DataSet, load_dataset, save_dataset
+from dbnkit.pipeline import DataSet, load_dataset, save_dataset, save_images
 from dbnkit.storage import canonical_json, write_container
 
 
@@ -298,6 +298,7 @@ def _moig_config(ws):
         ("train", "batch_size = 100", "batch_size = 100\ncd_steps = 0"),
         ("train", "batch_size = 100", "batch_size = 100\nlr_end = 1.0"),
         ("train", "batch_size = 100", "batch_size = 100\nbatch_size = 50"),
+        ("preprocess", "kind = isotropic_mixture\ndim = 4", "kind = rbm\ndim = 30"),
     ],
     ids=[
         "hidden-0", "sigma-negative", "sigma-candidate-nan", "n_test-0", "sigma_folds-0",
@@ -307,6 +308,7 @@ def _moig_config(ws):
         "chains_top-0", "chains_interface-negative", "chains_first-0", "enum_budget-0",
         "baseline-sigma-negative", "baseline-sigma-candidate-negative", "train-momentum-1",
         "train-cd_steps-0", "train-lr_end-above-lr_start", "duplicate-key",
+        "synthetic-rbm-beyond-budget",
     ],
 )
 def test_config_the_models_would_reject_is_config_error(workspace, capsys, command, old, new):
@@ -319,6 +321,85 @@ def test_config_the_models_would_reject_is_config_error(workspace, capsys, comma
     run = "train" if command == "baseline" else command
     assert cli.main([run, "--config", str(path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _images_config(ws):
+    rng = np.random.default_rng(3)
+    save_images([np.exp(rng.standard_normal((12, 12))) for _ in range(2)], ws / "bank.dbni")
+    return write_config(
+        ws / "images.ini",
+        f"""
+        [experiment]
+        out_dir = {ws / 'patches'}
+
+        [preprocess]
+        source = images
+        images = {ws / 'bank.dbni'}
+        patch_size = 3
+        pairs = 1
+        n_train = 200
+        n_test = 20
+        """,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, old, new, section",
+    [
+        ("train", "[layer.1.train]", "[layer.1.train]\nmean_field_steps = 0", "layer.1.train"),
+        ("train", "[layer.1.train]", "[layer.1.train]\nmean_field_damping = 1.0",
+         "layer.1.train"),
+        ("train", "sigma = 0.6", "sigma = 0.6\nweight_scale = nan", "layer.0"),
+        ("train", "sigma = 0.6", "sigma = 0.6\nweight_scale = 1e308", "layer.0"),
+        ("train", "batch_size = 100", "batch_size = 100\nweight_decay = nan", "layer.0.train"),
+        ("train", "batch_size = 100", "batch_size = 100\nlr_start = inf\nlr_end = inf",
+         "layer.0.train"),
+        ("train", "sigma = 0.6", "", "layer.0"),
+        ("baseline", "components = 2", "components = 2\nrestarts = 0", "baseline"),
+        ("baseline", "components = 2", "components = 2\nem_iters = 0", "baseline"),
+        ("baseline", "components = 2", "components = 2\nem_iters = -3", "baseline"),
+        ("baseline", "components = 2", "components = 1000", "baseline"),
+        ("baseline", "sigma_folds = 2", "sigma_folds = 1000", "baseline"),
+        ("train", "sigma = 0.6", "sigma_candidates = 0.5, 0.7\nsigma_folds = 1000", "layer.0"),
+        ("eval", "[eval]", "[eval]\nsweep_x = inf", "eval"),
+        ("images", "patch_size = 3", "patch_size = 0", "preprocess"),
+        ("images", "patch_size = 3", "patch_size = 1", "preprocess"),
+        ("images", "patch_size = 3", "patch_size = -2", "preprocess"),
+        ("preprocess", "spread = 1.0", "spread = nan", "synthetic"),
+        ("preprocess", "seed = 5", "seed = -1", "experiment"),
+    ],
+    ids=[
+        "mean_field_steps-0", "mean_field_damping-1", "weight_scale-nan", "weight_scale-1e308",
+        "weight_decay-nan", "lr-inf", "grbm-without-sigma", "restarts-0", "em_iters-0",
+        "em_iters-negative", "components-above-rows", "baseline-sigma_folds-above-rows",
+        "layer-sigma_folds-above-rows", "sweep_x-inf", "patch_size-0", "patch_size-1",
+        "patch_size-negative", "synthetic-spread-nan", "seed-negative",
+    ],
+)
+def test_value_its_library_object_rejects_names_the_section(workspace, capsys, command, old,
+                                                            new, section):
+    # the data-dependent rules (components and folds against rows) need data
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    if command == "eval":
+        cli.main(["train", "--config", train_config(workspace)])
+    make = {"train": train_config, "preprocess": preprocess_config, "baseline": _moig_config,
+            "eval": eval_config, "images": _images_config}
+    path = workspace / "bad.ini"
+    text = Path(make[command](workspace)).read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    run = {"baseline": "train", "images": "preprocess"}.get(command, command)
+    capsys.readouterr()
+    assert cli.main([run, "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"[{section}]" in err
+
+
+def test_negative_seed_option_is_config_error(workspace, capsys):
+    cfg = preprocess_config(workspace)
+    assert cli.main(["preprocess", "--config", cfg, "--seed", "-1"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --seed")
+    assert not (workspace / "data").exists()
 
 
 def test_compare_identical_models(workspace, tmp_path):
@@ -594,6 +675,17 @@ def test_train_divergence_exit_code(workspace):
         """,
     )
     assert cli.main(["train", "--config", cfg]) == cli.EXIT_DIVERGED
+
+
+def test_train_overflowing_step_exits_diverged(workspace, capsys):
+    # a step that overflows is divergence, not the rebuilt layer's ModelError
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    path = workspace / "overflow.ini"
+    text = Path(train_config(workspace)).read_text()
+    path.write_text(text.replace(
+        "batch_size = 100", "batch_size = 100\nlr_start = 1e300\nlr_end = 1e300", 1))
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_DIVERGED
+    assert capsys.readouterr().err.startswith("training diverged: ")
 
 
 def test_eval_single_layer_with_ais_partition(workspace):

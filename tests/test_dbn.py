@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,7 +14,6 @@ from dbnkit.dbn import (
     brute_force_log_likelihood,
     feed_forward_sample,
     load_dbn,
-    read_manifest,
     save_dbn,
 )
 from dbnkit.models import (
@@ -279,4 +280,5 @@ def test_dbn_roundtrip(tmp_path):
     assert np.array_equal(
         brute_force_log_likelihood(loaded, x), brute_force_log_likelihood(stack, x)
     )
-    assert read_manifest(tmp_path / "m")["provenance"]["seed"] == 1
+    manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert manifest["provenance"]["seed"] == 1

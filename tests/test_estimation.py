@@ -15,7 +15,6 @@ from dbnkit.estimation import (
     estimate_dbn_log_likelihood,
     estimate_lower_bound,
     estimate_potential_log_loss,
-    estimate_unnorm_marginal,
     estimate_unnorm_marginal_batch,
     evaluate_stack,
     fit_base_model,
@@ -246,10 +245,11 @@ def test_single_state_marginal_matches_batch():
     base = fit_base_model(target)
     run = run_ais(target, AisSchedule(linear_betas(30), 200, base), RngStream(84))
     y = binary_states(3)[5]
-    single = estimate_unnorm_marginal(run, target, y)
+    # one state needs no batch axis
+    single, single_err = estimate_unnorm_marginal_batch(run, target, y)
     batch, errs = estimate_unnorm_marginal_batch(run, target, y[None, :])
-    assert single.log_value == batch[0]
-    assert single.standard_error == errs[0]
+    assert single.shape == (1,)
+    assert single[0] == batch[0] and single_err[0] == errs[0]
 
 
 # -- stack likelihood estimator ----------------------------------------------------

@@ -16,6 +16,7 @@ from dbnkit.pipeline import (
     save_dataset,
     save_images,
     synthesize,
+    synthetic_spec,
 )
 
 
@@ -27,10 +28,17 @@ def test_patchsource_validation():
 
 
 def test_patches_constant_image():
-    source = PatchSource((np.full((8, 8), 3.0),), 1)
+    source = PatchSource((np.full((8, 8), 3.0),), 2)
     ds = sample_patches(source, 20, RngStream(130).generator())
-    assert ds.samples.shape == (20, 1)
+    assert ds.samples.shape == (20, 4)
     assert np.all(ds.samples == 3.0)
+
+
+@pytest.mark.parametrize("size", [1, 0, -2])
+def test_patch_below_two_pixels_is_rejected(size):
+    # one pixel is all DC component, which preprocess projects out
+    with pytest.raises(PipelineError, match="patch_size"):
+        PatchSource((np.ones((8, 8)),), size)
 
 
 def test_patches_shape():
@@ -42,11 +50,14 @@ def test_patches_shape():
 
 def test_patches_uniform_coverage():
     rng = RngStream(132).generator()
-    img = np.arange(36, dtype=float).reshape(6, 6) + 1.0
-    source = PatchSource((img,), 1)
+    # 2 x 2 patches of a 7 x 7 image have 6 x 6 positions, each named by
+    # its top-left pixel
+    img = np.arange(49, dtype=float).reshape(7, 7) + 1.0
+    source = PatchSource((img,), 2)
     n = 10 ** 5
     ds = sample_patches(source, n, rng)
-    counts = np.array([(ds.samples[:, 0] == v).sum() for v in img.ravel()])
+    counts = np.array([(ds.samples[:, 0] == v).sum() for v in img[:6, :6].ravel()])
+    assert counts.sum() == n
     chi2 = ((counts - n / 36) ** 2 / (n / 36)).sum()
     assert chi2 < stats.chi2.ppf(0.99, df=35)
 
@@ -187,3 +198,21 @@ def test_whitening_matrix_is_symmetric():
     out = preprocess(DataSet(np.exp(0.4 * rng.standard_normal((500, 9)))))
     matrix = next(e["matrix"] for e in out.provenance if e["kind"] == "whiten")
     assert np.array_equal(matrix, matrix.T)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"kind": "uniform"}, {"spread": float("nan")}, {"spread": -1.0}, {"sigma": float("inf")},
+     {"dim": 0}, {"kind": "grbm", "weight_scale": float("nan")}],
+    ids=["unknown-kind", "spread-nan", "spread-negative", "sigma-inf", "dim-0",
+         "grbm-scale-nan"],
+)
+def test_synthetic_spec_rejects(kwargs):
+    with pytest.raises(ValueError):
+        synthetic_spec(0, **kwargs)
+
+
+def test_synthetic_spec_is_seeded():
+    a, b = synthetic_spec(4), synthetic_spec(4)
+    assert np.array_equal(a["means"], b["means"])
+    assert not np.array_equal(a["means"], synthetic_spec(5)["means"])

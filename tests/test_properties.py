@@ -1,6 +1,6 @@
 """Property tests: the elementary functions and the Monte Carlo standard
-error against references, and layer models through their file format and
-copies."""
+error against references, layer models through their file format and
+copies, and datasets through a corrupted header."""
 
 import tempfile
 from pathlib import Path
@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from dbnkit.models import Grbm, Rbm, Srbm
 from dbnkit.numerics import log_mean_exp, log_sum_exp, logistic, monte_carlo_se, softplus_log
-from dbnkit.storage import load_model, save_model
+from dbnkit.pipeline import DataSet, PipelineError, load_dataset, preprocess, save_dataset
+from dbnkit.storage import StorageError, load_model, save_model
 
 # no example database, so failing examples are not saved under .hypothesis/
 # (hypothesis still caches source constants there, hence .gitignore); no
@@ -116,3 +117,32 @@ def test_copy_shares_no_array(model):
     for name, arr in model.parameter_arrays().items():
         assert np.array_equal(twin.parameter_arrays()[name], arr)
         assert not np.shares_memory(twin.parameter_arrays()[name], arr)
+
+
+def _dataset_file():
+    """A small preprocessed dataset, whose provenance holds arrays, as bytes."""
+    rng = np.random.default_rng(9)
+    raw = DataSet(np.exp(rng.standard_normal((30, 4))), [{"kind": "patches", "n": 30}])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.dbds"
+        save_dataset(preprocess(raw), path)
+        return path.read_bytes()
+
+
+DATASET = _dataset_file()
+HEADER_END = 8 + int.from_bytes(DATASET[4:8], "little")
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.integers(0, HEADER_END - 1), st.integers(1, 255))
+def test_corrupt_dataset_header_is_a_named_error(pos, flip):
+    # one changed byte in the magic, the header length or the JSON header
+    blob = bytearray(DATASET)
+    blob[pos] ^= flip
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.dbds"
+        path.write_bytes(bytes(blob))
+        try:
+            load_dataset(path)
+        except (StorageError, PipelineError):
+            pass

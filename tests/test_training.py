@@ -18,6 +18,7 @@ from dbnkit.training import (
     TrainingDiverged,
     apply_update,
     cd_gradient,
+    check_stack,
     exact_ml_gradient,
     init_srbm_from_grbm,
     train_dbn_greedy,
@@ -230,6 +231,64 @@ def test_divergence_guard_triggers():
                       weight_decay=0.0, batch_size=20)
     with pytest.raises(TrainingDiverged):
         train_layer(model, data, cfg)
+
+
+def test_overflowing_step_is_divergence():
+    # not the ModelError of the layer rebuilt from the step
+    model = Rbm(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+    acc = GradientAccumulator(model)
+    acc.grads["weights"][...] = 1e308
+    cfg = TrainConfig(epochs=1, lr_start=10.0, lr_end=10.0, momentum=0.0,
+                      weight_decay=0.0, batch_size=1)
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="non-finite"):
+        apply_update(model, acc, cfg, 0)
+
+
+def test_huge_learning_rate_diverges_in_the_first_epoch():
+    rng = RngStream(41).generator()
+    model = random_grbm(rng)
+    data = rng.standard_normal((40, model.n_visible))
+    cfg = TrainConfig(epochs=3, lr_start=1e300, lr_end=1e300, batch_size=20)
+    with pytest.raises(TrainingDiverged, match="epoch 0"):
+        train_layer(model, data, cfg)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"mean_field_steps": 0}, {"mean_field_damping": 1.0}, {"mean_field_damping": -0.1},
+     {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+     {"lr_start": float("inf"), "lr_end": float("inf")}, {"lr_end": float("nan")},
+     {"momentum": float("nan")}, {"epochs": -1}, {"batch_size": 0}],
+    ids=["mf-steps-0", "mf-damping-1", "mf-damping-negative", "decay-nan", "decay-inf",
+         "lr-inf", "lr_end-nan", "momentum-nan", "epochs-negative", "batch-0"],
+)
+def test_train_config_rejects(kwargs):
+    with pytest.raises(ValueError):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [(("dbn", 3), {}), (("rbm", 0), {}), (("grbm", 3), {}),
+     (("grbm", 3), {"sigma": float("nan")}), (("grbm", 3), {"sigma": 0.0}),
+     (("rbm", 3), {"weight_scale": float("nan")}), (("rbm", 3), {"weight_scale": 1e308}),
+     (("rbm", 3), {"weight_scale": -1.0}),
+     (("grbm", 3), {"sigma_candidates": (0.5, float("inf"))}),
+     (("grbm", 3), {"sigma_candidates": (0.5,), "sigma_folds": 1})],
+    ids=["variant", "hidden-0", "grbm-no-sigma", "sigma-nan", "sigma-0", "scale-nan",
+         "scale-1e308", "scale-negative", "candidate-inf", "folds-1"],
+)
+def test_layer_spec_rejects(args, kwargs):
+    with pytest.raises(ValueError):
+        LayerSpec(*args, **kwargs)
+
+
+def test_gaussian_layer_above_the_bottom_is_rejected_before_training():
+    specs = [LayerSpec("rbm", 3), LayerSpec("grbm", 2, sigma=1.0)]
+    with pytest.raises(ValueError, match="bottom"):
+        check_stack(specs)
+    with pytest.raises(ValueError, match="bottom"):
+        train_dbn_greedy(specs, np.zeros((4, 3)), [TrainConfig(), TrainConfig()])
 
 
 # -- second-layer initialization ----------------------------------------------
