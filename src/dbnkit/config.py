@@ -260,7 +260,8 @@ class ExperimentConfig:
         return self.values["experiment"]["label"]
 
     def threads(self, default):
-        """AIS worker processes: the configured count, else ``default``."""
+        """Worker processes of AIS runs and path blocks: the configured
+        count, else ``default``."""
         t = self.values["experiment"]["threads"]
         return default if t is None else t
 

@@ -48,6 +48,8 @@ from .numerics import (
 )
 
 AIS_CHUNK = 4096
+# points per job of the path estimator's worker processes
+PATH_BLOCK = 64
 # cells (rows x components, 8 MB) of the potential log-loss's reused block
 POTENTIAL_BLOCK = 2 ** 20
 
@@ -144,6 +146,33 @@ class AisRun:
             raise EstimationError("weight and sample counts disagree")
 
 
+def _worker_count(threads, jobs):
+    """Worker processes for ``jobs`` jobs: ``threads``, but never more than one a job."""
+    if threads < 1:
+        raise EstimationError(f"threads must be at least 1, not {threads}")
+    return min(threads, jobs)
+
+
+def _map_in_processes(fn, jobs, workers, what):
+    """``[fn(job) for job in jobs]``, run by ``workers`` worker processes when
+    that is more than one.  ``fn`` must be a private module-level function:
+    it is pickled by name, which a traced (wrapped) public one cannot be.  A
+    worker that dies raises EstimationError naming ``what``."""
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    # the jobs' many small numpy calls hold the interpreter lock, so only
+    # processes run them in parallel.  fork, not spawn: a spawned worker
+    # re-imports the caller's main module, which a script without a
+    # __main__ guard cannot survive; a worker touches only its job
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            return list(pool.map(fn, jobs))
+    except BrokenProcessPool as exc:
+        raise EstimationError(f"{what} worker process died: {exc}") from exc
+
+
 def _chain_chunk(target, base, betas, n_chains, rng):
     # looked up per call, so a wrapper set on a kernels attribute is the one called
     kernel = {RBM: kernels.ais_rbm, GRBM: kernels.ais_grbm, SRBM: kernels.ais_srbm}[target.variant]
@@ -169,8 +198,6 @@ def run_ais(target, schedule, rng, threads=1):
     near-target samples, and the log partition function estimate (weights
     plus the base's analytic log Z).
     """
-    if threads < 1:
-        raise EstimationError(f"threads must be at least 1, not {threads}")
     base = schedule.base_model
     if base.variant != target.variant:
         raise EstimationError(
@@ -185,22 +212,8 @@ def run_ais(target, schedule, rng, threads=1):
         (target, base, schedule.betas, min(AIS_CHUNK, n - lo), rng.substream(9, i))
         for i, lo in enumerate(range(0, n, AIS_CHUNK))
     ]
-
-    workers = min(threads, len(jobs))
-    if workers > 1:
-        # the chains' many small numpy calls hold the interpreter lock, so
-        # only processes run them in parallel.  fork, not spawn: a spawned
-        # worker re-imports the caller's main module, which a script without
-        # a __main__ guard cannot survive; a worker touches only its job
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                parts = list(pool.map(_chunk_job, jobs))
-        except BrokenProcessPool as exc:
-            raise EstimationError(f"an AIS worker process died: {exc}") from exc
-    else:
-        parts = [_chunk_job(job) for job in jobs]
+    workers = _worker_count(threads, len(jobs))
+    parts = _map_in_processes(_chunk_job, jobs, workers, "an AIS")
 
     log_w = np.concatenate([p[0] for p in parts])
     samples = np.concatenate([p[1] for p in parts], axis=0)
@@ -370,17 +383,47 @@ def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng
     return LogEstimate(base_term + float(log_w[0]), 0.0, 1)
 
 
-def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_top, stream):
-    """Per-sample estimates over a dataset, one RNG substream per sample."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    out = []
-    for i in range(data.shape[0]):
-        out.append(
-            estimate_dbn_log_likelihood(
-                dbn, data[i], n_is, marginal_provider, log_z_top, stream.substream(13, i)
-            )
+def _path_workers(dbn, marginal_provider, n_points, threads):
+    """Worker processes estimate_dataset_log_likelihood uses for ``n_points``.
+
+    Only analytic marginals, a pure function of the state, leave this
+    process; the table providers fill their memo and standard errors here.
+    A one-layer stack draws no path, so it has nothing to spread.
+    """
+    workers = _worker_count(threads, -(-n_points // PATH_BLOCK))
+    if isinstance(marginal_provider, AnalyticMarginals) and dbn.n_layers > 1:
+        return workers
+    return 1
+
+
+def _path_block(job):
+    """Estimates for consecutive points; ``job`` is
+    (dbn, rows, first_index, n_is, marginal_provider, log_z_top, stream)."""
+    dbn, rows, first, n_is, marginal_provider, log_z_top, stream = job
+    return [
+        estimate_dbn_log_likelihood(
+            dbn, x, n_is, marginal_provider, log_z_top,
+            stream.substream(13, first + k) if dbn.n_layers > 1 else None,
         )
-    return out
+        for k, x in enumerate(rows)
+    ]
+
+
+def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_top, stream,
+                                    threads=1):
+    """Per-sample estimates over a dataset, one RNG substream per sample.
+
+    Blocks of PATH_BLOCK points run in up to ``threads`` worker processes
+    when _path_workers allows it; every point keeps its substream, so the
+    estimates are the same at any count.
+    """
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    workers = _path_workers(dbn, marginal_provider, data.shape[0], threads)
+    jobs = [
+        (dbn, data[lo : lo + PATH_BLOCK], lo, n_is, marginal_provider, log_z_top, stream)
+        for lo in range(0, data.shape[0], PATH_BLOCK)
+    ]
+    return [e for part in _map_in_processes(_path_block, jobs, workers, "a path") for e in part]
 
 
 @dataclass
@@ -389,7 +432,7 @@ class EvalResult:
     top log Z, how it and the marginals were obtained (``ais``), and the
     brute-force values when the stack was enumerated.  ``stages`` holds the
     wall seconds of "log_z_top", each "ais_interface[<i>]", "paths" and
-    "brute_force"; ``workers`` is the most worker processes an AIS run used."""
+    "brute_force"; ``workers`` is the most worker processes any stage used."""
 
     log_values: np.ndarray
     standard_errors: np.ndarray
@@ -429,7 +472,8 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
     budget, ``exact="on"`` and ``marginals="exact"`` raise
     EnumerationBudgetError; values outside EXACT_CHOICES and
     MARGINAL_CHOICES raise EstimationError.  ``threads`` caps the worker
-    processes of each AIS run and changes no result.
+    processes of each AIS run and of the path estimator, and changes no
+    result.
     """
     check_choices(exact, marginals)
     stream = RngStream(seed)
@@ -480,8 +524,10 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
 
     started = time.perf_counter()
     estimates = estimate_dataset_log_likelihood(
-        stack, samples, n_is, provider, log_z_top, RngStream(seed, 33)
+        stack, samples, n_is, provider, log_z_top, RngStream(seed, 33), threads=threads
     )
+    n_points = np.atleast_2d(samples).shape[0]
+    workers = max(workers, _path_workers(stack, provider, n_points, threads))
     if isinstance(provider, AisMarginals):
         ais["marginal_se_mean"] = provider.mean_standard_error()
     stages["paths"] = time.perf_counter() - started

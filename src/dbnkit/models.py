@@ -13,7 +13,7 @@ all state-level operations accept either a single state vector or a
 import numpy as np
 
 from . import kernels
-from .numerics import log_sum_exp, logistic, softplus_log
+from .numerics import is_gaussian_scale, log_sum_exp, logistic, softplus_log
 
 RBM = "rbm"
 GRBM = "grbm"
@@ -224,8 +224,9 @@ class Grbm(LayerModel):
     def __init__(self, weights, visible_bias, hidden_bias, sigma):
         super().__init__(weights, visible_bias, hidden_bias)
         self.sigma = float(sigma)
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ModelError("sigma must be positive and finite")
+        # every density below squares sigma as a Python float
+        if not is_gaussian_scale(self.sigma):
+            raise ModelError("sigma must be positive, with sigma**2 finite and nonzero")
 
     def _hidden_activation_rows(self, x):
         return x @ self.weights / self.sigma + self.hidden_bias

@@ -263,6 +263,22 @@ def test_incomplete_dataset_is_data_error(workspace, capsys, command, meta, arra
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+def test_saved_sigma_whose_square_overflows_is_data_error(workspace, capsys):
+    # finite and positive, but sigma**2 overflows a float
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    model = workspace / "run" / "model"
+    model.mkdir(parents=True)
+    meta = {"variant": "grbm", "n_visible": 4, "n_hidden": 2, "sigma": 1e200}
+    arrays = {"weights": np.zeros((4, 2)), "visible_bias": np.zeros(4),
+              "hidden_bias": np.zeros(2)}
+    write_container(model / "layer_00.dbk", "layer_model", meta, arrays)
+    manifest = {"format_version": 1, "kind": "dbn", "layers": ["layer_00.dbk"],
+                "provenance": {}}
+    (model / "manifest.json").write_text(canonical_json(manifest) + "\n")
+    assert cli.main(["eval", "--config", eval_config(workspace)]) == cli.EXIT_DATA
+    assert "sigma**2" in capsys.readouterr().err
+
+
 def _moig_config(ws):
     extra = "components = 2\nsigma_candidates = 0.3, 0.5\nsigma_folds = 2"
     return baseline_train_config(ws, "moig", "run", extra)
@@ -642,6 +658,54 @@ def test_eval_dead_ais_worker_exit_code(workspace, monkeypatch, capsys):
     assert cli.main(["eval", "--config", cfg, "--threads", "2"]) == cli.EXIT_ESTIMATION
     assert capsys.readouterr().err.startswith(
         "estimation failed: an AIS worker process died"
+    )
+
+
+def rbm_stack_eval_config(ws, monkeypatch):
+    """Binary data, a trained 3-layer RBM stack and its eval config; 150 test
+    points are 10 path blocks of 16."""
+    from dbnkit import estimation
+
+    prep = Path(preprocess_config(ws, n_train=300, n_test=150)).read_text()
+    prep = prep.replace("kind = isotropic_mixture\ndim = 4", "kind = rbm\ndim = 6\nn_hidden = 3")
+    (ws / "prep.ini").write_text(prep)
+    assert cli.main(["preprocess", "--config", str(ws / "prep.ini")]) == 0
+    layers = "".join(
+        f"[layer.{i}]\nvariant = rbm\nhidden = {h}\n\n[layer.{i}.train]\nepochs = 2\n"
+        "batch_size = 100\n\n" for i, h in enumerate((5, 4, 4))
+    )
+    (ws / "train.ini").write_text(
+        f"[experiment]\nseed = 7\nout_dir = {ws / 'run'}\n\n"
+        f"[data]\ntrain = {ws / 'data' / 'train_00.dbds'}\n\n[layers]\ncount = 3\n\n{layers}"
+    )
+    assert cli.main(["train", "--config", str(ws / "train.ini")]) == 0
+    monkeypatch.setattr(estimation, "PATH_BLOCK", 16)
+    return eval_config(ws, n_is=20)
+
+
+def test_eval_rbm_stack_report_is_the_same_at_any_thread_count(workspace, monkeypatch):
+    cfg = rbm_stack_eval_config(workspace, monkeypatch)
+    for threads in ("1", "3"):
+        out = str(workspace / f"t{threads}")
+        assert cli.main(["eval", "--config", cfg, "--threads", threads, "--out", out]) == 0
+    assert (workspace / "t1" / "report.json").read_bytes() == (
+        workspace / "t3" / "report.json").read_bytes()
+    # the sidecar counts the path workers
+    for threads in (1, 3):
+        meta = json.loads((workspace / f"t{threads}" / "report.meta.json").read_text())
+        assert meta["workers"] == threads
+
+
+def test_eval_dead_path_worker_exit_code(workspace, monkeypatch, capsys):
+    from dbnkit import estimation
+
+    cfg = rbm_stack_eval_config(workspace, monkeypatch)
+    # the forked workers inherit the patch
+    monkeypatch.setattr(estimation, "estimate_dbn_log_likelihood", lambda *args: os._exit(3))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg, "--threads", "2"]) == cli.EXIT_ESTIMATION
+    assert capsys.readouterr().err.startswith(
+        "estimation failed: a path worker process died"
     )
 
 

@@ -4,6 +4,8 @@ Every key of the schema (``_SCHEMA``, ``_LAYER_KEYS`` and ``_TRAIN_KEYS``) is
 set in turn, on a tiny config of the command that reads it, to each of
 ``VALUES``; the command runs in process through ``cli.main``.  Whatever the
 value, no exception may escape and the exit code must be a documented one.
+``--threads`` and ``DBNKIT_THREADS`` take the same values and ``abc``, and
+each must exit 2.
 
 2**63 is left out on purpose: ``chains_top = 2**63`` with ``exact = off``
 builds 2**51 chunk job tuples before the first chain runs, and
@@ -139,3 +141,23 @@ def test_hostile_value_ends_in_a_documented_exit(fixture_dir, tmp_path, monkeypa
         _write(tmp_path / "fuzz.ini", sections)
         code = cli.main([COMMAND[base], "--config", "fuzz.ini"])
         assert code in EXIT_CODES, f"{section}.{key} = {value} exited {code}"
+
+
+def _exit_code(argv):
+    """cli.main's exit code, also when argparse rejects an argument and exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("value", VALUES + ["abc"])
+def test_hostile_thread_count_is_config_error(fixture_dir, tmp_path, monkeypatch, value):
+    # a huge valid count is left to the pool stand-in of test_estimation: here
+    # it would start a real pool
+    (tmp_path / "fixture").symlink_to(fixture_dir)
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "base.ini", BASES["eval"])
+    assert _exit_code(["eval", "--config", "base.ini", "--threads", value]) == cli.EXIT_CONFIG
+    monkeypatch.setenv("DBNKIT_THREADS", value)
+    assert _exit_code(["eval", "--config", "base.ini"]) == cli.EXIT_CONFIG

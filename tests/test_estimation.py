@@ -164,16 +164,11 @@ def test_ais_is_byte_identical_across_worker_counts(monkeypatch, maker):
         assert np.array_equal(r.final_samples, runs[0].final_samples)
 
 
-@pytest.mark.parametrize("chains, pool_sizes", [(200, [4]), (64, [])],
-                         ids=["four-chunks", "one-chunk"])
-def test_ais_starts_no_more_workers_than_chunks(monkeypatch, chains, pool_sizes):
-    import dbnkit.estimation as es
-
+def _record_pools(monkeypatch):
+    """Stand in for the process pool: record each pool's size, map in this process."""
     sizes = []
 
     class Recording:
-        """Stands in for the process pool: records its size, maps in this process."""
-
         def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
 
@@ -186,8 +181,15 @@ def test_ais_starts_no_more_workers_than_chunks(monkeypatch, chains, pool_sizes)
         def map(self, fn, jobs):
             return map(fn, jobs)
 
+    monkeypatch.setattr(estimation, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+@pytest.mark.parametrize("chains, pool_sizes", [(200, [4]), (64, [])],
+                         ids=["four-chunks", "one-chunk"])
+def test_ais_starts_no_more_workers_than_chunks(monkeypatch, chains, pool_sizes):
     target, schedule = _multi_chunk_run(monkeypatch, chains=chains)
-    monkeypatch.setattr(es, "ProcessPoolExecutor", Recording)
+    sizes = _record_pools(monkeypatch)
     run = run_ais(target, schedule, RngStream(81), threads=10 ** 6)
     # 200 chains are 4 chunks of at most 64; a single chunk starts no pool
     assert sizes == pool_sizes
@@ -388,6 +390,62 @@ def test_evaluate_stack_rejects_unknown_choice(key, bad):
     choices = {"exact": "auto", "marginals": "auto", key: bad}
     with pytest.raises(EstimationError, match=f"{key} must be one of .*'{bad}'"):
         evaluate_stack(stack, x, budget=2 ** 10, **choices, **EVAL_KNOBS)
+
+
+# -- path estimator workers ---------------------------------------------------------
+
+
+def rbm_paths_stack(monkeypatch):
+    """A 3-layer RBM stack and 23 points, which PATH_BLOCK = 4 splits into 6 blocks."""
+    monkeypatch.setattr(estimation, "PATH_BLOCK", 4)
+    rng = RngStream(98).generator()
+    layers = [random_rbm(rng, m=5, n=4), random_rbm(rng, m=4, n=3), random_rbm(rng, m=3, n=3)]
+    return DbnModel(layers), (rng.random((23, 5)) < 0.5).astype(np.float64)
+
+
+def test_paths_are_byte_identical_across_worker_counts(monkeypatch):
+    stack, x = rbm_paths_stack(monkeypatch)
+    knobs = dict(EVAL_KNOBS, exact="auto", marginals="auto", budget=2 ** 10)
+    results = [evaluate_stack(stack, x, **dict(knobs, threads=t)) for t in (1, 2, 3)]
+    assert [r.workers for r in results] == [1, 2, 3]
+    for r in results[1:]:
+        assert np.array_equal(r.log_values, results[0].log_values)
+        assert np.array_equal(r.standard_errors, results[0].standard_errors)
+    # point i, whatever its block, draws from substream (13, i)
+    stream = RngStream(knobs["seed"], 33)
+    for i in (0, 5, 22):
+        est = estimate_dbn_log_likelihood(stack, x[i], knobs["n_is"], AnalyticMarginals(stack),
+                                          results[2].log_z_top, stream.substream(13, i))
+        assert est.log_value == results[2].log_values[i]
+
+
+@pytest.mark.parametrize("case, marginals, pool_sizes", [
+    ("analytic", None, [6]), ("ais", "ais", []), ("exact", "exact", []), ("one-layer", None, []),
+])
+def test_paths_start_a_pool_only_for_analytic_marginals(monkeypatch, case, marginals,
+                                                        pool_sizes):
+    stack, x = rbm_paths_stack(monkeypatch)
+    if case in ("ais", "exact"):
+        # the table providers fill their memo in this process; 6 points are 2 blocks
+        stack, x = small_three_layer_stack()
+    elif case == "one-layer":
+        stack = DbnModel(stack.layers[:1])
+    sizes = _record_pools(monkeypatch)
+    result = evaluate_stack(stack, x, exact="off" if case == "ais" else "auto",
+                            marginals=marginals or "auto", budget=2 ** 10,
+                            **dict(EVAL_KNOBS, threads=10 ** 6))
+    assert result.ais.get("marginals") == marginals
+    assert sizes == pool_sizes
+    assert result.workers == max(pool_sizes, default=1)
+
+
+def test_dead_path_worker_is_estimation_error(monkeypatch):
+    stack, x = rbm_paths_stack(monkeypatch)
+    # the forked workers inherit the patch and die without a result
+    monkeypatch.setattr(estimation, "estimate_dbn_log_likelihood", lambda *args: os._exit(3))
+    with pytest.raises(EstimationError, match="a path worker process died"):
+        evaluate_stack(stack, x, exact="auto", marginals="auto", budget=2 ** 10,
+                       **dict(EVAL_KNOBS, threads=2))
 
 
 # -- lower bound -------------------------------------------------------------------

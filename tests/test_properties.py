@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dbnkit.models import Grbm, Rbm, Srbm
-from dbnkit.numerics import log_mean_exp, log_sum_exp, logistic, monte_carlo_se, softplus_log
+from dbnkit.numerics import (
+    is_gaussian_scale,
+    log_mean_exp,
+    log_sum_exp,
+    logistic,
+    monte_carlo_se,
+    softplus_log,
+)
 from dbnkit.pipeline import DataSet, PipelineError, load_dataset, preprocess, save_dataset
 from dbnkit.storage import StorageError, load_model, save_model
 
@@ -86,7 +93,8 @@ def layers(draw):
     }
     cls = draw(st.sampled_from([Rbm, Grbm, Srbm]))
     if cls is Grbm:
-        fields["sigma"] = draw(st.floats(0.0, allow_infinity=False, exclude_min=True))
+        fields["sigma"] = draw(st.floats(0.0, allow_infinity=False, exclude_min=True)
+                               .filter(is_gaussian_scale))
     if cls is Srbm:
         upper = np.triu(draw(arrays(np.float64, (m, m), elements=finite)), 1)
         fields["lateral"] = upper + upper.T
