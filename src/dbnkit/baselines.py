@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from .numerics import LOG2, is_gaussian_scale, log_sum_exp
+from .storage import read_model, write_model
 
 logger = logging.getLogger(__name__)
 
@@ -33,19 +34,40 @@ def _chol_logdet(cov):
     return chol, 2.0 * np.sum(np.log(np.diag(chol)))
 
 
-class GaussianModel:
+class _Baseline:
+    """Fields of a baseline density, as ``storage`` writes and reads them:
+    ``parameter_arrays()`` names the fitted arrays in a fixed order and
+    ``settings()`` the fixed constructor values."""
+
+    variant = None
+
+    def settings(self):
+        return {}
+
+    def _check_finite(self):
+        if not all(np.isfinite(arr).all() for arr in self.parameter_arrays().values()):
+            raise BaselineError(f"{self.variant} parameters must be finite")
+
+
+class GaussianModel(_Baseline):
     """Multivariate Gaussian with full covariance."""
+
+    variant = "gaussian"
 
     def __init__(self, mean, covariance):
         self.mean = np.asarray(mean, dtype=np.float64)
         self.covariance = np.asarray(covariance, dtype=np.float64)
         if self.covariance.shape != (self.mean.size, self.mean.size):
             raise BaselineError("covariance shape does not match the mean")
+        self._check_finite()
         self._chol, self._logdet = _chol_logdet(self.covariance)
 
     @property
     def dim(self):
         return self.mean.size
+
+    def parameter_arrays(self):
+        return {"mean": self.mean, "covariance": self.covariance}
 
     def log_density(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -57,8 +79,22 @@ class GaussianModel:
         return out
 
 
-class MoigModel:
+class _Mixture(_Baseline):
+    """What the two mixtures share: mixing weights over component densities."""
+
+    @property
+    def n_components(self):
+        return self.weights.size
+
+    def log_density(self, x):
+        comp = self.component_log_density(x) + np.log(self.weights)[None, :]
+        return log_sum_exp(comp, axis=1)
+
+
+class MoigModel(_Mixture):
     """Mixture of isotropic Gaussians: free means, one shared scale."""
+
+    variant = "moig"
 
     def __init__(self, means, sigma, weights):
         self.means = np.atleast_2d(np.asarray(means, dtype=np.float64))
@@ -66,14 +102,17 @@ class MoigModel:
         self.weights = np.asarray(weights, dtype=np.float64)
         _check_sigma(self.sigma)
         _check_simplex(self.weights, self.means.shape[0])
+        self._check_finite()
 
     @property
     def dim(self):
         return self.means.shape[1]
 
-    @property
-    def n_components(self):
-        return self.means.shape[0]
+    def parameter_arrays(self):
+        return {"means": self.means, "weights": self.weights}
+
+    def settings(self):
+        return {"sigma": self.sigma}
 
     def component_log_density(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -86,13 +125,11 @@ class MoigModel:
             2.0 * np.pi * self.sigma ** 2
         )
 
-    def log_density(self, x):
-        comp = self.component_log_density(x) + np.log(self.weights)[None, :]
-        return log_sum_exp(comp, axis=1)
 
-
-class MogModel:
+class MogModel(_Mixture):
     """Mixture of zero-mean Gaussians with free covariances."""
+
+    variant = "mog"
 
     def __init__(self, covariances, weights):
         self.covariances = np.asarray(covariances, dtype=np.float64)
@@ -100,6 +137,7 @@ class MogModel:
         if self.covariances.ndim != 3:
             raise BaselineError("need a (K, D, D) covariance stack")
         _check_simplex(self.weights, self.covariances.shape[0])
+        self._check_finite()
         self._chols = []
         self._logdets = []
         for cov in self.covariances:
@@ -111,9 +149,8 @@ class MogModel:
     def dim(self):
         return self.covariances.shape[1]
 
-    @property
-    def n_components(self):
-        return self.covariances.shape[0]
+    def parameter_arrays(self):
+        return {"covariances": self.covariances, "weights": self.weights}
 
     def component_log_density(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -124,9 +161,8 @@ class MogModel:
             out[:, k] = -0.5 * (maha + logdet + self.dim * np.log(2.0 * np.pi))
         return out
 
-    def log_density(self, x):
-        comp = self.component_log_density(x) + np.log(self.weights)[None, :]
-        return log_sum_exp(comp, axis=1)
+
+BASELINE_CLASSES = {cls.variant: cls for cls in (GaussianModel, MoigModel, MogModel)}
 
 
 def _check_simplex(weights, k):
@@ -373,31 +409,8 @@ def fit_baseline(spec, data, seed=0):
 
 def save_baseline(model, path):
     """Serialize a baseline density in the shared container format."""
-    from .storage import write_container
-
-    if isinstance(model, GaussianModel):
-        write_container(path, "baseline_model", {"variant": "gaussian"},
-                        {"mean": model.mean, "covariance": model.covariance})
-    elif isinstance(model, MoigModel):
-        write_container(path, "baseline_model",
-                        {"variant": "moig", "sigma": model.sigma},
-                        {"means": model.means, "weights": model.weights})
-    elif isinstance(model, MogModel):
-        write_container(path, "baseline_model", {"variant": "mog"},
-                        {"covariances": model.covariances, "weights": model.weights})
-    else:
-        raise BaselineError(f"cannot serialize {type(model).__name__}")
+    write_model(path, "baseline_model", model)
 
 
 def load_baseline(path):
-    from .storage import read_container
-
-    _, meta, arrays = read_container(path, expect_kind="baseline_model")
-    variant = meta["variant"]
-    if variant == "gaussian":
-        return GaussianModel(arrays["mean"], arrays["covariance"])
-    if variant == "moig":
-        return MoigModel(arrays["means"], meta["sigma"], arrays["weights"])
-    if variant == "mog":
-        return MogModel(arrays["covariances"], arrays["weights"])
-    raise BaselineError(f"unknown baseline variant {variant!r}")
+    return read_model(path, "baseline_model", BASELINE_CLASSES)

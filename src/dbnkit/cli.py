@@ -139,10 +139,7 @@ def cmd_train(cfg):
     data_section = cfg.section("data", required=True)
     if "train" not in data_section:
         raise ConfigError("missing data.train path")
-    try:
-        dataset = pipeline.load_dataset(data_section["train"])
-    except StorageError as exc:
-        raise PipelineError(str(exc)) from exc
+    dataset = pipeline.load_dataset(data_section["train"])
     started = time.perf_counter()
     if cfg.baseline is not None:
         return _train_baseline(cfg, dataset, out, started)
@@ -216,20 +213,14 @@ def cmd_eval(cfg, threads):
     for key in ("model", "dataset"):
         if key not in section:
             raise ConfigError(f"missing eval.{key}")
-    try:
-        dataset = pipeline.load_dataset(section["dataset"])
-    except StorageError as exc:
-        raise PipelineError(str(exc)) from exc
+    dataset = pipeline.load_dataset(section["dataset"])
     model_path = Path(section["model"])
     if not model_path.exists():
         raise ConfigError(f"no model at {section['model']!r}")
     started = time.perf_counter()
     if model_path.is_file():
         # a single container file holds a baseline density
-        try:
-            model = baselines.load_baseline(model_path)
-        except (StorageError, baselines.BaselineError, KeyError) as exc:
-            raise PipelineError(f"cannot load model {section['model']!r}: {exc}") from exc
+        model = baselines.load_baseline(model_path)
         if dataset.dim != model.dim:
             raise ConfigError("dataset dimension does not match the model")
         return _write_report(
@@ -405,7 +396,7 @@ def main(argv=None):
     except (ConfigError, EnumerationBudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PipelineError as exc:
+    except (PipelineError, StorageError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDiverged as exc:

@@ -217,11 +217,8 @@ def run_ais(target, schedule, rng, threads=1):
 
     log_w = np.concatenate([p[0] for p in parts])
     samples = np.concatenate([p[1] for p in parts], axis=0)
-    if n >= 2:
-        est = monte_carlo_se(log_w)
-        log_z = LogEstimate(est.log_value + log_z_base, est.standard_error, n)
-    else:
-        log_z = LogEstimate(float(log_w[0]) + log_z_base, 0.0, 1)
+    est = monte_carlo_se(log_w)
+    log_z = LogEstimate(est.log_value + log_z_base, est.standard_error, n)
     return AisRun(log_w, samples, log_z_base, log_z, schedule.betas.size, workers)
 
 
@@ -251,13 +248,9 @@ def estimate_unnorm_marginal_batch(run, target, states):
         log_cond = y @ log_on.T + (1.0 - y) @ log_off.T  # (rows, n_samples)
         combined = log_cond + run.log_weights[None, :]
         for i in range(y.shape[0]):
-            if n >= 2:
-                est = monte_carlo_se(combined[i])
-                values[lo + i] = est.log_value + run.log_z_base
-                errors[lo + i] = est.standard_error
-            else:
-                values[lo + i] = combined[i, 0] + run.log_z_base
-                errors[lo + i] = 0.0
+            est = monte_carlo_se(combined[i])
+            values[lo + i] = est.log_value + run.log_z_base
+            errors[lo + i] = est.standard_error
     return values, errors
 
 
@@ -377,10 +370,8 @@ def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng
         upper = dbn.layers[l + 1]
         current = np.atleast_2d(layer.sample_hidden(current, rng))
         log_w += upper.log_unnorm_visible(current) - marginal_provider(l, current)
-    if n_is >= 2:
-        est = monte_carlo_se(log_w)
-        return LogEstimate(base_term + est.log_value, est.standard_error, n_is)
-    return LogEstimate(base_term + float(log_w[0]), 0.0, 1)
+    est = monte_carlo_se(log_w)
+    return LogEstimate(base_term + est.log_value, est.standard_error, n_is)
 
 
 def _path_workers(dbn, marginal_provider, n_points, threads):

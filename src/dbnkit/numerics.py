@@ -126,11 +126,11 @@ def monte_carlo_se(log_weights) -> LogEstimate:
 
     Returns the log of the linear-domain mean together with the relative
     standard error of that mean, computed stably from the first two
-    moments in log domain.  Requires at least two weights.
+    moments in log domain.  One weight is its own mean, with error 0.
     """
     lw = np.asarray(log_weights, dtype=np.float64).ravel()
-    if lw.size < 2:
-        raise NumericsError("standard error needs at least 2 samples")
+    if lw.size < 1:
+        raise NumericsError("standard error needs at least 1 sample")
     if np.isnan(lw).any():
         raise NumericsError("NaN in log weights")
     n = lw.size

@@ -4,9 +4,7 @@ and synthetic generators with attached ground-truth densities."""
 
 import logging
 import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -17,8 +15,6 @@ from .training import RUNAWAY
 from . import baselines
 
 logger = logging.getLogger(__name__)
-
-IMAGE_MAGIC = b"DBNI"
 
 
 class PipelineError(ValueError):
@@ -216,7 +212,7 @@ def synthesize(spec, n, rng):
     """IID draws from a named ground-truth density, evaluator attached.
 
     Supported kinds: "isotropic_mixture" (means, sigma, weights),
-    "full_cov_mixture" (covariances, weights, optional means),
+    "full_cov_mixture" (covariances, weights),
     "grbm" and "rbm" (exact sampling of a small model by enumeration).
     """
     kind = spec.get("kind")
@@ -228,32 +224,12 @@ def synthesize(spec, n, rng):
         )
         return DataSet(samples, [{"kind": kind}], model.log_density)
     if kind == "full_cov_mixture":
-        covs = np.asarray(spec["covariances"], dtype=np.float64)
-        weights = np.asarray(spec["weights"], dtype=np.float64)
-        means = np.asarray(
-            spec.get("means", np.zeros((covs.shape[0], covs.shape[1]))),
-            dtype=np.float64,
-        )
-        chols = [np.linalg.cholesky(c) for c in covs]
-        comp = rng.choice(covs.shape[0], size=n, p=weights)
-        noise = rng.standard_normal((n, covs.shape[1]))
-        samples = means[comp] + np.einsum("nij,nj->ni", np.array(chols)[comp], noise)
-
-        def density(x):
-            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-            logs = np.empty((x.shape[0], covs.shape[0]))
-            for k, chol in enumerate(chols):
-                diff = x - means[k]
-                sol = np.linalg.solve(chol, diff.T)
-                logs[:, k] = (
-                    -0.5 * np.sum(sol ** 2, axis=0)
-                    - np.sum(np.log(np.diag(chol)))
-                    - 0.5 * covs.shape[1] * np.log(2 * np.pi)
-                    + np.log(weights[k])
-                )
-            return log_sum_exp(logs, axis=1)
-
-        return DataSet(samples, [{"kind": kind}], density)
+        model = baselines.MogModel(spec["covariances"], spec["weights"])
+        chols = np.array([np.linalg.cholesky(c) for c in model.covariances])
+        comp = rng.choice(model.n_components, size=n, p=model.weights)
+        noise = rng.standard_normal((n, model.dim))
+        samples = np.einsum("nij,nj->ni", chols[comp], noise)
+        return DataSet(samples, [{"kind": kind}], model.log_density)
     if kind == "grbm":
         model = spec["model"]
         if not isinstance(model, Grbm):
@@ -322,33 +298,22 @@ def load_dataset(path):
 
 
 def save_images(images, path):
-    """Flat binary grayscale stack: header (count, width, height, bit depth)
-    then the raw row-major payload of each image."""
-    images = [np.asarray(img) for img in images]
+    """A grayscale image bank: one (count, height, width) float64 array in an
+    ``image_bank`` container."""
+    images = [np.asarray(img, dtype=np.float64) for img in images]
     if not images:
         raise PipelineError("nothing to save")
-    h, w = images[0].shape
-    if any(img.shape != (h, w) for img in images):
-        raise PipelineError("all images in one bank must share a shape")
-    with open(path, "wb") as fh:
-        fh.write(IMAGE_MAGIC)
-        fh.write(struct.pack("<IIII", len(images), w, h, 64))
-        for img in images:
-            fh.write(np.ascontiguousarray(img, dtype="<f8").tobytes())
+    if images[0].ndim != 2 or any(img.shape != images[0].shape for img in images):
+        raise PipelineError("all images in one bank must share one 2-D shape")
+    write_container(path, "image_bank", {}, {"images": np.stack(images)})
 
 
 def load_images(path):
-    path = Path(path)
-    if not path.is_file():
-        raise PipelineError(f"no such image bank: {path}")
-    with open(path, "rb") as fh:
-        if fh.read(4) != IMAGE_MAGIC:
-            raise PipelineError(f"{path} is not an image bank")
-        count, w, h, depth = struct.unpack("<IIII", fh.read(16))
-        if depth != 64:
-            raise PipelineError("only 64-bit banks are supported")
-        images = []
-        for _ in range(count):
-            data = np.frombuffer(fh.read(w * h * 8), dtype="<f8")
-            images.append(data.reshape(h, w).copy())
-    return images
+    try:
+        _, _, arrays = read_container(path, expect_kind="image_bank")
+    except StorageError as exc:
+        raise PipelineError(f"cannot read image bank: {exc}") from exc
+    bank = arrays.get("images")
+    if bank is None or bank.ndim != 3 or len(bank) == 0:
+        raise PipelineError(f"{path} holds no stack of 2-D images")
+    return list(bank)

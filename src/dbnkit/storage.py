@@ -110,24 +110,36 @@ def read_container(path, expect_kind=None):
     return header["kind"], header["meta"], arrays
 
 
+def write_model(path, kind, model, **extra):
+    """Write a model as a ``kind`` container: its variant, ``extra`` fields and
+    settings in the header, its parameter arrays in their order."""
+    meta = {"variant": model.variant, **extra, **model.settings()}
+    write_container(path, kind, meta, model.parameter_arrays())
+
+
+def read_model(path, kind, classes, ignore=()):
+    """Rebuild a model written by ``write_model`` from ``classes``, its variant
+    table; header fields named in ``ignore`` are dropped.
+
+    A constructor's refusal becomes a StorageError, so a damaged file is a
+    data error whatever field it damages.
+    """
+    _, meta, arrays = read_container(path, expect_kind=kind)
+    variant = meta.get("variant")
+    if not isinstance(variant, str) or variant not in classes:
+        raise StorageError(f"unknown variant {variant!r} in {path}")
+    settings = {k: v for k, v in meta.items() if k != "variant" and k not in ignore}
+    try:
+        return classes[variant](**arrays, **settings)
+    except (TypeError, ValueError) as exc:  # a missing, extra or invalid field
+        what = kind.removesuffix("_model")
+        raise StorageError(f"{path} does not hold a {variant} {what}: {exc}") from exc
+
+
 def save_model(model, path):
     """Serialize a layer model; round-trips bit-exactly."""
-    meta = {
-        "variant": model.variant,
-        "n_visible": model.n_visible,
-        "n_hidden": model.n_hidden,
-        **model.settings(),
-    }
-    write_container(path, "layer_model", meta, model.parameter_arrays())
+    write_model(path, "layer_model", model, n_visible=model.n_visible, n_hidden=model.n_hidden)
 
 
 def load_model(path):
-    _, meta, arrays = read_container(path, expect_kind="layer_model")
-    variant = meta.get("variant")
-    if variant not in LAYER_CLASSES:
-        raise StorageError(f"unknown variant {variant!r} in {path}")
-    settings = {k: v for k, v in meta.items() if k not in ("variant", "n_visible", "n_hidden")}
-    try:
-        return LAYER_CLASSES[variant](**arrays, **settings)
-    except TypeError as exc:  # a missing, extra or misplaced field
-        raise StorageError(f"{path} does not hold a {variant} layer: {exc}") from exc
+    return read_model(path, "layer_model", LAYER_CLASSES, ignore=("n_visible", "n_hidden"))

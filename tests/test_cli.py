@@ -247,6 +247,57 @@ def test_eval_unreadable_input_is_data_error(workspace, capsys, damage):
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+def _claim_shape(path, shape):
+    # rewrite the shape of a container's first array in its JSON header
+    blob = path.read_bytes()
+    end = 8 + int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8:end])
+    header["arrays"][0]["shape"] = shape
+    text = canonical_json(header).encode()
+    path.write_bytes(blob[:4] + len(text).to_bytes(4, "little") + text + blob[end:])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda bank: bank.write_bytes(bank.read_bytes()[:-100]),
+        lambda bank: _claim_shape(bank, [100000, 100000, 100000]),
+        lambda bank: bank.write_bytes(bank.read_bytes()[:10]),
+    ],
+    ids=["truncated-bank", "bank-claims-huge-shape", "ten-byte-bank"],
+)
+def test_damaged_image_bank_is_data_error(workspace, capsys, damage):
+    cfg = _images_config(workspace)
+    damage(workspace / "bank.dbni")
+    assert cli.main(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+_NAN_EYE = np.where(np.eye(4) == 1, np.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "meta, arrays",
+    [
+        ({"variant": "gaussian"}, {"mean": [np.nan, 0, 0, 0], "covariance": np.eye(4)}),
+        ({"variant": "gaussian"}, {"mean": np.zeros(4), "covariance": _NAN_EYE}),
+        ({"variant": "mog"}, {"covariances": [np.eye(4), _NAN_EYE], "weights": [0.5, 0.5]}),
+        ({"variant": "moig", "sigma": "abc"}, {"means": np.zeros((2, 4)), "weights": [0.5, 0.5]}),
+        ({"variant": "moig", "sigma": [1]}, {"means": np.zeros((2, 4)), "weights": [0.5, 0.5]}),
+        ({"variant": "moig", "sigma": 0.5}, {"means": np.full((2, 4), np.nan),
+                                             "weights": [0.5, 0.5]}),
+    ],
+    ids=["gaussian-nan-mean", "gaussian-nan-covariance", "mog-nan-covariance",
+         "moig-sigma-text", "moig-sigma-list", "moig-nan-means"],
+)
+def test_invalid_baseline_file_is_data_error(workspace, capsys, meta, arrays):
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    write_container(workspace / "b.dbk", "baseline_model", meta, arrays)
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", eval_config(workspace, model="b.dbk")]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize(
     "meta, arrays",

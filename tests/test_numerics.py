@@ -121,9 +121,12 @@ def test_monte_carlo_se_exponential_draws():
     assert abs(est.standard_error - 1.0 / np.sqrt(lw.size)) < 0.2 / np.sqrt(lw.size)
 
 
-def test_monte_carlo_se_needs_two_samples():
+def test_monte_carlo_se_of_one_weight_is_that_weight():
+    for v in (-3.7, 0.0, -0.0, 709.7, -np.inf):
+        est = monte_carlo_se([v])
+        assert (est.log_value, est.standard_error, est.n_samples) == (v, 0.0, 1)
     with pytest.raises(NumericsError):
-        monte_carlo_se([0.0])
+        monte_carlo_se([])
 
 
 def test_rng_stream_reproducible():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from dbnkit.models import Grbm, Rbm
 from dbnkit.numerics import RngStream
@@ -18,6 +19,7 @@ from dbnkit.pipeline import (
     synthesize,
     synthetic_spec,
 )
+from dbnkit.storage import write_container
 
 
 def test_patchsource_validation():
@@ -119,6 +121,17 @@ def test_synthesize_single_component_mixture():
     assert ds.true_log_density(x)[0] == pytest.approx(float(expected), abs=1e-10)
 
 
+def test_synthesize_full_cov_mixture_density_matches_scipy():
+    spec = synthetic_spec(7, kind="full_cov_mixture", dim=5, components=3, spread=2.0)
+    ds = synthesize(spec, 200, RngStream(144).generator())
+    ref = logsumexp(
+        [stats.multivariate_normal(np.zeros(5), cov).logpdf(ds.samples) + np.log(w)
+         for cov, w in zip(spec["covariances"], spec["weights"])],
+        axis=0,
+    )
+    np.testing.assert_allclose(ds.true_log_density(ds.samples), ref, rtol=0, atol=1e-11)
+
+
 def test_synthesize_rbm_zero_weights_bernoulli_columns():
     rng = RngStream(138).generator()
     b = np.array([0.9, -0.4, 0.0])
@@ -191,6 +204,16 @@ def test_image_bank_roundtrip(tmp_path):
 def test_load_images_missing_file(tmp_path):
     with pytest.raises(PipelineError):
         load_images(tmp_path / "nope.dbni")
+
+
+def test_load_images_refuses_a_container_without_a_bank(tmp_path):
+    path = tmp_path / "bank.dbni"
+    save_dataset(DataSet(np.ones((3, 2))), path)
+    with pytest.raises(PipelineError, match="image_bank"):
+        load_images(path)
+    write_container(path, "image_bank", {}, {"images": np.ones((4, 5))})
+    with pytest.raises(PipelineError, match="no stack of 2-D images"):
+        load_images(path)
 
 
 def test_whitening_matrix_is_symmetric():

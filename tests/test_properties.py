@@ -1,11 +1,12 @@
 """Property tests: the elementary functions and the Monte Carlo standard
 error against references, layer models through their file format and
-copies, and datasets through a corrupted header."""
+copies, and every kind of file through a corrupted header."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,16 @@ from dbnkit.numerics import (
     monte_carlo_se,
     softplus_log,
 )
-from dbnkit.pipeline import DataSet, PipelineError, load_dataset, preprocess, save_dataset
+from dbnkit.baselines import MoigModel, load_baseline, save_baseline
+from dbnkit.pipeline import (
+    DataSet,
+    PipelineError,
+    load_dataset,
+    load_images,
+    preprocess,
+    save_dataset,
+    save_images,
+)
 from dbnkit.storage import StorageError, load_model, save_model
 
 # no example database, so failing examples are not saved under .hypothesis/
@@ -127,30 +137,53 @@ def test_copy_shares_no_array(model):
         assert not np.shares_memory(twin.parameter_arrays()[name], arr)
 
 
-def _dataset_file():
-    """A small preprocessed dataset, whose provenance holds arrays, as bytes."""
+def _dataset(path):
+    """A small preprocessed dataset, whose provenance holds arrays."""
     rng = np.random.default_rng(9)
     raw = DataSet(np.exp(rng.standard_normal((30, 4))), [{"kind": "patches", "n": 30}])
+    save_dataset(preprocess(raw), path)
+
+
+def _image_bank(path):
+    save_images([np.full((3, 5), 0.5 + i) for i in range(2)], path)
+
+
+def _layer(path):
+    save_model(Grbm(np.full((3, 2), 0.1), np.zeros(3), np.zeros(2), 0.5), path)
+
+
+def _baseline(path):
+    save_baseline(MoigModel(np.eye(2, 3), 0.5, np.array([0.25, 0.75])), path)
+
+
+def _as_bytes(write):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "d.dbds"
-        save_dataset(preprocess(raw), path)
-        return path.read_bytes()
+        write(Path(tmp) / "f")
+        return (Path(tmp) / "f").read_bytes()
 
 
-DATASET = _dataset_file()
-HEADER_END = 8 + int.from_bytes(DATASET[4:8], "little")
+# each kind of file dbnkit reads, as bytes, with its reader
+FILES = {
+    "dataset": (_as_bytes(_dataset), load_dataset),
+    "image_bank": (_as_bytes(_image_bank), load_images),
+    "layer": (_as_bytes(_layer), load_model),
+    "baseline": (_as_bytes(_baseline), load_baseline),
+}
 
 
+@pytest.mark.parametrize("kind", list(FILES))
 @settings(PROPERTY, max_examples=300)
-@given(st.integers(0, HEADER_END - 1), st.integers(1, 255))
-def test_corrupt_dataset_header_is_a_named_error(pos, flip):
+@given(data=st.data())
+def test_corrupt_file_header_is_a_named_error(kind, data):
     # one changed byte in the magic, the header length or the JSON header
-    blob = bytearray(DATASET)
-    blob[pos] ^= flip
+    blob, read = FILES[kind]
+    header_end = 8 + int.from_bytes(blob[4:8], "little")
+    blob = bytearray(blob)
+    blob[data.draw(st.integers(0, header_end - 1))] ^= data.draw(st.integers(1, 255))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "d.dbds"
+        path = Path(tmp) / "f"
         path.write_bytes(bytes(blob))
         try:
-            load_dataset(path)
+            read(path)
         except (StorageError, PipelineError):
             pass
