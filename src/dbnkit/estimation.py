@@ -47,6 +47,7 @@ from .numerics import (
     softplus_log,
 )
 
+# the largest number of chains in one AIS chunk (see run_ais)
 AIS_CHUNK = 4096
 # points per job of the path estimator's worker processes
 PATH_BLOCK = 64
@@ -189,14 +190,17 @@ def run_ais(target, schedule, rng, threads=1):
     """Annealed importance sampling toward ``target``.
 
     Chains start as exact samples of the zero-weight base and pass through
-    the Gibbs transition of each intermediate augmented machine.  Chains
-    are processed in fixed-size chunks with dedicated substreams, so the
-    result is byte-stable for a given stream whatever the number of
-    worker processes: up to ``threads`` of them run the chunks when there
-    are several, and a single chunk runs in this process.  A worker that
-    dies raises EstimationError.  Returns the weights, the final
-    near-target samples, and the log partition function estimate (weights
-    plus the base's analytic log Z).
+    the Gibbs transition of each intermediate augmented machine.  The n
+    chains are split into ceil(n / AIS_CHUNK) chunks, rounded up to an even
+    count when there are several, whose sizes differ by at most one (the
+    demo's 20000 chains are 6 chunks of 3333-3334), so two workers get equal
+    shares.  Chunk i draws from substream (9, i) and the split depends on n
+    alone, so the result is byte-stable for a given stream whatever the
+    number of worker processes: up to ``threads`` of them run the chunks
+    when there are several, and a single chunk runs in this process.  A
+    worker that dies raises EstimationError.  Returns the weights, the
+    final near-target samples, and the log partition function estimate
+    (weights plus the base's analytic log Z).
     """
     base = schedule.base_model
     if base.variant != target.variant:
@@ -208,9 +212,12 @@ def run_ais(target, schedule, rng, threads=1):
     log_z_base = log_partition_zero_weight(base)
 
     n = schedule.n_chains
+    count = -(-n // AIS_CHUNK)
+    if 1 < count < n:
+        count += count % 2
     jobs = [
-        (target, base, schedule.betas, min(AIS_CHUNK, n - lo), rng.substream(9, i))
-        for i, lo in enumerate(range(0, n, AIS_CHUNK))
+        (target, base, schedule.betas, n // count + (i < n % count), rng.substream(9, i))
+        for i in range(count)
     ]
     workers = _worker_count(threads, len(jobs))
     parts = _map_in_processes(_chunk_job, jobs, workers, "an AIS")

@@ -81,13 +81,16 @@ def test_zero_weight_partition_closed_forms():
 
 
 def test_ais_identical_target_gives_exact_zero_weights():
-    base = Rbm(np.zeros((4, 3)), np.array([0.2, -0.1, 0.4, 0.0]), np.zeros(3))
-    schedule = AisSchedule(linear_betas(50), 32, base)
-    run = run_ais(base, schedule, RngStream(71))
-    assert np.all(run.log_weights == 0.0)
-    assert run.log_z_estimate.log_value == pytest.approx(
-        log_partition_zero_weight(base), abs=1e-12
-    )
+    # each kernel's weight increments cancel exactly when target == base
+    b = np.array([0.2, -0.1, 0.4, 0.0])
+    w, c = np.zeros((4, 3)), np.zeros(3)
+    for base in (Rbm(w, b, c), Srbm(w, b, c, np.zeros((4, 4))), Grbm(w, b, c, 0.7)):
+        schedule = AisSchedule(linear_betas(50), 32, base)
+        run = run_ais(base, schedule, RngStream(71))
+        assert np.all(run.log_weights == 0.0), base.variant
+        assert run.log_z_estimate.log_value == pytest.approx(
+            log_partition_zero_weight(base), abs=1e-12
+        )
 
 
 def test_ais_single_step_is_plain_importance_sampling():
@@ -156,12 +159,14 @@ def _multi_chunk_run(monkeypatch, maker=random_rbm, chains=200):
 
 @pytest.mark.parametrize("maker", [random_rbm, random_grbm, random_srbm])
 def test_ais_is_byte_identical_across_worker_counts(monkeypatch, maker):
-    target, schedule = _multi_chunk_run(monkeypatch, maker)
-    runs = [run_ais(target, schedule, RngStream(81), threads=t) for t in (1, 2, 3)]
-    assert [r.workers for r in runs] == [1, 2, 3]
-    for r in runs[1:]:
-        assert np.array_equal(r.log_weights, runs[0].log_weights)
-        assert np.array_equal(r.final_samples, runs[0].final_samples)
+    # 200 chains are 4 chunks of 50; 150 are 4 ragged chunks of 38, 38, 37, 37
+    for chains in (200, 150):
+        target, schedule = _multi_chunk_run(monkeypatch, maker, chains)
+        runs = [run_ais(target, schedule, RngStream(81), threads=t) for t in (1, 2, 3)]
+        assert [r.workers for r in runs] == [1, 2, 3]
+        for r in runs[1:]:
+            assert np.array_equal(r.log_weights, runs[0].log_weights)
+            assert np.array_equal(r.final_samples, runs[0].final_samples)
 
 
 def _record_pools(monkeypatch):
@@ -191,11 +196,36 @@ def test_ais_starts_no_more_workers_than_chunks(monkeypatch, chains, pool_sizes)
     target, schedule = _multi_chunk_run(monkeypatch, chains=chains)
     sizes = _record_pools(monkeypatch)
     run = run_ais(target, schedule, RngStream(81), threads=10 ** 6)
-    # 200 chains are 4 chunks of at most 64; a single chunk starts no pool
+    # 200 chains are 4 chunks of 50; a single chunk starts no pool
     assert sizes == pool_sizes
     assert run.workers == max(pool_sizes, default=1)
     with pytest.raises(EstimationError, match="threads must be at least 1"):
         run_ais(target, schedule, RngStream(81), threads=0)
+
+
+def test_ais_chunks_are_equal_and_pair_up(monkeypatch):
+    target, schedule = _multi_chunk_run(monkeypatch)
+    sizes = []
+
+    def fake_chunk(target, base, betas, n_chains, rng):
+        sizes.append(n_chains)
+        return np.zeros(n_chains), np.zeros((n_chains, target.n_visible))
+
+    monkeypatch.setattr(estimation, "_chain_chunk", fake_chunk)
+    pools = _record_pools(monkeypatch)
+    for n in range(1, 5 * 64 + 1):
+        sizes.clear()
+        pools.clear()
+        schedule.n_chains = n
+        run = run_ais(target, schedule, RngStream(81), threads=2)
+        count = -(-n // 64)
+        if count > 1:
+            count += count % 2
+        assert len(sizes) == count, n
+        assert sum(sizes) == n and max(sizes) <= 64 and max(sizes) - min(sizes) <= 1, n
+        # a single chunk runs in this process
+        assert pools == ([] if count == 1 else [2]), n
+        assert run.log_weights.size == n
 
 
 def test_dead_ais_worker_is_estimation_error(monkeypatch):
