@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .numerics import LOG2, is_gaussian_scale, log_sum_exp
+from .numerics import LOG2, is_gaussian_scale
 from .storage import read_model, write_model
 
 logger = logging.getLogger(__name__)
@@ -80,15 +80,33 @@ class GaussianModel(_Baseline):
 
 
 class _Mixture(_Baseline):
-    """What the two mixtures share: mixing weights over component densities."""
+    """What the two mixtures share: mixing weights over component densities.
+
+    log w_k + log p_k(x) is split into ``shared_log_density(x)``, the part
+    every component shares, and the rest, which ``fill_scores`` writes into
+    a component-major ``(k, n)`` array.  The shared part cancels in the
+    responsibilities, so EM computes it once per fit.
+    """
 
     @property
     def n_components(self):
         return self.weights.size
 
     def log_density(self, x):
-        comp = self.component_log_density(x) + np.log(self.weights)[None, :]
-        return log_sum_exp(comp, axis=1)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        scores = np.empty((self.n_components, x.shape[0]))
+        self.fill_scores(np.ascontiguousarray(x.T), scores)
+        total, top = _exp_scores(scores)
+        return np.log(total) + top + self.shared_log_density(x)
+
+
+def _exp_scores(scores):
+    """exp(score - column max) in place over ``(k, n)`` scores; returns the
+    column sums and maxima (log sum + max is the column's log-sum-exp)."""
+    top = scores.max(axis=0)
+    scores -= top
+    np.exp(scores, out=scores)
+    return np.ones(scores.shape[0]) @ scores, top
 
 
 class MoigModel(_Mixture):
@@ -114,16 +132,15 @@ class MoigModel(_Mixture):
     def settings(self):
         return {"sigma": self.sigma}
 
-    def component_log_density(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        sq = (
-            np.sum(x ** 2, axis=1)[:, None]
-            - 2.0 * x @ self.means.T
-            + np.sum(self.means ** 2, axis=1)[None, :]
-        )
-        return -sq / (2.0 * self.sigma ** 2) - 0.5 * self.dim * np.log(
-            2.0 * np.pi * self.sigma ** 2
-        )
+    def shared_log_density(self, x):
+        var = self.sigma ** 2
+        return -np.sum(x ** 2, axis=1) / (2.0 * var) - 0.5 * self.dim * np.log(2.0 * np.pi * var)
+
+    def fill_scores(self, xt, out):
+        """log w_k + mu_k.x / sigma^2 - |mu_k|^2 / 2 sigma^2: one GEMM."""
+        var = self.sigma ** 2
+        np.matmul(self.means / var, xt, out=out)
+        out += (np.log(self.weights) - np.sum(self.means ** 2, axis=1) / (2.0 * var))[:, None]
 
 
 class MogModel(_Mixture):
@@ -152,14 +169,15 @@ class MogModel(_Mixture):
     def parameter_arrays(self):
         return {"covariances": self.covariances, "weights": self.weights}
 
-    def component_log_density(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.empty((x.shape[0], self.n_components))
-        for k, (chol, logdet) in enumerate(zip(self._chols, self._logdets)):
-            sol = scipy.linalg.solve_triangular(chol, x.T, lower=True)
-            maha = np.sum(sol ** 2, axis=0)
-            out[:, k] = -0.5 * (maha + logdet + self.dim * np.log(2.0 * np.pi))
-        return out
+    def shared_log_density(self, x):
+        return -0.5 * self.dim * np.log(2.0 * np.pi)
+
+    def fill_scores(self, xt, out):
+        """log w_k - (x' C_k^-1 x + log det C_k) / 2, a triangular solve each."""
+        for k, (chol, logdet, log_w) in enumerate(
+                zip(self._chols, self._logdets, np.log(self.weights))):
+            sol = scipy.linalg.solve_triangular(chol, xt, lower=True)
+            out[k] = log_w - 0.5 * (np.sum(sol ** 2, axis=0) + logdet)
 
 
 BASELINE_CLASSES = {cls.variant: cls for cls in (GaussianModel, MoigModel, MogModel)}
@@ -201,16 +219,16 @@ def fit_gaussian(data, ridge=None, zero_mean=False):
 
 
 def _m_step(model, data, resp, ridge):
+    """The EM update from component-major ``(k, n)`` responsibilities."""
     n, d = data.shape
-    counts = resp.sum(axis=0)
+    counts = resp.sum(axis=1)
     weights = counts / n
     if isinstance(model, MoigModel):
-        means = (resp.T @ data) / counts[:, None]
+        means = (resp @ data) / counts[:, None]
         return MoigModel(means, model.sigma, weights)
     covs = np.empty_like(model.covariances)
     for k in range(model.n_components):
-        weighted = data * resp[:, k : k + 1]
-        covs[k] = weighted.T @ data / counts[k] + ridge * np.eye(d)
+        covs[k] = (data.T * resp[k]) @ data / counts[k] + ridge * np.eye(d)
     return MogModel(covs, weights)
 
 
@@ -222,7 +240,9 @@ def fit_em(model, data, iters=100, tol=1e-8, rng=None, ridge=None):
     mixture updates covariances (ridge-regularized) and weights.  Stops
     after ``iters`` iterations or when the per-sample log-likelihood
     improves by less than ``tol``.  Components that collapse to zero
-    responsibility are reinitialized from a random datum.
+    responsibility are reinitialized from distinct random data.  Returns
+    the model and the per-sample log-likelihood before each iteration
+    and after the last.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n = data.shape[0]
@@ -230,28 +250,28 @@ def fit_em(model, data, iters=100, tol=1e-8, rng=None, ridge=None):
         ridge = default_ridge(data) if isinstance(model, MogModel) else 0.0
     if rng is None:
         rng = np.random.default_rng(0)
+    xt = np.ascontiguousarray(data.T)
+    # the term every component shares cancels in the responsibilities and,
+    # the isotropic mixture's scale being fixed, adds one constant to the trace
+    shared = float(np.mean(model.shared_log_density(data)))
+    resp = np.empty((model.n_components, n))
     trace = []
-    for _ in range(iters):
-        comp = model.component_log_density(data) + np.log(model.weights)[None, :]
-        per_sample = log_sum_exp(comp, axis=1)
-        trace.append(float(per_sample.mean()))
-        resp = np.exp(comp - per_sample[:, None])
-        counts = resp.sum(axis=0)
-        dead = np.flatnonzero(counts < 1e-10 * n)
+    while True:
+        model.fill_scores(xt, resp)
+        total, top = _exp_scores(resp)
+        trace.append(float(np.mean(np.log(total) + top)) + shared)
+        if len(trace) > iters or (len(trace) >= 3 and trace[-2] - trace[-3] < tol):
+            return model, trace
+        resp /= total
+        dead = np.flatnonzero(resp.sum(axis=1) < 1e-10 * n)
         if dead.size:
             logger.warning("reinitializing %d collapsed component(s)", dead.size)
-            for k in dead:
-                pick = int(rng.integers(n))
-                resp[:, k] = 0.0
-                resp[pick] = 0.0
-                resp[pick, k] = 1.0
-            resp /= resp.sum(axis=1, keepdims=True)
+            picks = rng.choice(n, dead.size, replace=False)
+            resp[dead] = 0.0
+            resp[:, picks] = 0.0
+            resp[dead, picks] = 1.0
+            resp /= resp.sum(axis=0)
         model = _m_step(model, data, resp, ridge)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
-            break
-    comp = model.component_log_density(data) + np.log(model.weights)[None, :]
-    trace.append(float(log_sum_exp(comp, axis=1).mean()))
-    return model, trace
 
 
 def init_moig(k, data, sigma, rng):

@@ -223,9 +223,12 @@ def cmd_eval(cfg, threads):
         model = baselines.load_baseline(model_path)
         if dataset.dim != model.dim:
             raise ConfigError("dataset dimension does not match the model")
+        stage = time.perf_counter()
+        log_values = model.log_density(dataset.samples)
         return _write_report(
-            cfg, section, dataset, out, started, model.log_density(dataset.samples),
+            cfg, section, dataset, out, started, log_values,
             {"se_path_bits": 0.0, "exact_density": True}, "exact",
+            {"stages": {"log_density": time.perf_counter() - stage}, "workers": 1},
         )
     try:
         stack = dbn.load_dbn(model_path)

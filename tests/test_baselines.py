@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dbnkit import baselines
 from dbnkit.baselines import (
     BaselineError,
     BaselineSpec,
     GaussianModel,
     MogModel,
     MoigModel,
+    _m_step,
     average_log_loss_bits,
     cross_validate_sigma,
+    default_ridge,
     fit_em,
     fit_gaussian,
     fit_mixture,
+    init_mog,
+    init_moig,
     moig_sigma_scorer,
 )
-from dbnkit.numerics import RngStream
+from dbnkit.numerics import RngStream, log_sum_exp
 
 
 def test_fit_gaussian_degenerate_point():
@@ -117,6 +122,69 @@ def test_em_reinitializes_collapsed_component(caplog):
         fitted, trace = fit_em(model, data, iters=10, rng=rng)
     assert "reinitializing" in caplog.text
     assert np.abs(fitted.means).max() < 50.0
+
+
+def test_em_reinitializes_components_that_collapse_together_from_distinct_rows():
+    # three far-away components collapse in the first iteration; two that
+    # drew the same datum would leave one of them with zero weight
+    data = np.random.default_rng(0).standard_normal((6, 2))
+    means = np.array([[0.0, 0.0], [500.0, 500.0], [-500.0, 500.0], [500.0, -500.0]])
+    for seed in range(10):
+        model = MoigModel(means, 1.0, np.full(4, 0.25))
+        fitted, _ = fit_em(model, data, iters=5, rng=np.random.default_rng(seed))
+        assert np.all(fitted.weights > 0)
+
+
+def _component_log_densities(model, data):
+    """Textbook per-component log densities, an (n, k) array."""
+    d = data.shape[1]
+    if isinstance(model, MoigModel):
+        sq = ((data[:, None, :] - model.means[None, :, :]) ** 2).sum(axis=2)
+        return -sq / (2 * model.sigma ** 2) - 0.5 * d * np.log(2 * np.pi * model.sigma ** 2)
+    cols = []
+    for cov in model.covariances:
+        maha = np.einsum("ni,ij,nj->n", data, np.linalg.inv(cov), data)
+        cols.append(-0.5 * (maha + np.linalg.slogdet(cov)[1] + d * np.log(2 * np.pi)))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("kind", ["moig", "mog"])
+def test_em_matches_a_textbook_em_step(kind):
+    rng = RngStream(131).generator()
+    centers = 2.0 * rng.standard_normal((3, 3))
+    data = centers[rng.integers(3, size=300)] + rng.standard_normal((300, 3)) @ np.diag([1.0, 0.6, 0.3])
+    init = init_moig(3, data, 0.8, rng) if kind == "moig" else init_mog(3, data, rng)
+    ridge = default_ridge(data) if kind == "mog" else 0.0
+    model, trace = init, []
+    for _ in range(30):
+        joint = _component_log_densities(model, data) + np.log(model.weights)
+        per_sample = log_sum_exp(joint, axis=1)
+        trace.append(per_sample.mean())
+        model = _m_step(model, data, np.exp(joint - per_sample[:, None]).T, ridge)
+    joint = _component_log_densities(model, data) + np.log(model.weights)
+    trace.append(log_sum_exp(joint, axis=1).mean())
+
+    fitted, got = fit_em(init, data, iters=30, tol=-np.inf)
+    assert np.allclose(got, trace, rtol=0, atol=1e-10)
+    for name, want in model.parameter_arrays().items():
+        assert np.allclose(fitted.parameter_arrays()[name], want, rtol=0, atol=1e-10)
+
+
+def test_fit_mixture_runs_fit_em_once_per_restart(monkeypatch):
+    # perfbench counts EM iterations from each fit_em call's trace
+    traces = []
+    original = baselines.fit_em
+
+    def counting(*args, **kwargs):
+        model, trace = original(*args, **kwargs)
+        traces.append(trace)
+        return model, trace
+
+    monkeypatch.setattr(baselines, "fit_em", counting)
+    data = RngStream(132).generator().standard_normal((200, 2))
+    fit_mixture("moig", 2, data, sigma=0.5, iters=7, tol=-np.inf, restarts=3,
+                rng=np.random.default_rng(0))
+    assert [len(trace) for trace in traces] == [8, 8, 8]
 
 
 def test_cross_validate_single_candidate():

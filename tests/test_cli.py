@@ -205,7 +205,14 @@ def test_eval_reports_true_and_estimated(workspace):
     assert abs(report["bits_per_component"] - report["brute_force_bits"]) < 0.1
     assert len(report["per_sample_log2"]) == 60
     assert report["tool_version"] and report["config_hash"] and report["seed"] == 11
-    assert (workspace / "evalout" / "report.meta.json").exists()
+    meta = json.loads((workspace / "evalout" / "report.meta.json").read_text())
+    # a baseline's sidecar has the same keys, with its one stage
+    cli.main(["train", "--config", baseline_train_config(workspace, "gaussian", "bl")])
+    assert cli.main(["eval", "--config", eval_config(workspace, "evalbl", model="bl/baseline.dbk")]) == 0
+    baseline_meta = json.loads((workspace / "evalbl" / "report.meta.json").read_text())
+    assert set(baseline_meta) == set(meta) == {"wall_time_seconds", "stages", "workers"}
+    assert list(baseline_meta["stages"]) == ["log_density"]
+    assert baseline_meta["workers"] == 1
 
 
 def test_eval_deterministic(workspace):
