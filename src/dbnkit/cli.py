@@ -372,11 +372,8 @@ def _thread_count(source, value):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        env_threads = os.environ.get("DBNKIT_THREADS")
-        if env_threads:
-            default_threads = _thread_count("DBNKIT_THREADS", env_threads)
-        else:
-            default_threads = len(os.sched_getaffinity(0))
+        env = os.environ.get("DBNKIT_THREADS")
+        env_threads = _thread_count("DBNKIT_THREADS", env) if env else None
         if args.threads is not None:
             _thread_count("--threads", args.threads)
         if args.command == "oracle":
@@ -385,7 +382,9 @@ def main(argv=None):
             args.config,
             overrides={"seed": args.seed, "out": args.out, "threads": args.threads},
         )
-        threads = cfg.threads(default_threads)
+        # --threads (set in cfg) > [experiment] threads > DBNKIT_THREADS; None
+        # leaves the count to the estimators, which use the CPU affinity set
+        threads = cfg.values["experiment"]["threads"] or env_threads
         if args.command == "preprocess":
             return cmd_preprocess(cfg)
         if args.command == "train":

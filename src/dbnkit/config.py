@@ -13,6 +13,7 @@ import re
 
 from .baselines import BaselineSpec
 from .estimation import EstimationError, check_choices
+from .models import DEFAULT_ENUM_BUDGET
 from .pipeline import synthetic_spec
 from .training import LayerSpec, TrainConfig, check_stack
 
@@ -147,7 +148,7 @@ _DEFAULTS = {
         "n_is": 100,
         "exact": "auto",
         "marginals": "auto",
-        "enum_budget": 2 ** 25,
+        "enum_budget": DEFAULT_ENUM_BUDGET,
     },
 }
 
@@ -258,12 +259,6 @@ class ExperimentConfig:
     @property
     def label(self):
         return self.values["experiment"]["label"]
-
-    def threads(self, default):
-        """Worker processes of AIS runs and path blocks: the configured
-        count, else ``default``."""
-        t = self.values["experiment"]["threads"]
-        return default if t is None else t
 
     def section(self, name, required=False):
         if name not in self.values:

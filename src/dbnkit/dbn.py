@@ -1,4 +1,4 @@
-"""Layer stacks: composition, ancestral sampling and exact likelihood.
+"""Layer stacks: composition, feed-forward sampling and exact likelihood.
 
 A stack of L layers defines the directed-on-top-of-undirected density
 
@@ -75,34 +75,6 @@ def feed_forward_sample(dbn, x0, rng):
         current = layer.sample_hidden(current, rng)
         states.append(current)
     return states
-
-
-def ancestral_sample(dbn, gibbs_steps=100, rng=None, n_samples=1, lateral_sweeps=10):
-    """Draw visible samples: equilibrate the top layer, then map down.
-
-    The top layer runs ``gibbs_steps`` alternating Gibbs sweeps (default
-    burn-in 100, no thinning) from a uniform random start.  Downward
-    conditionals are factorial except for lateral-connected layers, which
-    get ``lateral_sweeps`` sequential sweeps as an approximation.
-    """
-    if rng is None:
-        raise DbnError("ancestral sampling needs a random generator")
-    if gibbs_steps < 1:
-        raise DbnError("need at least one Gibbs sweep in the top layer")
-    top = dbn.top
-    x = (rng.random((n_samples, top.n_visible)) < 0.5).astype(np.float64)
-    for _ in range(gibbs_steps):
-        y = top.sample_hidden(x, rng)
-        x = top.sample_visible(y, rng, x0=x)
-    for layer in reversed(dbn.layers[:-1]):
-        if layer.variant == SRBM:
-            down = (rng.random((n_samples, layer.n_visible)) < 0.5).astype(np.float64)
-            for _ in range(lateral_sweeps):
-                down = layer.sample_visible(x, rng, x0=down)
-            x = down
-        else:
-            x = layer.sample_visible(x, rng)
-    return x[0] if n_samples == 1 else x
 
 
 def _log_conditional_table(layer, xs, ys, budget):

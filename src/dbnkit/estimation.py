@@ -18,6 +18,7 @@ separately by the callers and never folded in silently.
 """
 
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -147,20 +148,20 @@ class AisRun:
             raise EstimationError("weight and sample counts disagree")
 
 
-def _worker_count(threads, jobs):
-    """Worker processes for ``jobs`` jobs: ``threads``, but never more than one a job."""
+def _map_in_processes(fn, jobs, threads, what):
+    """``([fn(job) for job in jobs], workers)``: the one place that decides
+    worker processes.  ``threads`` None means the CPU affinity set; there is
+    never more than one worker a job, and a single worker is this process.
+    ``fn`` must be a private module-level function: it is pickled by name,
+    which a traced (wrapped) public one cannot be.  A worker that dies
+    raises EstimationError naming ``what``."""
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
     if threads < 1:
         raise EstimationError(f"threads must be at least 1, not {threads}")
-    return min(threads, jobs)
-
-
-def _map_in_processes(fn, jobs, workers, what):
-    """``[fn(job) for job in jobs]``, run by ``workers`` worker processes when
-    that is more than one.  ``fn`` must be a private module-level function:
-    it is pickled by name, which a traced (wrapped) public one cannot be.  A
-    worker that dies raises EstimationError naming ``what``."""
+    workers = min(threads, len(jobs))
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        return [fn(job) for job in jobs], 1
     # the jobs' many small numpy calls hold the interpreter lock, so only
     # processes run them in parallel.  fork, not spawn: a spawned worker
     # re-imports the caller's main module, which a script without a
@@ -169,24 +170,19 @@ def _map_in_processes(fn, jobs, workers, what):
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            return list(pool.map(fn, jobs))
+            return list(pool.map(fn, jobs)), workers
     except BrokenProcessPool as exc:
         raise EstimationError(f"{what} worker process died: {exc}") from exc
 
 
-def _chain_chunk(target, base, betas, n_chains, rng):
+def _chain_chunk(job):
+    """One chunk of chains; ``job`` is (target, base, betas, n_chains, rng)."""
     # looked up per call, so a wrapper set on a kernels attribute is the one called
-    kernel = {RBM: kernels.ais_rbm, GRBM: kernels.ais_grbm, SRBM: kernels.ais_srbm}[target.variant]
-    return kernel(target, base, betas, n_chains, rng)
+    kernel = {RBM: kernels.ais_rbm, GRBM: kernels.ais_grbm, SRBM: kernels.ais_srbm}[job[0].variant]
+    return kernel(*job)
 
 
-def _chunk_job(job):
-    """One chunk of chains in a worker process; ``job`` is
-    (target, base, betas, n_chains, rng)."""
-    return _chain_chunk(*job)
-
-
-def run_ais(target, schedule, rng, threads=1):
+def run_ais(target, schedule, rng, threads=None):
     """Annealed importance sampling toward ``target``.
 
     Chains start as exact samples of the zero-weight base and pass through
@@ -196,11 +192,13 @@ def run_ais(target, schedule, rng, threads=1):
     demo's 20000 chains are 6 chunks of 3333-3334), so two workers get equal
     shares.  Chunk i draws from substream (9, i) and the split depends on n
     alone, so the result is byte-stable for a given stream whatever the
-    number of worker processes: up to ``threads`` of them run the chunks
-    when there are several, and a single chunk runs in this process.  A
-    worker that dies raises EstimationError.  Returns the weights, the
-    final near-target samples, and the log partition function estimate
-    (weights plus the base's analytic log Z).
+    number of worker processes: up to ``threads`` of them (None: one per
+    CPU of the affinity set, forked) run the chunks when there are several,
+    and a single chunk runs in this process.  A caller that runs threads of
+    its own should pass ``threads=1``.  A worker that dies raises
+    EstimationError.  Returns the weights, the final near-target samples,
+    the log partition function estimate (weights plus the base's analytic
+    log Z) and the worker count.
     """
     base = schedule.base_model
     if base.variant != target.variant:
@@ -219,8 +217,7 @@ def run_ais(target, schedule, rng, threads=1):
         (target, base, schedule.betas, n // count + (i < n % count), rng.substream(9, i))
         for i in range(count)
     ]
-    workers = _worker_count(threads, len(jobs))
-    parts = _map_in_processes(_chunk_job, jobs, workers, "an AIS")
+    parts, workers = _map_in_processes(_chain_chunk, jobs, threads, "an AIS")
 
     log_w = np.concatenate([p[0] for p in parts])
     samples = np.concatenate([p[1] for p in parts], axis=0)
@@ -381,19 +378,6 @@ def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng
     return LogEstimate(base_term + est.log_value, est.standard_error, n_is)
 
 
-def _path_workers(dbn, marginal_provider, n_points, threads):
-    """Worker processes estimate_dataset_log_likelihood uses for ``n_points``.
-
-    Only analytic marginals, a pure function of the state, leave this
-    process; the table providers fill their memo and standard errors here.
-    A one-layer stack draws no path, so it has nothing to spread.
-    """
-    workers = _worker_count(threads, -(-n_points // PATH_BLOCK))
-    if isinstance(marginal_provider, AnalyticMarginals) and dbn.n_layers > 1:
-        return workers
-    return 1
-
-
 def _path_block(job):
     """Estimates for consecutive points; ``job`` is
     (dbn, rows, first_index, n_is, marginal_provider, log_z_top, stream)."""
@@ -408,20 +392,26 @@ def _path_block(job):
 
 
 def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_top, stream,
-                                    threads=1):
-    """Per-sample estimates over a dataset, one RNG substream per sample.
+                                    threads=None):
+    """Per-sample estimates over a dataset, one RNG substream per sample,
+    and the number of worker processes that drew them.
 
     Blocks of PATH_BLOCK points run in up to ``threads`` worker processes
-    when _path_workers allows it; every point keeps its substream, so the
-    estimates are the same at any count.
+    (None: the CPU affinity set) when the stack draws paths and its
+    marginals are analytic, a pure function of the state.  Otherwise all
+    points are one block, which runs in this process: the table providers
+    fill their memo and standard errors here.  Every point keeps its
+    substream, so the estimates are the same at any count.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    workers = _path_workers(dbn, marginal_provider, data.shape[0], threads)
+    spread = isinstance(marginal_provider, AnalyticMarginals) and dbn.n_layers > 1
+    block = PATH_BLOCK if spread else max(1, data.shape[0])
     jobs = [
-        (dbn, data[lo : lo + PATH_BLOCK], lo, n_is, marginal_provider, log_z_top, stream)
-        for lo in range(0, data.shape[0], PATH_BLOCK)
+        (dbn, data[lo : lo + block], lo, n_is, marginal_provider, log_z_top, stream)
+        for lo in range(0, data.shape[0], block)
     ]
-    return [e for part in _map_in_processes(_path_block, jobs, workers, "a path") for e in part]
+    parts, workers = _map_in_processes(_path_block, jobs, threads, "a path")
+    return [e for part in parts for e in part], workers
 
 
 @dataclass
@@ -457,7 +447,7 @@ def check_choices(exact, marginals):
 
 
 def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interface,
-                   chains_first, exact, marginals, budget, seed, threads):
+                   chains_first, exact, marginals, budget, seed, threads=None):
     """Estimate log p(x) for each row of ``samples``, choosing between
     enumeration and AIS for every ingredient.
 
@@ -470,8 +460,9 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
     budget, ``exact="on"`` and ``marginals="exact"`` raise
     EnumerationBudgetError; values outside EXACT_CHOICES and
     MARGINAL_CHOICES raise EstimationError.  ``threads`` caps the worker
-    processes of each AIS run and of the path estimator, and changes no
-    result.
+    processes of each AIS run and of the path estimator (None: the CPU
+    affinity set, forked; pass 1 from a caller that runs threads of its
+    own), and changes no result.
     """
     check_choices(exact, marginals)
     stream = RngStream(seed)
@@ -521,11 +512,10 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
             ais["chains_interface"] = chains_interface
 
     started = time.perf_counter()
-    estimates = estimate_dataset_log_likelihood(
+    estimates, path_workers = estimate_dataset_log_likelihood(
         stack, samples, n_is, provider, log_z_top, RngStream(seed, 33), threads=threads
     )
-    n_points = np.atleast_2d(samples).shape[0]
-    workers = max(workers, _path_workers(stack, provider, n_points, threads))
+    workers = max(workers, path_workers)
     if isinstance(provider, AisMarginals):
         ais["marginal_se_mean"] = provider.mean_standard_error()
     stages["paths"] = time.perf_counter() - started

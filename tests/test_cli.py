@@ -687,13 +687,14 @@ def test_eval_estimation_failure_exit_code(workspace, monkeypatch):
 
 
 def test_eval_dead_ais_worker_exit_code(workspace, monkeypatch, capsys):
-    from dbnkit import estimation
+    from dbnkit import estimation, kernels
 
     cli.main(["preprocess", "--config", preprocess_config(workspace)])
     cli.main(["train", "--config", train_config(workspace)])
-    # four chunks of top-layer chains; the forked workers inherit the patch
+    # four chunks of the (srbm) top layer's chains; the forked workers
+    # inherit the patch
     monkeypatch.setattr(estimation, "AIS_CHUNK", 64)
-    monkeypatch.setattr(estimation, "_chain_chunk", lambda *args: os._exit(3))
+    monkeypatch.setattr(kernels, "ais_srbm", lambda *args: os._exit(3))
     cfg = write_config(
         workspace / "eval5.ini",
         f"""

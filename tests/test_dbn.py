@@ -2,14 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from dbnkit import dbn
 from dbnkit.dbn import (
     DbnError,
     DbnModel,
     EvaluationError,
-    ancestral_sample,
     average_log_loss,
     brute_force_log_likelihood,
     feed_forward_sample,
@@ -22,7 +20,6 @@ from dbnkit.models import (
     binary_states,
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
-    state_index,
 )
 from dbnkit.numerics import RngStream
 from dbnkit.oracle import random_grbm, random_rbm, random_srbm
@@ -73,50 +70,6 @@ def test_feed_forward_matches_conditional_means():
     se = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(big.mean(axis=0) - p) < 3 * se + 1e-9)
     assert draws.shape == (200, 3)
-
-
-# -- ancestral sampling -------------------------------------------------------
-
-
-def test_ancestral_single_rbm_matches_enumeration():
-    rng = RngStream(54).generator()
-    model = random_rbm(rng, m=4, n=3, scale=0.5)
-    stack = DbnModel([model])
-    n = 30000
-    samples = ancestral_sample(stack, gibbs_steps=60, rng=rng, n_samples=n)
-    freq = np.bincount(state_index(samples), minlength=16)
-    log_z = brute_force_log_partition(model)
-    probs = np.exp(model.log_unnorm_visible(binary_states(4)) - log_z)
-    # chi-square goodness of fit, not rejected at alpha = 0.01
-    chi2 = ((freq - n * probs) ** 2 / (n * probs)).sum()
-    assert chi2 < stats.chi2.ppf(0.99, df=15)
-
-
-def test_ancestral_zero_weight_top_closed_form():
-    rng = RngStream(55).generator()
-    b = rng.standard_normal(3)
-    model = Rbm(np.zeros((3, 2)), b, np.zeros(2))
-    stack = DbnModel([model])
-    n = 40000
-    samples = ancestral_sample(stack, gibbs_steps=5, rng=rng, n_samples=n)
-    p = 1 / (1 + np.exp(-b))
-    se = np.sqrt(p * (1 - p) / n)
-    assert np.all(np.abs(samples.mean(axis=0) - p) < 3 * se + 1e-9)
-
-
-def test_ancestral_initialized_stack_matches_exact_moments():
-    rng = RngStream(56).generator()
-    grbm = random_grbm(rng, m=3, n=4, scale=0.5)
-    stack = DbnModel([grbm, init_srbm_from_grbm(grbm, 4)])
-    n = 30000
-    samples = ancestral_sample(stack, gibbs_steps=80, rng=rng, n_samples=n)
-    # exact first moment from the mixture form
-    ys = binary_states(4)
-    log_z = brute_force_log_partition(grbm)
-    prior = np.exp(grbm.log_unnorm_hidden(ys) - log_z)
-    mean = prior @ (grbm.visible_bias + grbm.sigma * (ys @ grbm.weights.T))
-    spread = samples.std(axis=0) / np.sqrt(n)
-    assert np.all(np.abs(samples.mean(axis=0) - mean) < 5 * spread)
 
 
 # -- brute force --------------------------------------------------------------
@@ -186,19 +139,6 @@ def test_gaussian_bottom_normalizes_on_grid():
     points = np.column_stack([xx.ravel(), yy.ravel()])
     mass = np.exp(brute_force_log_likelihood(stack, points)).sum() * step ** 2
     assert mass == pytest.approx(1.0, abs=1e-4)
-
-
-def test_ancestral_matches_brute_force_chi_square():
-    rng = RngStream(63).generator()
-    first = random_rbm(rng, m=4, n=3, scale=0.6)
-    top = random_rbm(rng, m=3, n=3, scale=0.6)
-    stack = DbnModel([first, top])
-    n = 30000
-    samples = ancestral_sample(stack, gibbs_steps=60, rng=rng, n_samples=n)
-    freq = np.bincount(state_index(samples), minlength=16)
-    probs = np.exp(brute_force_log_likelihood(stack, binary_states(4)))
-    chi2 = ((freq - n * probs) ** 2 / (n * probs)).sum()
-    assert chi2 < stats.chi2.ppf(0.99, df=15)
 
 
 def test_budget_bounds_every_table():

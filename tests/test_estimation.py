@@ -157,13 +157,19 @@ def _multi_chunk_run(monkeypatch, maker=random_rbm, chains=200):
     return target, AisSchedule(linear_betas(20), chains, fit_base_model(target))
 
 
+def _three_cpus(monkeypatch):
+    """An affinity set of three CPUs, which a call without ``threads`` uses."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
 @pytest.mark.parametrize("maker", [random_rbm, random_grbm, random_srbm])
 def test_ais_is_byte_identical_across_worker_counts(monkeypatch, maker):
+    _three_cpus(monkeypatch)
     # 200 chains are 4 chunks of 50; 150 are 4 ragged chunks of 38, 38, 37, 37
     for chains in (200, 150):
         target, schedule = _multi_chunk_run(monkeypatch, maker, chains)
-        runs = [run_ais(target, schedule, RngStream(81), threads=t) for t in (1, 2, 3)]
-        assert [r.workers for r in runs] == [1, 2, 3]
+        runs = [run_ais(target, schedule, RngStream(81), threads=t) for t in (1, 2, 3, None)]
+        assert [r.workers for r in runs] == [1, 2, 3, 3]
         for r in runs[1:]:
             assert np.array_equal(r.log_weights, runs[0].log_weights)
             assert np.array_equal(r.final_samples, runs[0].final_samples)
@@ -207,7 +213,8 @@ def test_ais_chunks_are_equal_and_pair_up(monkeypatch):
     target, schedule = _multi_chunk_run(monkeypatch)
     sizes = []
 
-    def fake_chunk(target, base, betas, n_chains, rng):
+    def fake_chunk(job):
+        target, base, betas, n_chains, rng = job
         sizes.append(n_chains)
         return np.zeros(n_chains), np.zeros((n_chains, target.n_visible))
 
@@ -229,11 +236,9 @@ def test_ais_chunks_are_equal_and_pair_up(monkeypatch):
 
 
 def test_dead_ais_worker_is_estimation_error(monkeypatch):
-    import dbnkit.estimation as es
-
     target, schedule = _multi_chunk_run(monkeypatch)
     # the forked workers inherit the patch and die without a result
-    monkeypatch.setattr(es, "_chain_chunk", lambda *args: os._exit(3))
+    monkeypatch.setattr(estimation.kernels, "ais_rbm", lambda *args: os._exit(3))
     with pytest.raises(EstimationError, match="an AIS worker process died"):
         run_ais(target, schedule, RngStream(81), threads=2)
 
@@ -375,8 +380,7 @@ def small_three_layer_stack():
 
 
 EVAL_KNOBS = dict(
-    n_is=20, n_betas=20, chains_top=50, chains_interface=60, chains_first=40,
-    seed=97, threads=1,
+    n_is=20, n_betas=20, chains_top=50, chains_interface=60, chains_first=40, seed=97,
 )
 
 
@@ -456,17 +460,37 @@ def test_paths_start_a_pool_only_for_analytic_marginals(monkeypatch, case, margi
                                                         pool_sizes):
     stack, x = rbm_paths_stack(monkeypatch)
     if case in ("ais", "exact"):
-        # the table providers fill their memo in this process; 6 points are 2 blocks
+        # the table providers fill their memo in this process
         stack, x = small_three_layer_stack()
     elif case == "one-layer":
         stack = DbnModel(stack.layers[:1])
     sizes = _record_pools(monkeypatch)
-    result = evaluate_stack(stack, x, exact="off" if case == "ais" else "auto",
-                            marginals=marginals or "auto", budget=2 ** 10,
-                            **dict(EVAL_KNOBS, threads=10 ** 6))
+    knobs = dict(EVAL_KNOBS, exact="off" if case == "ais" else "auto",
+                 marginals=marginals or "auto", budget=2 ** 10)
+    result = evaluate_stack(stack, x, threads=10 ** 6, **knobs)
     assert result.ais.get("marginals") == marginals
     assert sizes == pool_sizes
     assert result.workers == max(pool_sizes, default=1)
+    # a count below 1 is refused whether or not the paths leave this process
+    with pytest.raises(EstimationError, match="threads must be at least 1"):
+        evaluate_stack(stack, x, threads=0, **knobs)
+
+
+@pytest.mark.parametrize("case, workers", [("analytic", 3), ("one-layer", 1), ("lateral", 1)])
+def test_paths_use_the_cpu_set_by_default(monkeypatch, case, workers):
+    _three_cpus(monkeypatch)
+    stack, x = rbm_paths_stack(monkeypatch)
+    if case == "one-layer":
+        stack = DbnModel(stack.layers[:1])
+    elif case == "lateral":
+        # enumerated marginals fill their memo in this process
+        stack, x = small_three_layer_stack()
+    knobs = dict(EVAL_KNOBS, exact="auto", marginals="auto", budget=2 ** 10)
+    default = evaluate_stack(stack, x, **knobs)
+    serial = evaluate_stack(stack, x, threads=1, **knobs)
+    assert default.workers == workers
+    assert np.array_equal(default.log_values, serial.log_values)
+    assert np.array_equal(default.standard_errors, serial.standard_errors)
 
 
 def test_dead_path_worker_is_estimation_error(monkeypatch):

@@ -9,6 +9,8 @@ SRC = Path(dbnkit.__file__).parent
 
 # calls that read or write a file's raw bytes whatever their arguments
 BYTE_CALLS = {"read_bytes", "write_bytes", "fromfile", "tofile"}
+# names that read the CPU set or start a pool of worker processes
+WORKER_NAMES = {"sched_getaffinity", "cpu_count", "ProcessPoolExecutor", "Pool"}
 
 
 def _is_binary_mode(mode):
@@ -58,3 +60,50 @@ open(p, "w", newline="")
 p.open()
 """
     assert sorted(binary_file_access(ast.parse(code))) == [2, 3, 4, 5, 6, 7, 8]
+
+
+def worker_decisions(tree):
+    """Line numbers where a module names a CPU-count call or a process pool."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            continue
+        if names & WORKER_NAMES:
+            yield node.lineno
+
+
+def test_only_the_pool_helper_decides_worker_processes():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "estimation.py":
+            # its imports and estimation._map_in_processes may name them
+            helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                          and node.name == "_map_in_processes")
+            allowed = set(range(helper.lineno, helper.end_lineno + 1))
+            allowed |= {node.lineno for node in tree.body
+                        if isinstance(node, (ast.Import, ast.ImportFrom))}
+        found |= {f"{path.name}:{line}" for line in worker_decisions(tree) if line not in allowed}
+    assert not found, f"worker processes decided outside _map_in_processes: {sorted(found)}"
+
+
+def test_the_rule_sees_each_form_of_worker_decision():
+    code = """
+import os
+os.sched_getaffinity(0)
+os.cpu_count()
+from os import cpu_count
+from concurrent.futures import ProcessPoolExecutor
+ProcessPoolExecutor(max_workers=2)
+concurrent.futures.ProcessPoolExecutor(2)
+multiprocessing.get_context("fork").Pool(2)
+len(affinity)
+pool.map(fn, jobs)
+"""
+    assert sorted(worker_decisions(ast.parse(code))) == [3, 4, 5, 6, 7, 8, 9]
