@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import LOG2, is_gaussian_scale
 from .storage import read_model, write_model
@@ -26,12 +25,24 @@ def _check_sigma(sigma, what="sigma"):
         )
 
 
+# scipy is imported by the two full-covariance helpers, on first use: it
+# takes about half of a process's start, and only the gaussian and mog
+# densities need it.
 def _chol_logdet(cov):
+    import scipy.linalg
+
     try:
         chol = scipy.linalg.cholesky(cov, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise BaselineError(f"covariance is not positive definite: {exc}") from exc
     return chol, 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def _solve_lower(chol, b):
+    """chol^-1 b for a lower-triangular Cholesky factor."""
+    import scipy.linalg
+
+    return scipy.linalg.solve_triangular(chol, b, lower=True)
 
 
 class _Baseline:
@@ -73,7 +84,7 @@ class GaussianModel(_Baseline):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.dim:
             raise BaselineError("dimension mismatch")
-        sol = scipy.linalg.solve_triangular(self._chol, (x - self.mean).T, lower=True)
+        sol = _solve_lower(self._chol, (x - self.mean).T)
         maha = np.sum(sol ** 2, axis=0)
         out = -0.5 * (maha + self._logdet + self.dim * np.log(2.0 * np.pi))
         return out
@@ -176,7 +187,7 @@ class MogModel(_Mixture):
         """log w_k - (x' C_k^-1 x + log det C_k) / 2, a triangular solve each."""
         for k, (chol, logdet, log_w) in enumerate(
                 zip(self._chols, self._logdets, np.log(self.weights))):
-            sol = scipy.linalg.solve_triangular(chol, xt, lower=True)
+            sol = _solve_lower(chol, xt)
             out[k] = log_w - 0.5 * (np.sum(sol ** 2, axis=0) + logdet)
 
 

@@ -22,16 +22,21 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     # tanh form, kept local rather than numerics.logistic: on the
-    # (n_chains,) vectors of the sequential sweep it measured about 2.4x
-    # faster (66-70 vs 166 us at 20000 chains, 2-vCPU Xeon), and the
-    # sweep calls it once a unit: on a demo interface chunk (3334 chains,
-    # 8 units) a step's time goes 32% to the weights, 23% to the random
-    # draws and 22% to the sweep.  Its relative error reaches
-    # 1.7e-4 at z = -30 (3e-16 for logistic), too coarse to replace
-    # logistic elsewhere.
-    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+    # (n_chains,) vectors of the sequential sweep it measured about 5x
+    # faster (72 vs 400 us at 20000 chains, 2-vCPU Xeon), and the sweep
+    # calls it once a unit: on a demo interface chunk (3334 chains, 8
+    # units, buffered step of 1.5-1.9 ms) a step's time goes 28% to the
+    # random draws, 24% to the sweep, 22% to the weights and 17% to the
+    # softplus terms.  Its relative error reaches 1.7e-4 at z = -30 (3e-16
+    # for logistic), too coarse to replace logistic elsewhere.  With
+    # ``out`` (z's shape, may be z) it writes there.
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def srbm_sweep(x, lateral, drive, u):
@@ -61,37 +66,60 @@ def _ais_binary(target, base, lateral, betas, n_chains, rng):
     Gibbs sweep with them scaled by beta.  Returns per-chain log importance
     weights (base partition function not included) and the final visible
     states, distributed near the target.
+
+    Every ``(n_chains, h)`` and ``(n_chains, m)`` array is allocated once
+    and refilled in place (``out=``) each step; softplus_log's max(x, 0)
+    is the one temporary of that size.  A demo chunk's arrays are 213 KB
+    (3334 chains x 8 units), above glibc's initial 128 KiB mmap threshold:
+    allocated anew each step they are mapped and unmapped, or, once a
+    freed map has raised the threshold, grow and trim the heap top, and
+    every fresh page faults.  In the forked workers of 20000 chains x 300
+    betas (2 workers, 2-vCPU Xeon) that was 224k minor faults and 0.6 s
+    system time in a process that had not imported scipy (whose import
+    raises the threshold) and 82k and 0.25 s in one that had; with the
+    buffers it is 5.2-5.5k and 0.02 s either way.
     """
     n_steps = betas.shape[0] - 1
     base_b = base.visible_bias
     wt, bt, ct = target.weights, target.visible_bias, target.hidden_bias
-    m = base_b.shape[0]
+    m, h = wt.shape
     bias_step = bt - base_b
-    hidden_ones = np.ones(ct.shape[0])
+    hidden_ones = np.ones(h)
 
     x = (rng.random((n_chains, m)) < _sigmoid(base_b)).astype(np.float64)
     log_w = np.zeros(n_chains)
+    lin = np.empty(n_chains)
+    # act holds x W + c, then beta_{k-1} times it; act_1 beta_k times it,
+    # then its sigmoid
+    act, act_1, soft, soft_0, u_h, y = (np.empty((n_chains, h)) for _ in range(6))
+    drive, u_v, x_lat = (np.empty((n_chains, m)) for _ in range(3))
 
     for k in range(1, n_steps + 1):
         b0 = betas[k - 1]
         b1 = betas[k]
-        act = np.dot(x, wt) + ct
-        lin = np.dot(x, bias_step)
+        np.dot(x, wt, out=act)
+        act += ct
+        np.dot(x, bias_step, out=lin)
         if lateral is not None:
-            lin += 0.5 * np.einsum("ij,ij->i", np.dot(x, lateral), x)
-        act_1 = b1 * act
-        soft = softplus_log(act_1)
-        soft -= softplus_log(b0 * act)
+            lin += 0.5 * np.einsum("ij,ij->i", np.dot(x, lateral, out=x_lat), x)
+        np.multiply(act, b1, out=act_1)
+        np.multiply(act, b0, out=act)
+        softplus_log(act_1, out=soft)
+        soft -= softplus_log(act, out=soft_0)
         log_w += (b1 - b0) * lin + np.dot(soft, hidden_ones)
         if k < n_steps:
-            u_h = rng.random((n_chains, ct.shape[0]))
-            y = (u_h < _sigmoid(act_1)).astype(np.float64)
-            u_v = rng.random((n_chains, m))
-            drive = (1.0 - b1) * base_b + b1 * (np.dot(y, wt.T) + bt)
+            rng.random(out=u_h)
+            np.less(u_h, _sigmoid(act_1, out=act_1), out=y)
+            rng.random(out=u_v)
+            # drive = (1 - b1) b_base + b1 (y W' + b), built in place
+            np.dot(y, wt.T, out=drive)
+            drive += bt
+            drive *= b1
+            drive += (1.0 - b1) * base_b
             if lateral is None:
-                x = (u_v < _sigmoid(drive)).astype(np.float64)
+                np.less(u_v, _sigmoid(drive, out=drive), out=x)
             else:
-                x = srbm_sweep(x, b1 * lateral, drive, u_v)
+                srbm_sweep(x, b1 * lateral, drive, u_v)
     return log_w, x
 
 

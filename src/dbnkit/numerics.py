@@ -104,11 +104,22 @@ def logistic(x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def softplus_log(x):
-    """log(1 + exp(x)) computed as max(x, 0) + log1p(exp(-|x|))."""
+def softplus_log(x, out=None):
+    """log(1 + exp(x)) computed as log1p(exp(-|x|)) + max(x, 0).
+
+    Written into ``out`` (float64, x's shape, not x itself) if given; else
+    a scalar gives a Python float.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return float(out) if np.ndim(out) == 0 else out
+    scalar = out is None and x.ndim == 0
+    if out is None:
+        out = np.empty_like(x)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return float(out) if scalar else out
 
 
 def bernoulli_entropy(p):

@@ -1,5 +1,6 @@
 """Fixed-seed regression pins for the AIS kernels, the agreement of the
-binary body's factorial and lateral branches, and sweep ordering.
+binary body's factorial and lateral branches, sweep ordering, and the
+buffered binary body and ``out=`` helpers against allocating references.
 
 The pins guard the kernels' arithmetic and the order in which they draw
 random numbers: final states must match bit for bit (sha256 of their
@@ -13,7 +14,7 @@ import pytest
 
 from dbnkit import kernels
 from dbnkit.models import Grbm, Rbm, Srbm
-from dbnkit.numerics import RngStream
+from dbnkit.numerics import RngStream, softplus_log
 
 
 def _rbm_args(rng):
@@ -113,3 +114,103 @@ def test_srbm_sweep_is_sequential():
     out = kernels.srbm_sweep(x, lat, drive, u)
     assert out[0, 0] == 1.0
     assert out[0, 1] == 1.0  # lateral drive from the fresh unit 0 dominates
+
+
+def _reference_ais_binary(target, base, lateral, betas, n_chains, rng):
+    # the binary body as it was before its buffers: every array allocated
+    # anew each step, softplus and sigmoid in their allocating forms
+    def sigmoid(z):
+        return 0.5 * (np.tanh(0.5 * z) + 1.0)
+
+    def softplus(x):
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+    n_steps = betas.shape[0] - 1
+    base_b = base.visible_bias
+    wt, bt, ct = target.weights, target.visible_bias, target.hidden_bias
+    m = base_b.shape[0]
+    bias_step = bt - base_b
+    hidden_ones = np.ones(ct.shape[0])
+    x = (rng.random((n_chains, m)) < sigmoid(base_b)).astype(np.float64)
+    log_w = np.zeros(n_chains)
+    for k in range(1, n_steps + 1):
+        b0 = betas[k - 1]
+        b1 = betas[k]
+        act = np.dot(x, wt) + ct
+        lin = np.dot(x, bias_step)
+        if lateral is not None:
+            lin += 0.5 * np.einsum("ij,ij->i", np.dot(x, lateral), x)
+        act_1 = b1 * act
+        soft = softplus(act_1)
+        soft -= softplus(b0 * act)
+        log_w += (b1 - b0) * lin + np.dot(soft, hidden_ones)
+        if k < n_steps:
+            u_h = rng.random((n_chains, ct.shape[0]))
+            y = (u_h < sigmoid(act_1)).astype(np.float64)
+            u_v = rng.random((n_chains, m))
+            drive = (1.0 - b1) * base_b + b1 * (np.dot(y, wt.T) + bt)
+            if lateral is None:
+                x = (u_v < sigmoid(drive)).astype(np.float64)
+            else:
+                x = kernels.srbm_sweep(x, b1 * lateral, drive, u_v)
+    return log_w, x
+
+
+def _binary_pair(lateral, n_chains):
+    rng = np.random.default_rng(n_chains)
+    m, n = 8, 6
+    w = 0.8 * rng.standard_normal((m, n))
+    b, c, base_b = (0.5 * rng.standard_normal(k) for k in (m, n, m))
+    if not lateral:
+        return Rbm(w, b, c), Rbm(np.zeros((m, n)), base_b, np.zeros(n))
+    lat = 0.4 * rng.standard_normal((m, m))
+    lat = 0.5 * (lat + lat.T)
+    np.fill_diagonal(lat, 0.0)
+    return Srbm(w, b, c, lat), Srbm(np.zeros((m, n)), base_b, np.zeros(n), np.zeros((m, m)))
+
+
+@pytest.mark.parametrize("n_chains", [1, 7, 300])
+@pytest.mark.parametrize("fn,lateral", [(kernels.ais_rbm, False), (kernels.ais_srbm, True)])
+def test_buffered_binary_body_matches_allocating_reference(fn, lateral, n_chains):
+    target, base = _binary_pair(lateral, n_chains)
+    betas = np.linspace(0.0, 1.0, 31)
+    want_w, want_x = _reference_ais_binary(
+        target, base, target.lateral if lateral else None, betas, n_chains,
+        RngStream(5).generator())
+    log_w, x = fn(target, base, betas, n_chains, RngStream(5).generator())
+    assert log_w.tobytes() == want_w.tobytes()
+    assert x.tobytes() == want_x.tobytes()
+
+
+@pytest.mark.parametrize("fn,lateral", [(kernels.ais_rbm, False), (kernels.ais_srbm, True)])
+def test_buffered_binary_body_gives_zero_weights_for_its_base(fn, lateral):
+    _, base = _binary_pair(lateral, 300)
+    log_w, _ = fn(base, base, np.linspace(0.0, 1.0, 31), 300, RngStream(5).generator())
+    assert np.all(log_w == 0.0)
+
+
+def _wide_values():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal(199) * s for s in (1e-300, 1e-8, 1.0, 30.0, 800.0)])
+    return np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308]]).reshape(-1, 7)
+
+
+def test_softplus_out_matches_allocating_form():
+    x = _wide_values()
+    buf = np.empty_like(x)
+    assert softplus_log(x, out=buf) is buf
+    with np.errstate(over="ignore"):
+        want = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    assert buf.tobytes() == softplus_log(x).tobytes() == want.tobytes()
+    assert type(softplus_log(0.5)) is float
+    assert softplus_log(np.float64(-2.0)) == float(np.log1p(np.exp(-2.0)))
+
+
+def test_sigmoid_out_matches_allocating_form():
+    z = _wide_values()
+    buf = np.empty_like(z)
+    assert kernels._sigmoid(z, out=buf) is buf
+    want = 0.5 * (np.tanh(0.5 * z) + 1.0)
+    assert buf.tobytes() == kernels._sigmoid(z).tobytes() == want.tobytes()
+    # in place, as the binary body calls it
+    assert kernels._sigmoid(z, out=z).tobytes() == want.tobytes()

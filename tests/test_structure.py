@@ -1,6 +1,11 @@
-"""Structural rules of the package source, checked on its syntax tree."""
+"""Structural rules of the package source, checked on its syntax tree, and
+what importing the package loads."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import dbnkit
@@ -107,3 +112,55 @@ len(affinity)
 pool.map(fn, jobs)
 """
     assert sorted(worker_decisions(ast.parse(code))) == [3, 4, 5, 6, 7, 8, 9]
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent) + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy's import is about half of a CLI process's start; only the
+    # full-covariance baselines need it
+    out = run_fresh(f"""
+        import sys
+        import dbnkit, dbnkit.cli
+        print({LOADED_SCIPY})
+        """)
+    assert out.strip() == "[]"
+
+
+def test_full_covariance_densities_load_scipy_on_demand():
+    out = run_fresh(f"""
+        import sys
+        import numpy as np
+        from dbnkit import baselines, pipeline
+        from dbnkit.numerics import RngStream, log_sum_exp
+        assert {LOADED_SCIPY} == []
+
+        def gauss(x, cov):
+            sign, logdet = np.linalg.slogdet(cov)
+            maha = np.einsum("ij,ji->i", x, np.linalg.solve(cov, x.T))
+            return -0.5 * (maha + logdet + x.shape[1] * np.log(2 * np.pi))
+
+        x = np.random.default_rng(0).standard_normal((50, 3))
+        g = baselines.fit_gaussian(x)
+        np.testing.assert_allclose(g.log_density(x), gauss(x - g.mean, g.covariance), atol=1e-10)
+        spec = pipeline.synthetic_spec(7, kind="full_cov_mixture", dim=3, components=2)
+        ds = pipeline.synthesize(spec, 40, RngStream(1).generator())
+        mog = baselines.MogModel(spec["covariances"], spec["weights"])
+        want = log_sum_exp([gauss(ds.samples, c) + np.log(w)
+                            for c, w in zip(spec["covariances"], spec["weights"])], axis=0)
+        np.testing.assert_allclose(ds.true_log_density(ds.samples), want, atol=1e-10)
+        np.testing.assert_allclose(mog.log_density(ds.samples), want, atol=1e-10)
+        print("scipy.linalg" in sys.modules)
+        """)
+    assert out.strip() == "True"
