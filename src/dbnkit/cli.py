@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,15 +51,15 @@ def _write_meta(path, wall_time, **extra):
     _write_json(path, {"wall_time_seconds": wall_time, **extra})
 
 
-def _write_cv_table(path, table, fold_columns):
-    """A sigma cross-validation table as CSV, with a column per fold if asked."""
-    folds = len(table[0]["fold_losses"]) if fold_columns else 0
+def _write_cv_table(path, table):
+    """A sigma cross-validation table as CSV, with a column per fold."""
+    folds = len(table[0]["fold_losses"])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sigma", "mean_loss_bits"] + [f"fold{j}" for j in range(folds)])
         for row in table:
             writer.writerow([row["sigma"], f"{row['mean_loss']:.7g}"]
-                            + [f"{v:.7g}" for v in row["fold_losses"][:folds]])
+                            + [f"{v:.7g}" for v in row["fold_losses"]])
 
 
 def cmd_preprocess(cfg):
@@ -115,7 +116,7 @@ def _layer_specs(cfg, data):
         except BaselineError as exc:
             raise ConfigError(f"[layer.{i}] {exc}") from exc
         if table:
-            _write_cv_table(Path(cfg.out_dir) / f"cv_sigma_layer{i}.csv", table, True)
+            _write_cv_table(Path(cfg.out_dir) / f"cv_sigma_layer{i}.csv", table)
         specs.append(spec)
     return specs
 
@@ -126,7 +127,7 @@ def _train_baseline(cfg, dataset, out, started):
     except BaselineError as exc:
         raise ConfigError(f"[baseline] {exc}") from exc
     if table:
-        _write_cv_table(out / "cv_sigma_baseline.csv", table, False)
+        _write_cv_table(out / "cv_sigma_baseline.csv", table)
     baselines.save_baseline(model, out / "baseline.dbk")
     _write_meta(out / "train.meta.json", time.perf_counter() - started)
     print(f"fitted {cfg.baseline.kind} baseline -> {out / 'baseline.dbk'}")
@@ -155,18 +156,7 @@ def cmd_train(cfg):
         "label": cfg.label,
         "seed": cfg.seed,
         "layer_seeds": [c.seed for c in configs],
-        "train_configs": [
-            {
-                "cd_steps": c.cd_steps,
-                "epochs": c.epochs,
-                "lr_start": c.lr_start,
-                "lr_end": c.lr_end,
-                "momentum": c.momentum,
-                "weight_decay": c.weight_decay,
-                "batch_size": c.batch_size,
-            }
-            for c in configs
-        ],
+        "train_configs": [{k: v for k, v in asdict(c).items() if k != "seed"} for c in configs],
         "tool_version": __version__,
     }
     dbn.save_dbn(stack, out / "model", provenance=provenance)

@@ -1,12 +1,17 @@
 """Experiment configuration: sectioned key/value files, strictly validated.
 
 Unknown sections or keys are rejected before any work starts, so a typo
-cannot silently fall back to a default.  The resolved configuration (after
-command-line overrides) is hashed into every report.
+cannot silently fall back to a default.  The keys of ``[synthetic]``,
+``[baseline]``, ``[layer.N]`` and ``[layer.N.train]`` are the parameters of
+the objects that check them (``pipeline.synthetic_spec``,
+``baselines.BaselineSpec``, ``training.LayerSpec`` and ``TrainConfig``), so
+a parameter added there is a config key at once.  The resolved
+configuration (after command-line overrides) is hashed into every report.
 """
 
 import configparser
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -54,6 +59,18 @@ def _strs(v):
     return [p.strip() for p in v.split(",") if p.strip()]
 
 
+def _parameters(make, **rename):
+    """``make``'s parameters as config keys, renamed by ``rename`` and without
+    ``seed`` ([experiment] holds it).  Each is parsed by its annotation, or by
+    its default's type if it has none; a tuple is parsed by ``_floats``."""
+    keys = {}
+    for p in inspect.signature(make).parameters.values():
+        if p.name != "seed":
+            kind = type(p.default) if p.annotation is p.empty else p.annotation
+            keys[rename.get(p.name, p.name)] = _floats if kind is tuple else kind
+    return keys
+
+
 _SCHEMA = {
     "experiment": {
         "seed": non_negative_int,
@@ -72,27 +89,11 @@ _SCHEMA = {
         "n_train": positive_int,
         "n_test": positive_int,
     },
-    "synthetic": {
-        "kind": str,
-        "dim": int,
-        "components": int,
-        "sigma": float,
-        "spread": float,
-        "n_hidden": int,
-        "weight_scale": float,
-    },
+    "synthetic": _parameters(synthetic_spec),
     "layers": {
         "count": positive_int,
     },
-    "baseline": {
-        "kind": str,  # gaussian | moig | mog
-        "components": int,
-        "sigma": float,
-        "sigma_candidates": _floats,
-        "sigma_folds": int,
-        "em_iters": int,
-        "restarts": int,
-    },
+    "baseline": _parameters(BaselineSpec),
     "ais": {
         "n_betas": positive_int,
         "chains_top": positive_int,
@@ -115,26 +116,8 @@ _SCHEMA = {
     },
 }
 
-_LAYER_KEYS = {
-    "variant": str,
-    "hidden": int,
-    "sigma": float,
-    "sigma_candidates": _floats,
-    "sigma_folds": int,
-    "weight_scale": float,
-}
-
-_TRAIN_KEYS = {
-    "cd_steps": int,
-    "epochs": int,
-    "lr_start": float,
-    "lr_end": float,
-    "momentum": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "mean_field_steps": int,
-    "mean_field_damping": float,
-}
+_LAYER_KEYS = _parameters(LayerSpec, n_hidden="hidden")
+_TRAIN_KEYS = _parameters(TrainConfig)
 
 _DEFAULTS = {
     "experiment": {"seed": 0, "threads": None, "out_dir": "out", "label": "model"},

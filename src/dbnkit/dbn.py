@@ -56,12 +56,6 @@ class DbnModel:
     def top(self):
         return self.layers[-1]
 
-    def __len__(self):
-        return len(self.layers)
-
-    def __getitem__(self, i):
-        return self.layers[i]
-
 
 def feed_forward_sample(dbn, x0, rng):
     """Hidden states x1..x_{L-1}, drawn layer by layer from q_l(x_l | x_{l-1}).

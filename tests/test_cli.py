@@ -1,15 +1,18 @@
 import json
 import os
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dbnkit import cli
+from dbnkit.config import _LAYER_KEYS, _SCHEMA, _TRAIN_KEYS
 from dbnkit.dbn import load_dbn
 from dbnkit.pipeline import DataSet, load_dataset, save_dataset, save_images
 from dbnkit.storage import canonical_json, write_container
+from dbnkit.training import TrainConfig
 
 
 def write_config(path, body):
@@ -161,6 +164,26 @@ def test_unknown_config_key_is_config_error(workspace, capsys, section, key):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+def _readme_config_keys():
+    """Section -> keys of README's "Config format" block; ``;`` keys count."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    sections = {}
+    for line in block.splitlines():
+        line = line.lstrip("; ").split("#", 1)[0].strip()
+        if line.startswith("["):
+            keys = sections.setdefault(line.strip("[]"), set())
+        elif "=" in line:
+            keys.add(line.split("=", 1)[0].strip())
+    return sections
+
+
+def test_readme_lists_every_config_key():
+    accepted = {section: set(keys) for section, keys in _SCHEMA.items()}
+    accepted.update({"layer.0": set(_LAYER_KEYS), "layer.0.train": set(_TRAIN_KEYS)})
+    assert _readme_config_keys() == accepted
+
+
 def test_train_writes_loadable_model(workspace):
     import time
 
@@ -193,6 +216,19 @@ def test_train_deterministic(workspace):
         a = (workspace / "runa" / "model" / name).read_bytes()
         b = (workspace / "runb" / "model" / name).read_bytes()
         assert a == b
+
+
+def test_manifest_records_every_train_setting(workspace):
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    text = Path(train_config(workspace, epochs=1)).read_text()
+    path = workspace / "mean_field.ini"
+    path.write_text(text.replace("[layer.1.train]\n", "[layer.1.train]\nmean_field_steps = 7\n"))
+    assert cli.main(["train", "--config", str(path)]) == 0
+    manifest = json.loads((workspace / "run" / "model" / "manifest.json").read_text())
+    entries = manifest["provenance"]["train_configs"]
+    settings = {f.name for f in fields(TrainConfig)} - {"seed"}
+    assert [set(entry) for entry in entries] == [settings, settings]
+    assert [entry["mean_field_steps"] for entry in entries] == [TrainConfig().mean_field_steps, 7]
 
 
 def test_eval_reports_true_and_estimated(workspace):
@@ -1024,8 +1060,10 @@ def test_baseline_fit_eval_and_compare(workspace):
         assert report["exact_density"] is True
         assert 0.0 < report["bits_per_component"] < 20.0
         report_paths.append(str(workspace / f"ev_{kind}" / "report.json"))
-    # the moig cross-validation table was emitted
-    assert (workspace / "bl_moig" / "cv_sigma_baseline.csv").exists()
+    # the moig cross-validation table was emitted, with a column per fold
+    rows = (workspace / "bl_moig" / "cv_sigma_baseline.csv").read_text().splitlines()
+    assert rows[0] == "sigma,mean_loss_bits,fold0,fold1"
+    assert [len(row.split(",")) for row in rows[1:]] == [4, 4, 4]
 
     cmp_cfg = write_config(
         workspace / "cmp_bl.ini",
