@@ -13,30 +13,13 @@ never sampled.
 
 import numpy as np
 
-from .numerics import softplus_log
+from .numerics import logistic, softplus_log
 
 
 def backend_name() -> str:
     """Name of the kernel implementation; perfbench/run.py records it in
     each result's machine block."""
     return "numpy"
-
-
-def _sigmoid(z, out=None):
-    # tanh form, kept local rather than numerics.logistic: on the
-    # (n_chains,) vectors of the sequential sweep it measured about 5x
-    # faster (72 vs 400 us at 20000 chains, 2-vCPU Xeon), and the sweep
-    # calls it once a unit: on a demo interface chunk (3334 chains, 8
-    # units, buffered step of 1.5-1.9 ms) a step's time goes 28% to the
-    # random draws, 24% to the sweep, 22% to the weights and 17% to the
-    # softplus terms.  Its relative error reaches 1.7e-4 at z = -30 (3e-16
-    # for logistic), too coarse to replace logistic elsewhere.  With
-    # ``out`` (z's shape, may be z) it writes there.
-    out = np.multiply(z, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
 
 
 def srbm_sweep(x, lateral, drive, u):
@@ -49,7 +32,7 @@ def srbm_sweep(x, lateral, drive, u):
     m = x.shape[1]
     for i in range(m):
         logits = np.dot(x, lateral[i]) + drive[:, i]
-        x[:, i] = (u[:, i] < _sigmoid(logits)).astype(np.float64)
+        x[:, i] = (u[:, i] < logistic(logits, out=logits)).astype(np.float64)
     return x
 
 
@@ -67,17 +50,19 @@ def _ais_binary(target, base, lateral, betas, n_chains, rng):
     weights (base partition function not included) and the final visible
     states, distributed near the target.
 
-    Every ``(n_chains, h)`` and ``(n_chains, m)`` array is allocated once
-    and refilled in place (``out=``) each step; softplus_log's max(x, 0)
-    is the one temporary of that size.  A demo chunk's arrays are 213 KB
-    (3334 chains x 8 units), above glibc's initial 128 KiB mmap threshold:
-    allocated anew each step they are mapped and unmapped, or, once a
-    freed map has raised the threshold, grow and trim the heap top, and
-    every fresh page faults.  In the forked workers of 20000 chains x 300
-    betas (2 workers, 2-vCPU Xeon) that was 224k minor faults and 0.6 s
-    system time in a process that had not imported scipy (whose import
-    raises the threshold) and 82k and 0.25 s in one that had; with the
-    buffers it is 5.2-5.5k and 0.02 s either way.
+    Every ``(n_chains, h)`` and ``(n_chains, m)`` array the step keeps is
+    allocated once and refilled in place (``out=``); the temporaries of that
+    size are softplus_log's max(x, 0) and logistic's sign mask and
+    denominator.  A demo chunk's arrays are 213 KB (3334 chains x 8 units),
+    above glibc's initial 128 KiB mmap threshold: allocated anew each step
+    they are mapped and unmapped, or, once a freed map has raised the
+    threshold, grow and trim the heap top, and every fresh page faults.  In
+    the forked workers of 20000 chains x 300 betas (2 workers, 2-vCPU Xeon)
+    that was 224k minor faults and 0.6 s system time in a process that had
+    not imported scipy (whose import raises the threshold) and 82k and
+    0.25 s in one that had; with the buffers it is 5.2-5.5k and 0.02 s
+    either way, with logistic's temporaries as with the tanh sigmoid
+    before them (2.7k and 0.01 s a worker on the demo's layer 1).
     """
     n_steps = betas.shape[0] - 1
     base_b = base.visible_bias
@@ -86,7 +71,7 @@ def _ais_binary(target, base, lateral, betas, n_chains, rng):
     bias_step = bt - base_b
     hidden_ones = np.ones(h)
 
-    x = (rng.random((n_chains, m)) < _sigmoid(base_b)).astype(np.float64)
+    x = (rng.random((n_chains, m)) < logistic(base_b)).astype(np.float64)
     log_w = np.zeros(n_chains)
     lin = np.empty(n_chains)
     # act holds x W + c, then beta_{k-1} times it; act_1 beta_k times it,
@@ -109,7 +94,7 @@ def _ais_binary(target, base, lateral, betas, n_chains, rng):
         log_w += (b1 - b0) * lin + np.dot(soft, hidden_ones)
         if k < n_steps:
             rng.random(out=u_h)
-            np.less(u_h, _sigmoid(act_1, out=act_1), out=y)
+            np.less(u_h, logistic(act_1, out=act_1), out=y)
             rng.random(out=u_v)
             # drive = (1 - b1) b_base + b1 (y W' + b), built in place
             np.dot(y, wt.T, out=drive)
@@ -117,7 +102,7 @@ def _ais_binary(target, base, lateral, betas, n_chains, rng):
             drive *= b1
             drive += (1.0 - b1) * base_b
             if lateral is None:
-                np.less(u_v, _sigmoid(drive, out=drive), out=x)
+                np.less(u_v, logistic(drive, out=drive), out=x)
             else:
                 srbm_sweep(x, b1 * lateral, drive, u_v)
     return log_w, x
@@ -158,7 +143,7 @@ def ais_grbm(target, base, betas, n_chains, rng):
         log_w += (b1 - b0) * (quad_base - quad_target) + np.dot(soft, hidden_ones)
         if k < n_steps:
             u_h = rng.random((n_chains, ct.shape[0]))
-            y = (u_h < _sigmoid(act_1)).astype(np.float64)
+            y = (u_h < logistic(act_1, out=act_1)).astype(np.float64)
             # gaussian visible conditional of the augmented machine
             lam = (1.0 - b1) / (base_sigma * base_sigma) + b1 / (sigma_t * sigma_t)
             mean = (

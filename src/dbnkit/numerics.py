@@ -96,12 +96,25 @@ def log_mean_exp(values, axis=None):
     return log_sum_exp(values, axis=axis) - np.log(n)
 
 
-def logistic(x):
-    """1 / (1 + exp(-x)), saturating cleanly for |x| up to 1e6 and beyond."""
+def logistic(x, out=None):
+    """1 / (1 + exp(-x)), saturating cleanly for |x| up to 1e6 and beyond,
+    as max(e, x >= 0) / (1 + e) with e = exp(-|x|).
+
+    Written into ``out`` (float64, x's shape, may be x itself) if given;
+    else a scalar gives a Python float.
+    """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    return float(out) if np.ndim(out) == 0 else out
+    scalar = out is None and x.ndim == 0
+    positive = x >= 0  # taken before out, which may be x, is overwritten
+    if out is None:
+        out = np.empty_like(x)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    denominator = out + 1.0
+    np.maximum(out, positive, out=out)
+    out /= denominator
+    return float(out) if scalar else out
 
 
 def softplus_log(x, out=None):

@@ -481,7 +481,8 @@ def train_dbn_greedy(layer_specs, data, configs, log_dir=None):
                     current = layer.sample_hidden(current, rng)
                 return current
 
-            layer_data = provider(0)
+            # train_layer draws every epoch's input, epoch 0's included
+            layer_data = None
         log_path = None
         if log_dir is not None:
             log_path = f"{log_dir}/train_layer_{idx:02d}.csv"

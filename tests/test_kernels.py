@@ -1,6 +1,7 @@
 """Fixed-seed regression pins for the AIS kernels, the agreement of the
 binary body's factorial and lateral branches, sweep ordering, and the
-buffered binary body and ``out=`` helpers against allocating references.
+buffered binary body and the ``out=`` forms of softplus and logistic
+against allocating references.
 
 The pins guard the kernels' arithmetic and the order in which they draw
 random numbers: final states must match bit for bit (sha256 of their
@@ -14,7 +15,7 @@ import pytest
 
 from dbnkit import kernels
 from dbnkit.models import Grbm, Rbm, Srbm
-from dbnkit.numerics import RngStream, softplus_log
+from dbnkit.numerics import RngStream, logistic, softplus_log
 
 
 def _rbm_args(rng):
@@ -206,11 +207,14 @@ def test_softplus_out_matches_allocating_form():
     assert softplus_log(np.float64(-2.0)) == float(np.log1p(np.exp(-2.0)))
 
 
-def test_sigmoid_out_matches_allocating_form():
-    z = _wide_values()
-    buf = np.empty_like(z)
-    assert kernels._sigmoid(z, out=buf) is buf
-    want = 0.5 * (np.tanh(0.5 * z) + 1.0)
-    assert buf.tobytes() == kernels._sigmoid(z).tobytes() == want.tobytes()
-    # in place, as the binary body calls it
-    assert kernels._sigmoid(z, out=z).tobytes() == want.tobytes()
+def test_logistic_out_matches_allocating_form():
+    x = _wide_values()
+    buf = np.empty_like(x)
+    assert logistic(x, out=buf) is buf
+    e = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    assert buf.tobytes() == logistic(x).tobytes() == want.tobytes()
+    # in place, as the kernels call it
+    assert logistic(x, out=x).tobytes() == want.tobytes()
+    assert type(logistic(0.5)) is float
+    assert logistic(np.float64(-2.0)) == float(np.exp(-2.0) / (1.0 + np.exp(-2.0)))

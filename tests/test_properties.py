@@ -50,7 +50,11 @@ def _two_exp_logistic(x):
 @PROPERTY
 @given(arrays(np.float64, st.integers(1, 50), elements=st.floats(allow_nan=False)))
 def test_logistic_matches_two_exp_form(x):
-    assert np.array_equal(logistic(x), _two_exp_logistic(x))
+    want = _two_exp_logistic(x)
+    assert np.array_equal(logistic(x), want)
+    buf = np.empty_like(x)
+    assert logistic(x, out=buf) is buf and np.array_equal(buf, want)
+    assert logistic(x, out=x) is x and np.array_equal(x, want)
 
 
 @PROPERTY

@@ -1,21 +1,29 @@
-"""Structural rules of the package source, checked on its syntax tree, and
-what importing the package loads."""
+"""Structural rules of the package source, checked on its syntax tree, what
+importing the package loads, and what the tests and benchmark import."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import dbnkit
 
 SRC = Path(dbnkit.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # calls that read or write a file's raw bytes whatever their arguments
 BYTE_CALLS = {"read_bytes", "write_bytes", "fromfile", "tofile"}
 # names that read the CPU set or start a pool of worker processes
 WORKER_NAMES = {"sched_getaffinity", "cpu_count", "ProcessPoolExecutor", "Pool"}
+# a function whose name holds one of these words is a sigmoid, and so is a
+# call of one of these
+SIGMOID_WORDS = ("sigmoid", "logistic")
+SIGMOID_CALLS = {"tanh", "expit"}
 
 
 def _is_binary_mode(mode):
@@ -114,6 +122,54 @@ pool.map(fn, jobs)
     assert sorted(worker_decisions(ast.parse(code))) == [3, 4, 5, 6, 7, 8, 9]
 
 
+def sigmoid_definitions(tree):
+    """Line numbers where a module defines a function named like a sigmoid
+    (or binds such a name to a lambda) or calls tanh or expit."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in SIGMOID_CALLS:
+                yield node.lineno
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        if any(word in name.lower() for name in names for word in SIGMOID_WORDS):
+            yield node.lineno
+
+
+def test_only_numerics_defines_a_sigmoid():
+    found = {
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "numerics.py"
+        for line in sigmoid_definitions(ast.parse(path.read_text()))
+    }
+    assert not found, f"sigmoid outside numerics.logistic: {sorted(found)}"
+
+
+def test_the_rule_sees_each_form_of_sigmoid():
+    code = """
+def _sigmoid(z, out=None):
+    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+def logistic_rows(x):
+    pass
+Sigmoid = lambda z: 1.0 / (1.0 + np.exp(-z))
+np.tanh(z, out=z)
+tanh(z)
+scipy.special.expit(z)
+p = logistic(x, out=x)
+sigmoid_of_act = act
+def log_loss(x):
+    pass
+"""
+    assert sorted(sigmoid_definitions(ast.parse(code))) == [2, 3, 4, 6, 7, 8, 9]
+
+
 def run_fresh(code):
     """Run ``code`` in a new interpreter that imports this checkout's package."""
     path = os.environ.get("PYTHONPATH")
@@ -164,3 +220,28 @@ def test_full_covariance_densities_load_scipy_on_demand():
         print("scipy.linalg" in sys.modules)
         """)
     assert out.strip() == "True"
+
+
+def imported_top_levels(path):
+    """Top-level names of a source file's absolute imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_tests_and_benchmark_import_only_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {project["name"]} | {
+        re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements
+    }
+    undeclared = set()
+    for path in sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py")):
+        # a sibling module, as perfbench's scripts import each other
+        known = declared | sys.stdlib_module_names | {p.stem for p in path.parent.glob("*.py")}
+        undeclared |= {f"{path.parent.name}/{path.name}: {name}"
+                       for name in imported_top_levels(path) if name not in known}
+    assert not undeclared, f"imports missing from pyproject.toml: {sorted(undeclared)}"

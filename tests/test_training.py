@@ -347,6 +347,28 @@ def test_greedy_zero_epoch_second_layer_keeps_likelihood():
     assert two == pytest.approx(one, abs=1e-10)
 
 
+def test_greedy_draws_each_upper_epoch_input_once(monkeypatch):
+    # the second layer's input is sampled through layer 0 once an epoch,
+    # epoch 0 included, and never once more before training starts
+    callers = []
+    sample_hidden = models.LayerModel.sample_hidden
+
+    def counting(self, x, rng):
+        callers.append(self)
+        return sample_hidden(self, x, rng)
+
+    monkeypatch.setattr(models.LayerModel, "sample_hidden", counting)
+    rng = RngStream(46).generator()
+    data = (rng.random((40, 4)) < 0.5).astype(float)
+    epochs = 3
+    cfg1 = TrainConfig(epochs=2, batch_size=20, seed=8)
+    cfg2 = TrainConfig(epochs=epochs, batch_size=20, seed=9)
+    stack, _ = train_dbn_greedy(
+        [LayerSpec("rbm", 3), LayerSpec("rbm", 2)], data, [cfg1, cfg2]
+    )
+    assert sum(caller is stack.layers[0] for caller in callers) == epochs
+
+
 def test_greedy_never_mutates_lower_layers():
     rng = RngStream(45).generator()
     data = 0.5 * rng.standard_normal((60, 3))
