@@ -35,10 +35,11 @@ from .models import (
     SRBM,
     EnumerationBudgetError,
     ModelError,
-    binary_states,
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
     enumeration_bits,
+    state_chunks,
+    state_index,
 )
 from .numerics import (
     LogEstimate,
@@ -50,8 +51,12 @@ from .numerics import (
 
 # the largest number of chains in one AIS chunk (see run_ais)
 AIS_CHUNK = 4096
-# points per job of the path estimator's worker processes
+# points per job of the path estimator's worker processes, and states per
+# marginal-provider call while a path table is built
 PATH_BLOCK = 64
+# cells (8 MB) a path table may hold: 2^h states x (2 + the next layer's
+# hidden units); a wider layer's paths are evaluated row by row
+PATH_TABLE_CELLS = 2 ** 20
 # cells (rows x components, 8 MB) of the potential log-loss's reused block
 POTENTIAL_BLOCK = 2 ** 20
 
@@ -342,10 +347,49 @@ class AisMarginals(_TableMarginals):
         return values
 
     def mean_standard_error(self):
-        """Average relative SE over the distinct states estimated so far."""
+        """Average relative SE over the distinct states estimated so far.
+
+        A layer the path estimator tabulates counts each of its 2^h states
+        once, visited by a path or not."""
         if not self.standard_errors:
             return 0.0
         return float(np.mean(self.standard_errors))
+
+
+def _path_table(dbn, marginal_provider, l):
+    """``(ratio, cond)`` over the 2^h states of layer ``l``'s hidden units, in
+    ascending ``state_index`` order: ratio = log q_{l+1}*(s) - log q_l*(s),
+    and cond = q_{l+1}(y = 1 | s) when layer l + 1 is interior, else None.
+    None when the table would exceed PATH_TABLE_CELLS.  The provider is
+    called on blocks of at most PATH_BLOCK states, which keeps an AIS
+    reweighting's temporaries small."""
+    h = dbn.layers[l].n_hidden
+    upper = dbn.layers[l + 1]
+    width = upper.n_hidden if l + 2 < dbn.n_layers else 0
+    if 2 ** h * (2 + width) > PATH_TABLE_CELLS:
+        return None
+    ratio = np.empty(2 ** h)
+    cond = np.empty((2 ** h, width)) if width else None
+    start = 0
+    for chunk in state_chunks(h, PATH_TABLE_CELLS, "a path table"):
+        for lo in range(0, len(chunk), PATH_BLOCK):
+            states = chunk[lo : lo + PATH_BLOCK]
+            rows = slice(start, start + len(states))
+            ratio[rows] = upper.log_unnorm_visible(states) - marginal_provider(l, states)
+            if cond is not None:
+                cond[rows] = upper.hidden_conditional(states)
+            start += len(states)
+    return ratio, cond
+
+
+def _path_tables(dbn, marginal_provider):
+    """Each interior layer's ``_path_table`` (None above the cap), built on
+    the first call for this provider and stack and kept on the provider."""
+    kept = getattr(marginal_provider, "_path_tables", None)
+    if kept is None or kept[0] is not dbn:
+        kept = dbn, [_path_table(dbn, marginal_provider, l) for l in range(dbn.n_layers - 1)]
+        marginal_provider._path_tables = kept
+    return kept[1]
 
 
 def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng):
@@ -356,6 +400,11 @@ def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng
     marginal to the current layer's hidden marginal, and the paths are
     averaged in the linear domain.  The returned standard error covers
     the path-sampling variance only.
+
+    A narrow interior layer is tabulated: its ratio and the next layer's
+    conditional are computed once per provider and stack for each of its
+    2^h states (see ``_path_table``), and every path reads them by the code
+    of its state.  A layer too wide for a table evaluates them per path.
     """
     if n_is < 1:
         raise EstimationError("need at least one importance sample")
@@ -367,13 +416,21 @@ def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng
     if dbn.n_layers == 1:
         return LogEstimate(base_term, 0.0, n_is)
 
-    current = np.broadcast_to(x0, (n_is, x0.size))
+    tables = _path_tables(dbn, marginal_provider)
+    p = first.hidden_conditional(x0)
     log_w = np.zeros(n_is)
-    for l in range(dbn.n_layers - 1):
-        layer = dbn.layers[l]
-        upper = dbn.layers[l + 1]
-        current = np.atleast_2d(layer.sample_hidden(current, rng))
-        log_w += upper.log_unnorm_visible(current) - marginal_provider(l, current)
+    for l, table in enumerate(tables):
+        drawn = rng.random((n_is, dbn.layers[l].n_hidden)) < p
+        if table is None:
+            current = drawn.astype(np.float64)
+            upper = dbn.layers[l + 1]
+            log_w += upper.log_unnorm_visible(current) - marginal_provider(l, current)
+            p = upper.hidden_conditional(current) if l + 2 < dbn.n_layers else None
+        else:
+            ratio, cond = table
+            code = state_index(drawn)
+            log_w += ratio[code]
+            p = None if cond is None else cond[code]
     est = monte_carlo_se(log_w)
     return LogEstimate(base_term + est.log_value, est.standard_error, n_is)
 
@@ -382,10 +439,12 @@ def _path_block(job):
     """Estimates for consecutive points; ``job`` is
     (dbn, rows, first_index, n_is, marginal_provider, log_z_top, stream)."""
     dbn, rows, first, n_is, marginal_provider, log_z_top, stream = job
+    if dbn.n_layers == 1:
+        values = dbn.layers[0].log_unnorm_visible(rows) - log_z_top.log_value
+        return [LogEstimate(float(v), 0.0, n_is) for v in values]
     return [
         estimate_dbn_log_likelihood(
-            dbn, x, n_is, marginal_provider, log_z_top,
-            stream.substream(13, first + k) if dbn.n_layers > 1 else None,
+            dbn, x, n_is, marginal_provider, log_z_top, stream.substream(13, first + k)
         )
         for k, x in enumerate(rows)
     ]
@@ -396,14 +455,21 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
     """Per-sample estimates over a dataset, one RNG substream per sample,
     and the number of worker processes that drew them.
 
-    Blocks of PATH_BLOCK points run in up to ``threads`` worker processes
-    (None: the CPU affinity set) when the stack draws paths and its
-    marginals are analytic, a pure function of the state.  Otherwise all
-    points are one block, which runs in this process: the table providers
-    fill their memo and standard errors here.  Every point keeps its
-    substream, so the estimates are the same at any count.
+    The provider's path tables are built here, before any point is drawn,
+    so every worker reads the same ones.  Blocks of PATH_BLOCK points run
+    in up to ``threads`` worker processes (None: the CPU affinity set) when
+    the stack draws paths and its marginals are analytic, a pure function
+    of the state.  Otherwise all points are one block, which runs in this
+    process: the table providers fill their memo and standard errors here,
+    and a one-layer stack is one evaluation of its visible marginal.
+    Every point keeps its substream, so the estimates are the same at any
+    count.
     """
+    if n_is < 1:
+        raise EstimationError("need at least one importance sample")
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if dbn.n_layers > 1:
+        _path_tables(dbn, marginal_provider)
     spread = isinstance(marginal_provider, AnalyticMarginals) and dbn.n_layers > 1
     block = PATH_BLOCK if spread else max(1, data.shape[0])
     jobs = [
@@ -418,9 +484,12 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
 class EvalResult:
     """Per-sample log p(x) estimates in nats with their path-sampling SEs, the
     top log Z, how it and the marginals were obtained (``ais``), and the
-    brute-force values when the stack was enumerated.  ``stages`` holds the
-    wall seconds of "log_z_top", each "ais_interface[<i>]", "paths" and
-    "brute_force"; ``workers`` is the most worker processes any stage used."""
+    brute-force values when the stack was enumerated.  With AIS marginals,
+    ``ais["marginal_se_mean"]`` averages the relative SE of every distinct
+    state estimated; a tabulated layer counts each of its 2^h states once.
+    ``stages`` holds the wall seconds of "log_z_top", each
+    "ais_interface[<i>]", "paths" and "brute_force"; ``workers`` is the
+    most worker processes any stage used."""
 
     log_values: np.ndarray
     standard_errors: np.ndarray
@@ -533,13 +602,15 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
     return EvalResult(log_values, ses, log_z_top, ais, brute_force, stages, workers)
 
 
-def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):
+def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False,
+                         budget=DEFAULT_ENUM_BUDGET):
     """Variational lower bound on log p(x) for a two-layer stack.
 
     Averages log r*(y) q(x | y) over y drawn from the factorial posterior
     of the first layer, adds the analytic Bernoulli entropy, and subtracts
     the top log partition function.  With ``exact=True`` the expectation
-    is enumerated over all hidden states instead of sampled.
+    is enumerated over all hidden states instead of sampled, in blocks;
+    more than ``budget`` states raise EnumerationBudgetError.
     """
     if dbn.n_layers != 2:
         raise EstimationError("the bound is defined for a two-layer view")
@@ -553,19 +624,19 @@ def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):
     entropy = float(bernoulli_entropy(p))
 
     if exact:
-        ys = binary_states(first.n_hidden)
         # floor keeps 0 * log(0) out of the dot products; such states get
         # weight exp(-736) == 0 anyway
         log_p = np.log(np.maximum(p, 1e-320))
         log_q = np.log(np.maximum(1.0 - p, 1e-320))
-        weights = np.exp(ys @ log_p + (1.0 - ys) @ log_q)
-        vals = top.log_unnorm_visible(ys) + first.log_visible_conditional(
-            np.broadcast_to(x, (len(ys), x.size)), ys
-        )
-        keep = weights > 0
-        expect = float(np.sum(weights[keep] * vals[keep]))
-        se = 0.0
-        n_used = int(keep.sum())
+        expect, se, n_used = 0.0, 0.0, 0
+        for ys in state_chunks(first.n_hidden, budget, "the exact lower bound"):
+            weights = np.exp(ys @ log_p + (1.0 - ys) @ log_q)
+            vals = top.log_unnorm_visible(ys) + first.log_visible_conditional(
+                np.broadcast_to(x, (len(ys), x.size)), ys
+            )
+            keep = weights > 0
+            expect += float(np.sum(weights[keep] * vals[keep]))
+            n_used += int(keep.sum())
     else:
         if n_samples < 1:
             raise EstimationError("need at least one posterior sample")

@@ -30,8 +30,9 @@ from dbnkit.models import (
     binary_states,
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
+    state_index,
 )
-from dbnkit.numerics import LOG2, RngStream
+from dbnkit.numerics import LOG2, LogEstimate, RngStream, monte_carlo_se
 from dbnkit.oracle import exact_log_z, random_grbm, random_rbm, random_srbm
 from dbnkit.training import init_srbm_from_grbm
 
@@ -502,6 +503,121 @@ def test_dead_path_worker_is_estimation_error(monkeypatch):
                        **dict(EVAL_KNOBS, threads=2))
 
 
+# -- path tables -------------------------------------------------------------------
+
+
+def per_row_reference(dbn, x0, n_is, marginal_provider, log_z_top, rng):
+    """The path estimator without tables: every layer's ratio and the next
+    draw's conditional evaluated on all n_is rows of the point."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    first = dbn.layers[0]
+    base_term = float(first.log_unnorm_visible(x0)) - log_z_top.log_value
+    current = np.broadcast_to(x0, (n_is, x0.size))
+    log_w = np.zeros(n_is)
+    for l in range(dbn.n_layers - 1):
+        layer = dbn.layers[l]
+        upper = dbn.layers[l + 1]
+        current = np.atleast_2d(layer.sample_hidden(current, rng))
+        log_w += upper.log_unnorm_visible(current) - marginal_provider(l, current)
+    est = monte_carlo_se(log_w)
+    return LogEstimate(base_term + est.log_value, est.standard_error, n_is)
+
+
+def providers_of(case, stack):
+    """Two fresh providers of one kind, so the reference and the tables each fill their own."""
+    if case == "analytic":
+        return AnalyticMarginals(stack), AnalyticMarginals(stack)
+    if case == "exact":
+        return ExactMarginals(stack), ExactMarginals(stack)
+    run = run_ais(stack.layers[1], AisSchedule(linear_betas(20), 300, fit_base_model(stack.layers[1])),
+                  RngStream(110))
+    return AisMarginals(stack, {1: run}), AisMarginals(stack, {1: run})
+
+
+def assert_matches_reference(stack, x, provider, reference, n_is=50):
+    z, stream = exact_log_z(stack.top), RngStream(111)
+    for i, point in enumerate(x):
+        got = estimate_dbn_log_likelihood(stack, point, n_is, provider, z, stream.substream(13, i))
+        want = per_row_reference(stack, point, n_is, reference, z, stream.substream(13, i))
+        assert got.log_value == pytest.approx(want.log_value, abs=1e-12)
+        assert got.standard_error == pytest.approx(want.standard_error, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["analytic", "exact", "ais"])
+def test_path_tables_match_the_per_row_reference(monkeypatch, case):
+    stack, x = rbm_paths_stack(monkeypatch) if case == "analytic" else small_three_layer_stack()
+    provider, reference = providers_of(case, stack)
+    assert_matches_reference(stack, x, provider, reference)
+    assert all(t is not None for t in estimation._path_tables(stack, provider))
+    if case == "ais":
+        # every state of the tabulated layer counts once
+        assert len(provider.standard_errors) == 2 ** stack.layers[1].n_hidden
+
+
+class CountingMarginals(AnalyticMarginals):
+    """Analytic marginals that record the codes of every call's states."""
+
+    def __init__(self, dbn):
+        super().__init__(dbn)
+        self.calls = []
+
+    def __call__(self, layer_index, states):
+        self.calls.append((layer_index, state_index(states)))
+        return super().__call__(layer_index, states)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_provider_is_called_only_while_a_table_is_built(monkeypatch, threads):
+    stack, x = rbm_paths_stack(monkeypatch)
+    provider = CountingMarginals(stack)
+    z = exact_log_z(stack.top)
+    _, workers = estimation.estimate_dataset_log_likelihood(
+        stack, x, 20, provider, z, RngStream(112), threads=threads)
+    assert workers == threads
+    # the tables are built in this process, each state once, in ascending
+    # code order, PATH_BLOCK (here 4) states at most a call
+    for l in range(stack.n_layers - 1):
+        calls = [codes for layer, codes in provider.calls if layer == l]
+        assert max(map(len, calls)) <= estimation.PATH_BLOCK
+        assert np.array_equal(np.concatenate(calls), np.arange(2 ** stack.layers[l].n_hidden))
+    built = len(provider.calls)
+    estimation.estimate_dataset_log_likelihood(stack, x, 20, provider, z, RngStream(113),
+                                               threads=1)
+    estimate_dbn_log_likelihood(stack, x[0], 20, provider, z, RngStream(114).generator())
+    assert len(provider.calls) == built
+
+
+@pytest.mark.parametrize("cap, tabulated", [(40, [False, True]), (15, [False, False])])
+def test_layers_over_the_table_cap_draw_row_by_row(monkeypatch, cap, tabulated):
+    # layer 0 has 2^4 states x (2 + 3) cells, layer 1 2^3 x 2
+    monkeypatch.setattr(estimation, "PATH_TABLE_CELLS", cap)
+    stack, x = rbm_paths_stack(monkeypatch)
+    provider = AnalyticMarginals(stack)
+    assert [t is not None for t in estimation._path_tables(stack, provider)] == tabulated
+    assert_matches_reference(stack, x, provider, AnalyticMarginals(stack))
+    knobs = dict(EVAL_KNOBS, exact="auto", marginals="auto", budget=2 ** 10)
+    results = [evaluate_stack(stack, x, **dict(knobs, threads=t)) for t in (1, 2, 3)]
+    assert [r.workers for r in results] == [1, 2, 3]
+    for r in results[1:]:
+        assert np.array_equal(r.log_values, results[0].log_values)
+        assert np.array_equal(r.standard_errors, results[0].standard_errors)
+
+
+def test_one_layer_stack_is_one_evaluation(monkeypatch):
+    stack, x = rbm_paths_stack(monkeypatch)
+    stack = DbnModel(stack.layers[:1])
+    z = exact_log_z(stack.top)
+    estimates, workers = estimation.estimate_dataset_log_likelihood(
+        stack, x, 7, AnalyticMarginals(stack), z, RngStream(115), threads=2)
+    assert workers == 1
+    want = [float(stack.top.log_unnorm_visible(point)) - z.log_value for point in x]
+    assert [e.log_value for e in estimates] == pytest.approx(want, abs=1e-12)
+    assert {(e.standard_error, e.n_samples) for e in estimates} == {(0.0, 7)}
+    with pytest.raises(EstimationError, match="at least one importance sample"):
+        estimation.estimate_dataset_log_likelihood(stack, x, 0, AnalyticMarginals(stack), z,
+                                                   RngStream(115))
+
+
 # -- lower bound -------------------------------------------------------------------
 
 
@@ -522,6 +638,19 @@ def test_lower_bound_monte_carlo_matches_exact():
         stack, x, 20000, exact_log_z(top), RngStream(99).generator()
     )
     assert abs(mc.log_value - exact.log_value) < 4 * mc.standard_error + 1e-3
+
+
+def test_exact_lower_bound_keeps_to_its_budget():
+    rng = RngStream(98).generator()
+    first = random_rbm(rng, m=4, n=3, scale=0.5)
+    top = random_rbm(rng, m=3, n=3, scale=0.5)
+    stack = DbnModel([first, top])
+    x = (rng.random(4) < 0.5).astype(float)
+    z = exact_log_z(top)
+    at_budget = estimate_lower_bound(stack, x, None, z, None, exact=True, budget=2 ** 3)
+    assert at_budget == estimate_lower_bound(stack, x, None, z, None, exact=True)
+    with pytest.raises(EnumerationBudgetError, match=r"2\^3 states, above the budget of 7"):
+        estimate_lower_bound(stack, x, None, z, None, exact=True, budget=2 ** 3 - 1)
 
 
 # -- potential log loss --------------------------------------------------------------

@@ -24,6 +24,8 @@ WORKER_NAMES = {"sched_getaffinity", "cpu_count", "ProcessPoolExecutor", "Pool"}
 # call of one of these
 SIGMOID_WORDS = ("sigmoid", "logistic")
 SIGMOID_CALLS = {"tanh", "expit"}
+# ufuncs that raise a base to each element of an exponent array
+POWER_CALLS = {"left_shift", "power", "float_power", "exp2", "ldexp"}
 
 
 def _is_binary_mode(mode):
@@ -168,6 +170,54 @@ def log_loss(x):
     pass
 """
     assert sorted(sigmoid_definitions(ast.parse(code))) == [2, 3, 4, 6, 7, 8, 9]
+
+
+def _is_arange(node):
+    func = node.func if isinstance(node, ast.Call) else None
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "arange"
+
+
+def bit_power_packings(tree):
+    """Line numbers where a module builds the powers of two that pack binary
+    states into integer codes: ``1 << arange``, ``2 ** arange`` or a power
+    ufunc of an arange."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.Pow)):
+            if isinstance(node.left, ast.Constant) and _is_arange(node.right):
+                yield node.lineno
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in POWER_CALLS and any(map(_is_arange, node.args)):
+                yield node.lineno
+
+
+def test_only_models_packs_binary_states():
+    # models.state_index is the one packing the path tables, the oracles and
+    # the tests share
+    found = {
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "models.py"
+        for line in bit_power_packings(ast.parse(path.read_text()))
+    }
+    assert not found, f"state packing outside models.state_index: {sorted(found)}"
+
+
+def test_the_rule_sees_each_form_of_bit_power_packing():
+    code = """
+powers = 1 << np.arange(k, dtype=np.int64)
+codes = x @ (2 ** np.arange(k))
+w = 2.0 ** arange(k)
+np.left_shift(1, np.arange(k))
+np.power(2, np.arange(k))
+np.exp2(np.arange(k))
+bits = (codes[:, None] >> np.arange(k)) & 1
+squares = np.arange(k) ** 2
+n = 2 ** k
+np.power(x, 2)
+"""
+    assert sorted(bit_power_packings(ast.parse(code))) == [2, 3, 4, 5, 6, 7]
 
 
 def run_fresh(code):
