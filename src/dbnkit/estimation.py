@@ -54,9 +54,10 @@ AIS_CHUNK = 4096
 # points per job of the path estimator's worker processes, and states per
 # marginal-provider call while a path table is built
 PATH_BLOCK = 64
-# cells (8 MB) a path table may hold: 2^h states x (2 + the next layer's
-# hidden units); a wider layer's paths are evaluated row by row
-PATH_TABLE_CELLS = 2 ** 20
+# the most states (2^h) a path table covers: the widest interior layer a
+# benchmark workload measures (rbm_paths' 10 units); a wider layer's paths
+# are evaluated row by row
+PATH_TABLE_STATES = 2 ** 10
 # cells (rows x components, 8 MB) of the potential log-loss's reused block
 POTENTIAL_BLOCK = 2 ** 20
 
@@ -332,7 +333,7 @@ class AisMarginals(_TableMarginals):
     def __init__(self, dbn, runs):
         super().__init__(dbn)
         self.runs = dict(runs)
-        self.standard_errors = []
+        self.standard_errors = {}  # layer index -> {state row bytes: relative SE}
 
     def _compute(self, layer_index, rows):
         if layer_index not in self.runs:
@@ -343,35 +344,48 @@ class AisMarginals(_TableMarginals):
         values, errors = estimate_unnorm_marginal_batch(
             self.runs[layer_index], self.dbn.layers[layer_index], rows
         )
-        self.standard_errors.extend(float(e) for e in errors)
+        self.standard_errors.setdefault(layer_index, {}).update(
+            (row.tobytes(), float(e)) for row, e in zip(rows, errors)
+        )
         return values
 
     def mean_standard_error(self):
-        """Average relative SE over the distinct states estimated so far.
+        """Average relative SE over the distinct states the paths drew.
 
-        A layer the path estimator tabulates counts each of its 2^h states
-        once, visited by a path or not."""
-        if not self.standard_errors:
-            return 0.0
-        return float(np.mean(self.standard_errors))
+        A layer without a path table counts every state estimated for it,
+        since its paths call the provider on their drawn rows.  A tabulated
+        layer's table estimates all of its 2^h states, but only those some
+        path drew count."""
+        kept = getattr(self, "_path_tables", None)
+        tables = kept[1] if kept is not None else []
+        errors = []
+        for l, by_state in self.standard_errors.items():
+            if l >= len(tables) or tables[l] is None:
+                errors.extend(by_state.values())
+                continue
+            states = np.concatenate(list(state_chunks(
+                self.dbn.layers[l].n_hidden, PATH_TABLE_STATES, "a path table")))
+            errors.extend(by_state[row.tobytes()] for row in states[tables[l][2]])
+        return float(np.mean(errors)) if errors else 0.0
 
 
 def _path_table(dbn, marginal_provider, l):
-    """``(ratio, cond)`` over the 2^h states of layer ``l``'s hidden units, in
-    ascending ``state_index`` order: ratio = log q_{l+1}*(s) - log q_l*(s),
-    and cond = q_{l+1}(y = 1 | s) when layer l + 1 is interior, else None.
-    None when the table would exceed PATH_TABLE_CELLS.  The provider is
-    called on blocks of at most PATH_BLOCK states, which keeps an AIS
-    reweighting's temporaries small."""
+    """``(ratio, cond, seen)`` over the 2^h states of layer ``l``'s hidden
+    units, in ascending ``state_index`` order: ratio = log q_{l+1}*(s) -
+    log q_l*(s), cond = q_{l+1}(y = 1 | s) when layer l + 1 is interior
+    (else None), and seen marks the states a path in this process drew.
+    None when 2^h exceeds PATH_TABLE_STATES.  The provider is called on
+    blocks of at most PATH_BLOCK states, which keeps an AIS reweighting's
+    temporaries small."""
     h = dbn.layers[l].n_hidden
+    if 2 ** h > PATH_TABLE_STATES:
+        return None
     upper = dbn.layers[l + 1]
     width = upper.n_hidden if l + 2 < dbn.n_layers else 0
-    if 2 ** h * (2 + width) > PATH_TABLE_CELLS:
-        return None
     ratio = np.empty(2 ** h)
     cond = np.empty((2 ** h, width)) if width else None
     start = 0
-    for chunk in state_chunks(h, PATH_TABLE_CELLS, "a path table"):
+    for chunk in state_chunks(h, PATH_TABLE_STATES, "a path table"):
         for lo in range(0, len(chunk), PATH_BLOCK):
             states = chunk[lo : lo + PATH_BLOCK]
             rows = slice(start, start + len(states))
@@ -379,7 +393,7 @@ def _path_table(dbn, marginal_provider, l):
             if cond is not None:
                 cond[rows] = upper.hidden_conditional(states)
             start += len(states)
-    return ratio, cond
+    return ratio, cond, np.zeros(2 ** h, dtype=bool)
 
 
 def _path_tables(dbn, marginal_provider):
@@ -390,6 +404,14 @@ def _path_tables(dbn, marginal_provider):
         kept = dbn, [_path_table(dbn, marginal_provider, l) for l in range(dbn.n_layers - 1)]
         marginal_provider._path_tables = kept
     return kept[1]
+
+
+def _visible_term(dbn, rows, n_is, log_z_top):
+    """log q1*(x) - log Z_top for a state or rows of states: the base term of
+    every path estimate, and all of a one-layer stack's, which draws none."""
+    if n_is < 1:
+        raise EstimationError("need at least one importance sample")
+    return dbn.layers[0].log_unnorm_visible(rows) - log_z_top.log_value
 
 
 def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng):
@@ -406,18 +428,15 @@ def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng
     2^h states (see ``_path_table``), and every path reads them by the code
     of its state.  A layer too wide for a table evaluates them per path.
     """
-    if n_is < 1:
-        raise EstimationError("need at least one importance sample")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1:
         raise EstimationError("x0 must be a single state vector")
-    first = dbn.layers[0]
-    base_term = float(first.log_unnorm_visible(x0)) - log_z_top.log_value
+    base_term = float(_visible_term(dbn, x0, n_is, log_z_top))
     if dbn.n_layers == 1:
         return LogEstimate(base_term, 0.0, n_is)
 
     tables = _path_tables(dbn, marginal_provider)
-    p = first.hidden_conditional(x0)
+    p = dbn.layers[0].hidden_conditional(x0)
     log_w = np.zeros(n_is)
     for l, table in enumerate(tables):
         drawn = rng.random((n_is, dbn.layers[l].n_hidden)) < p
@@ -427,8 +446,9 @@ def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng
             log_w += upper.log_unnorm_visible(current) - marginal_provider(l, current)
             p = upper.hidden_conditional(current) if l + 2 < dbn.n_layers else None
         else:
-            ratio, cond = table
+            ratio, cond, seen = table
             code = state_index(drawn)
+            seen[code] = True
             log_w += ratio[code]
             p = None if cond is None else cond[code]
     est = monte_carlo_se(log_w)
@@ -440,8 +460,8 @@ def _path_block(job):
     (dbn, rows, first_index, n_is, marginal_provider, log_z_top, stream)."""
     dbn, rows, first, n_is, marginal_provider, log_z_top, stream = job
     if dbn.n_layers == 1:
-        values = dbn.layers[0].log_unnorm_visible(rows) - log_z_top.log_value
-        return [LogEstimate(float(v), 0.0, n_is) for v in values]
+        return [LogEstimate(float(v), 0.0, n_is)
+                for v in _visible_term(dbn, rows, n_is, log_z_top)]
     return [
         estimate_dbn_log_likelihood(
             dbn, x, n_is, marginal_provider, log_z_top, stream.substream(13, first + k)
@@ -460,13 +480,12 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
     in up to ``threads`` worker processes (None: the CPU affinity set) when
     the stack draws paths and its marginals are analytic, a pure function
     of the state.  Otherwise all points are one block, which runs in this
-    process: the table providers fill their memo and standard errors here,
-    and a one-layer stack is one evaluation of its visible marginal.
+    process: there the table providers fill their memo and standard errors
+    and the paths mark the tabulated states they drew, and a one-layer
+    stack is one evaluation of its visible marginal.
     Every point keeps its substream, so the estimates are the same at any
     count.
     """
-    if n_is < 1:
-        raise EstimationError("need at least one importance sample")
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if dbn.n_layers > 1:
         _path_tables(dbn, marginal_provider)
@@ -485,8 +504,8 @@ class EvalResult:
     """Per-sample log p(x) estimates in nats with their path-sampling SEs, the
     top log Z, how it and the marginals were obtained (``ais``), and the
     brute-force values when the stack was enumerated.  With AIS marginals,
-    ``ais["marginal_se_mean"]`` averages the relative SE of every distinct
-    state estimated; a tabulated layer counts each of its 2^h states once.
+    ``ais["marginal_se_mean"]`` averages the relative SE of the distinct
+    states the paths drew (``AisMarginals.mean_standard_error``).
     ``stages`` holds the wall seconds of "log_z_top", each
     "ais_interface[<i>]", "paths" and "brute_force"; ``workers`` is the
     most worker processes any stage used."""
@@ -602,15 +621,14 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
     return EvalResult(log_values, ses, log_z_top, ais, brute_force, stages, workers)
 
 
-def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False,
-                         budget=DEFAULT_ENUM_BUDGET):
+def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):
     """Variational lower bound on log p(x) for a two-layer stack.
 
     Averages log r*(y) q(x | y) over y drawn from the factorial posterior
     of the first layer, adds the analytic Bernoulli entropy, and subtracts
     the top log partition function.  With ``exact=True`` the expectation
     is enumerated over all hidden states instead of sampled, in blocks;
-    more than ``budget`` states raise EnumerationBudgetError.
+    more than DEFAULT_ENUM_BUDGET states raise EnumerationBudgetError.
     """
     if dbn.n_layers != 2:
         raise EstimationError("the bound is defined for a two-layer view")
@@ -629,7 +647,7 @@ def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False,
         log_p = np.log(np.maximum(p, 1e-320))
         log_q = np.log(np.maximum(1.0 - p, 1e-320))
         expect, se, n_used = 0.0, 0.0, 0
-        for ys in state_chunks(first.n_hidden, budget, "the exact lower bound"):
+        for ys in state_chunks(first.n_hidden, DEFAULT_ENUM_BUDGET, "the exact lower bound"):
             weights = np.exp(ys @ log_p + (1.0 - ys) @ log_q)
             vals = top.log_unnorm_visible(ys) + first.log_visible_conditional(
                 np.broadcast_to(x, (len(ys), x.size)), ys

@@ -550,8 +550,25 @@ def test_path_tables_match_the_per_row_reference(monkeypatch, case):
     assert_matches_reference(stack, x, provider, reference)
     assert all(t is not None for t in estimation._path_tables(stack, provider))
     if case == "ais":
-        # every state of the tabulated layer counts once
-        assert len(provider.standard_errors) == 2 ** stack.layers[1].n_hidden
+        # the table estimated every state of layer 1; the per-row reference
+        # only those the paths drew, which are the ones the mean counts
+        assert len(provider.standard_errors[1]) == 2 ** stack.layers[1].n_hidden
+        assert provider.mean_standard_error() == pytest.approx(
+            reference.mean_standard_error(), rel=1e-12)
+
+
+def test_marginal_se_mean_counts_only_the_drawn_states():
+    stack, x = small_three_layer_stack()
+    provider, reference = providers_of("ais", stack)
+    # two paths of one point reach at most two of layer 1's 16 states
+    assert_matches_reference(stack, x[:1], provider, reference, n_is=2)
+    drawn = reference.standard_errors[1]
+    assert 1 <= len(drawn) <= 2
+    assert len(provider.standard_errors[1]) == 2 ** stack.layers[1].n_hidden
+    assert provider.mean_standard_error() == pytest.approx(np.mean(list(drawn.values())),
+                                                           rel=1e-12)
+    assert provider.mean_standard_error() != pytest.approx(
+        np.mean(list(provider.standard_errors[1].values())), rel=1e-6)
 
 
 class CountingMarginals(AnalyticMarginals):
@@ -587,10 +604,10 @@ def test_provider_is_called_only_while_a_table_is_built(monkeypatch, threads):
     assert len(provider.calls) == built
 
 
-@pytest.mark.parametrize("cap, tabulated", [(40, [False, True]), (15, [False, False])])
+@pytest.mark.parametrize("cap, tabulated", [(8, [False, True]), (7, [False, False])])
 def test_layers_over_the_table_cap_draw_row_by_row(monkeypatch, cap, tabulated):
-    # layer 0 has 2^4 states x (2 + 3) cells, layer 1 2^3 x 2
-    monkeypatch.setattr(estimation, "PATH_TABLE_CELLS", cap)
+    # layer 0 has 2^4 states, layer 1 2^3
+    monkeypatch.setattr(estimation, "PATH_TABLE_STATES", cap)
     stack, x = rbm_paths_stack(monkeypatch)
     provider = AnalyticMarginals(stack)
     assert [t is not None for t in estimation._path_tables(stack, provider)] == tabulated
@@ -640,17 +657,19 @@ def test_lower_bound_monte_carlo_matches_exact():
     assert abs(mc.log_value - exact.log_value) < 4 * mc.standard_error + 1e-3
 
 
-def test_exact_lower_bound_keeps_to_its_budget():
+def test_exact_lower_bound_keeps_to_its_budget(monkeypatch):
     rng = RngStream(98).generator()
     first = random_rbm(rng, m=4, n=3, scale=0.5)
     top = random_rbm(rng, m=3, n=3, scale=0.5)
     stack = DbnModel([first, top])
     x = (rng.random(4) < 0.5).astype(float)
     z = exact_log_z(top)
-    at_budget = estimate_lower_bound(stack, x, None, z, None, exact=True, budget=2 ** 3)
-    assert at_budget == estimate_lower_bound(stack, x, None, z, None, exact=True)
+    wide = estimate_lower_bound(stack, x, None, z, None, exact=True)
+    monkeypatch.setattr(estimation, "DEFAULT_ENUM_BUDGET", 2 ** 3)
+    assert estimate_lower_bound(stack, x, None, z, None, exact=True) == wide
+    monkeypatch.setattr(estimation, "DEFAULT_ENUM_BUDGET", 2 ** 3 - 1)
     with pytest.raises(EnumerationBudgetError, match=r"2\^3 states, above the budget of 7"):
-        estimate_lower_bound(stack, x, None, z, None, exact=True, budget=2 ** 3 - 1)
+        estimate_lower_bound(stack, x, None, z, None, exact=True)
 
 
 # -- potential log loss --------------------------------------------------------------
