@@ -116,12 +116,12 @@ def brute_force_log_likelihood(dbn, x, budget=DEFAULT_ENUM_BUDGET):
             layer.n_visible + layer.n_hidden, budget, f"conditional table of layer {i}"
         )
         cond = _log_conditional_table(
-            layer, binary_states(layer.n_visible), binary_states(layer.n_hidden), budget
+            layer, binary_states(layer.n_visible, budget), binary_states(layer.n_hidden, budget),
+            budget,
         )
         table = log_sum_exp(cond + table, axis=1)
 
-    _models.check_budget(first.n_hidden, budget, "bottom table")
-    hidden = binary_states(first.n_hidden)
+    hidden = binary_states(first.n_hidden, budget, "bottom table")
     rows = budget // len(hidden)
     out = np.concatenate([
         log_sum_exp(_log_conditional_table(first, x[i:i + rows], hidden, budget) + table, axis=1)

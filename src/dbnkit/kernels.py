@@ -9,6 +9,11 @@ the visible marginal of the augmented machine whose two hidden-unit groups
 carry the base and target energies scaled by ``1 - beta`` and ``beta``;
 the base's hidden group adds the same constant at every ``beta`` and is
 never sampled.
+
+The binary kernels work row by row, or, in a chunk with no more visible
+states than chains (2^m <= n_chains), read each step's terms by state code
+from tables over all 2^m visible (and, if 2^h <= n_chains, 2^h hidden)
+states; see ``_ais_binary``.
 """
 
 import numpy as np
@@ -36,6 +41,16 @@ def srbm_sweep(x, lateral, drive, u):
     return x
 
 
+def _visible_terms(x, wt, ct, bias_step, lateral, act, lin, x_lat):
+    """Fill ``act`` with x W + c and ``lin`` with x'(b - b_base), plus
+    x'Lx / 2 with couplings, for the rows of x."""
+    np.dot(x, wt, out=act)
+    act += ct
+    np.dot(x, bias_step, out=lin)
+    if lateral is not None:
+        lin += 0.5 * np.einsum("ij,ij->i", np.dot(x, lateral, out=x_lat), x)
+
+
 def _ais_binary(target, base, lateral, betas, n_chains, rng):
     """AIS chains for a binary target with visible couplings ``lateral``
     (None for none).
@@ -50,20 +65,31 @@ def _ais_binary(target, base, lateral, betas, n_chains, rng):
     weights (base partition function not included) and the final visible
     states, distributed near the target.
 
+    State-code tables.  A chunk with no more visible states than chains
+    (2^m <= n_chains) computes x W + c and the visible energy step once for
+    each of the 2^m states, in ``models.state_index`` order; each step packs
+    x into codes and reads by code the weight increment and the hidden
+    probabilities, both evaluated on the table.  softplus(beta_k (x W + c))
+    on the table is kept as the next step's beta_{k-1} term, which is the
+    same product bit for bit.  When also 2^h <= n_chains, the visible drive
+    (and, without couplings, the visible probabilities) come from a table
+    over the 2^h hidden states.  Random numbers are drawn in the same order
+    and the lateral sweep runs per row, so the final states equal the row
+    path's bit for bit.  A log weight can move in its last bits, because a
+    BLAS matrix-vector product may sum a row in an order that depends on
+    its position, and a table row sits elsewhere than its chains.
+
     Every ``(n_chains, h)`` and ``(n_chains, m)`` array the step keeps is
-    allocated once and refilled in place (``out=``); the temporaries of that
-    size are softplus_log's max(x, 0) and logistic's sign mask and
-    denominator.  A demo chunk's arrays are 213 KB (3334 chains x 8 units),
-    above glibc's initial 128 KiB mmap threshold: allocated anew each step
-    they are mapped and unmapped, or, once a freed map has raised the
-    threshold, grow and trim the heap top, and every fresh page faults.  In
-    the forked workers of 20000 chains x 300 betas (2 workers, 2-vCPU Xeon)
-    that was 224k minor faults and 0.6 s system time in a process that had
-    not imported scipy (whose import raises the threshold) and 82k and
-    0.25 s in one that had; with the buffers it is 5.2-5.5k and 0.02 s
-    either way, with logistic's temporaries as with the tanh sigmoid
-    before them (2.7k and 0.01 s a worker on the demo's layer 1).
+    allocated once and refilled in place (``out=``), and no table has more
+    rows.  A demo chunk's arrays are 213 KB (3334 chains x 8 units), above
+    glibc's initial 128 KiB mmap threshold: allocated anew each step, every
+    fresh page faults.  In the forked workers of 20000 chains x 300 betas
+    (2 workers, 2-vCPU Xeon) that was up to 224k minor faults and 0.6 s
+    system time a worker; with the buffers it is 5.2-5.5k and 0.02 s.
     """
+    # models imports this module for srbm_sweep, so this import waits for the call
+    from .models import binary_states, state_index
+
     n_steps = betas.shape[0] - 1
     base_b = base.visible_bias
     wt, bt, ct = target.weights, target.visible_bias, target.hidden_bias
@@ -79,30 +105,59 @@ def _ais_binary(target, base, lateral, betas, n_chains, rng):
     act, act_1, soft, soft_0, u_h, y = (np.empty((n_chains, h)) for _ in range(6))
     drive, u_v, x_lat = (np.empty((n_chains, m)) for _ in range(3))
 
+    visible_table = 2 ** m <= n_chains
+    hidden_table = visible_table and 2 ** h <= n_chains
+    if visible_table:
+        states = binary_states(m, n_chains)
+        act_tab, act_1_tab, soft_0_tab, soft_1_tab = (np.empty((2 ** m, h)) for _ in range(4))
+        lin_tab = np.empty(2 ** m)
+        _visible_terms(states, wt, ct, bias_step, lateral, act_tab, lin_tab, np.empty_like(states))
+        softplus_log(np.multiply(act_tab, betas[0], out=act_1_tab), out=soft_0_tab)
+    if hidden_table:
+        hidden_states = binary_states(h, n_chains)
+        drive_tab = np.empty((2 ** h, m))
+
     for k in range(1, n_steps + 1):
         b0 = betas[k - 1]
         b1 = betas[k]
-        np.dot(x, wt, out=act)
-        act += ct
-        np.dot(x, bias_step, out=lin)
-        if lateral is not None:
-            lin += 0.5 * np.einsum("ij,ij->i", np.dot(x, lateral, out=x_lat), x)
-        np.multiply(act, b1, out=act_1)
-        np.multiply(act, b0, out=act)
-        softplus_log(act_1, out=soft)
-        soft -= softplus_log(act, out=soft_0)
-        log_w += (b1 - b0) * lin + np.dot(soft, hidden_ones)
+        if visible_table:
+            code = state_index(x)
+            np.multiply(act_tab, b1, out=act_1_tab)
+            # soft_1_tab keeps the beta_k term for the next step; the
+            # beta_{k-1} buffer takes the difference and then the next term
+            np.subtract(softplus_log(act_1_tab, out=soft_1_tab), soft_0_tab, out=soft_0_tab)
+            log_w += ((b1 - b0) * lin_tab + np.dot(soft_0_tab, hidden_ones))[code]
+            soft_0_tab, soft_1_tab = soft_1_tab, soft_0_tab
+        else:
+            _visible_terms(x, wt, ct, bias_step, lateral, act, lin, x_lat)
+            np.multiply(act, b1, out=act_1)
+            np.multiply(act, b0, out=act)
+            softplus_log(act_1, out=soft)
+            soft -= softplus_log(act, out=soft_0)
+            log_w += (b1 - b0) * lin + np.dot(soft, hidden_ones)
         if k < n_steps:
             rng.random(out=u_h)
-            np.less(u_h, logistic(act_1, out=act_1), out=y)
+            if visible_table:
+                # codes lie in the table, so take need not check them (and
+                # with its default checking mode would copy through a buffer)
+                np.take(logistic(act_1_tab, out=act_1_tab), code, axis=0, out=act_1, mode="clip")
+            else:
+                logistic(act_1, out=act_1)
+            np.less(u_h, act_1, out=y)
             rng.random(out=u_v)
-            # drive = (1 - b1) b_base + b1 (y W' + b), built in place
-            np.dot(y, wt.T, out=drive)
-            drive += bt
-            drive *= b1
-            drive += (1.0 - b1) * base_b
+            # (1 - b1) b_base + b1 (y W' + b), built in place over the
+            # hidden-state table or the rows
+            rows, out = (hidden_states, drive_tab) if hidden_table else (y, drive)
+            np.dot(rows, wt.T, out=out)
+            out += bt
+            out *= b1
+            out += (1.0 - b1) * base_b
             if lateral is None:
-                np.less(u_v, logistic(drive, out=drive), out=x)
+                logistic(out, out=out)
+            if hidden_table:
+                np.take(drive_tab, state_index(y), axis=0, out=drive, mode="clip")
+            if lateral is None:
+                np.less(u_v, drive, out=x)
             else:
                 srbm_sweep(x, b1 * lateral, drive, u_v)
     return log_w, x

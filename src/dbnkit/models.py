@@ -54,9 +54,10 @@ def state_chunks(k, budget, what):
     )
 
 
-def binary_states(k):
-    """All 2^k binary states as a (2^k, k) float64 matrix, low bit first."""
-    return np.concatenate(list(state_chunks(k, 2 ** 22, "a binary state matrix")))
+def binary_states(k, budget=2 ** 22, what="a binary state matrix"):
+    """All 2^k binary states as a (2^k, k) float64 matrix, low bit first,
+    refused above ``budget`` states."""
+    return np.concatenate(list(state_chunks(k, budget, what)))
 
 
 def state_index(x):

@@ -20,7 +20,6 @@ from .models import (
     Srbm,
     binary_states,
     brute_force_log_partition,
-    check_budget,
     initialize_layer,
 )
 from .numerics import RngStream, is_gaussian_scale
@@ -173,8 +172,7 @@ def exact_ml_gradient(model, batch, budget=DEFAULT_ENUM_BUDGET, out=None):
 
     neg = {}
     if model.variant == GRBM:
-        check_budget(model.n_hidden, budget, "exact gradient")
-        hs = binary_states(model.n_hidden)
+        hs = binary_states(model.n_hidden, budget, "exact gradient")
         logw = model.log_unnorm_hidden(hs)
         w = np.exp(logw - logw.max())
         w /= w.sum()
@@ -183,8 +181,7 @@ def exact_ml_gradient(model, batch, budget=DEFAULT_ENUM_BUDGET, out=None):
         neg["x"] = w @ mu
         neg["y"] = w @ hs
     else:
-        check_budget(model.n_visible, budget, "exact gradient")
-        vs = binary_states(model.n_visible)
+        vs = binary_states(model.n_visible, budget, "exact gradient")
         logw = model.log_unnorm_visible(vs)
         w = np.exp(logw - logw.max())
         w /= w.sum()

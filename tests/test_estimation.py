@@ -149,6 +149,27 @@ def test_ais_chunking_is_stable(monkeypatch):
     assert abs(one.log_z_estimate.log_value - parts.log_z_estimate.log_value) < 0.2
 
 
+@pytest.mark.parametrize("maker", [random_rbm, random_srbm])
+def test_ais_chunks_on_both_sides_of_the_table_threshold(monkeypatch, maker):
+    # 255 chains are chunks of 128 and 127: with 7 visible units (2^7 = 128
+    # states) the first reads state-code tables and the second runs row by row
+    import dbnkit.estimation as es
+    import dbnkit.models as md
+
+    monkeypatch.setattr(es, "AIS_CHUNK", 128)
+    target = maker(RngStream(82).generator(), m=7, n=5)
+    schedule = AisSchedule(linear_betas(30), 255, fit_base_model(target))
+    tables = []
+    states = md.binary_states
+    monkeypatch.setattr(md, "binary_states", lambda k, *a: tables.append(k) or states(k, *a))
+    one = run_ais(target, schedule, RngStream(83), threads=1)
+    assert tables == [7, 5]  # the visible and hidden tables of one chunk
+    two = run_ais(target, schedule, RngStream(83), threads=2)
+    assert two.workers == 2
+    assert one.log_weights.tobytes() == two.log_weights.tobytes()
+    assert one.final_samples.tobytes() == two.final_samples.tobytes()
+
+
 def _multi_chunk_run(monkeypatch, maker=random_rbm, chains=200):
     """A target and schedule that AIS_CHUNK = 64 splits into several chunks."""
     import dbnkit.estimation as es

@@ -1,6 +1,7 @@
 """Fixed-seed regression pins for the AIS kernels, the agreement of the
-binary body's factorial and lateral branches, sweep ordering, and the
-buffered binary body and the ``out=`` forms of softplus and logistic
+binary body's factorial and lateral branches, sweep ordering, the
+buffered binary body and its state-code tables against an allocating
+row-by-row reference, and the ``out=`` forms of softplus and logistic
 against allocating references.
 
 The pins guard the kernels' arithmetic and the order in which they draw
@@ -13,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dbnkit import kernels
+from dbnkit import kernels, models
 from dbnkit.models import Grbm, Rbm, Srbm
 from dbnkit.numerics import RngStream, logistic, softplus_log
 
@@ -157,9 +158,8 @@ def _reference_ais_binary(target, base, lateral, betas, n_chains, rng):
     return log_w, x
 
 
-def _binary_pair(lateral, n_chains):
+def _binary_pair(lateral, n_chains, m=8, n=6):
     rng = np.random.default_rng(n_chains)
-    m, n = 8, 6
     w = 0.8 * rng.standard_normal((m, n))
     b, c, base_b = (0.5 * rng.standard_normal(k) for k in (m, n, m))
     if not lateral:
@@ -181,6 +181,39 @@ def test_buffered_binary_body_matches_allocating_reference(fn, lateral, n_chains
     log_w, x = fn(target, base, betas, n_chains, RngStream(5).generator())
     assert log_w.tobytes() == want_w.tobytes()
     assert x.tobytes() == want_x.tobytes()
+
+
+def _matches_row_path(fn, lateral, m, h, n_chains):
+    """Whether ``fn`` gives the reference's final states bit for bit and its
+    log weights to 1e-12 relative.  The reference runs every chain on the
+    row path; ``fn`` reads state-code tables once 2^m <= n_chains."""
+    target, base = _binary_pair(lateral, n_chains, m, h)
+    betas = np.linspace(0.0, 1.0, 31)
+    want_w, want_x = _reference_ais_binary(
+        target, base, target.lateral if lateral else None, betas, n_chains,
+        RngStream(6).generator())
+    log_w, x = fn(target, base, betas, n_chains, RngStream(6).generator())
+    return x.tobytes() == want_x.tobytes() and np.allclose(log_w, want_w, rtol=1e-12, atol=0.0)
+
+
+# 255 chains take the row path, 256 and up both tables (2^8 visible and
+# hidden states); 6 visible and 9 hidden units over 100 chains take the
+# visible table alone.  Log weights are held to 1e-12 relative, not to
+# their bytes: a table row can sit elsewhere in a BLAS matrix-vector
+# product than the chains that read it, and some BLAS kernels sum a row by
+# its position (the 300-chain case above pins the bytes for 6 hidden units)
+@pytest.mark.parametrize("m,h,n_chains", [(8, 8, 255), (8, 8, 256), (8, 8, 300),
+                                          (8, 8, 3334), (6, 9, 100)])
+@pytest.mark.parametrize("fn,lateral", [(kernels.ais_rbm, False), (kernels.ais_srbm, True)])
+def test_state_code_tables_match_the_row_path(fn, lateral, m, h, n_chains):
+    assert _matches_row_path(fn, lateral, m, h, n_chains)
+
+
+@pytest.mark.parametrize("fn,lateral", [(kernels.ais_rbm, False), (kernels.ais_srbm, True)])
+def test_the_row_path_check_catches_a_mis_keyed_table(monkeypatch, fn, lateral):
+    index = models.state_index
+    monkeypatch.setattr(models, "state_index", lambda x: index(np.asarray(x)[:, ::-1]))
+    assert not _matches_row_path(fn, lateral, 8, 8, 300)
 
 
 @pytest.mark.parametrize("fn,lateral", [(kernels.ais_rbm, False), (kernels.ais_srbm, True)])

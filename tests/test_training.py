@@ -68,6 +68,22 @@ def test_exact_gradient_over_budget_is_budget_error(variant):
         exact_ml_gradient(model, np.zeros((3, 5)), budget=2 ** 4)
 
 
+def test_every_enumeration_is_checked_against_the_callers_budget(monkeypatch):
+    rng = RngStream(20).generator()
+    x = rng.standard_normal((5, 2))
+    stack = dbn.DbnModel([random_grbm(rng, 2, 3), random_srbm(rng, 3, 3), random_rbm(rng, 3, 2)])
+    checked = []
+    check = models.check_budget
+    monkeypatch.setattr(models, "check_budget",
+                        lambda k, budget, what: checked.append(budget) or check(k, budget, what))
+    dbn.brute_force_log_likelihood(stack, x, budget=2 ** 7)
+    n_tables = len(checked)
+    for layer in stack.layers[:2]:  # the Gaussian and the binary enumeration
+        exact_ml_gradient(layer, np.ones((3, layer.n_visible)), budget=2 ** 7)
+    assert n_tables >= 5 and len(checked) == n_tables + 2
+    assert set(checked) == {2 ** 7}
+
+
 # -- CD gradient -------------------------------------------------------------
 
 
