@@ -24,6 +24,7 @@ from .dbn import DbnModel, average_log_loss, brute_force_log_likelihood
 from .estimation import (
     AisRun,
     AisSchedule,
+    EstimatorSpec,
     estimate_dbn_log_likelihood,
     estimate_lower_bound,
     estimate_potential_log_loss,

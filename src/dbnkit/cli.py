@@ -65,45 +65,29 @@ def _write_cv_table(path, table):
 def cmd_preprocess(cfg):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    section = cfg.section("preprocess", required=True)
-    source = section.get("source", "synthetic")
-    pairs = section.get("pairs", 10)
-    n_train = section.get("n_train", 50000)
-    n_test = section.get("n_test", 50000)
+    cfg.section("preprocess")  # a ConfigError if it is missing
+    spec = cfg.preprocess
     started = time.perf_counter()
-    if source == "synthetic":
-        for i in range(pairs):
-            train = pipeline.synthesize(
-                cfg.synthetic, n_train, RngStream(cfg.seed).substream(21, i, 0)
-            )
-            test = pipeline.synthesize(
-                cfg.synthetic, n_test, RngStream(cfg.seed).substream(21, i, 1)
-            )
-            pipeline.save_dataset(train, out / f"train_{i:02d}.dbds")
-            pipeline.save_dataset(test, out / f"test_{i:02d}.dbds")
-    elif source == "images":
-        if "images" not in section:
-            raise ConfigError("preprocess.source=images needs an 'images' path")
-        images = pipeline.load_images(section["images"])
+    if spec.source == "images":
+        images = pipeline.load_images(spec.images)
         try:
-            src = pipeline.PatchSource(tuple(images), section.get("patch_size", 4))
+            src = pipeline.PatchSource(tuple(images), spec.patch_size)
         except PipelineError as exc:
             raise ConfigError(f"[preprocess] {exc}") from exc
-        for i in range(pairs):
-            raw_train = pipeline.sample_patches(
-                src, n_train, RngStream(cfg.seed).substream(22, i, 0)
-            )
-            raw_test = pipeline.sample_patches(
-                src, n_test, RngStream(cfg.seed).substream(22, i, 1)
-            )
+    stream, sizes = RngStream(cfg.seed), (spec.n_train, spec.n_test)
+    for i in range(spec.pairs):
+        if spec.source == "synthetic":
+            train, test = (pipeline.synthesize(cfg.synthetic, n, stream.substream(21, i, j))
+                           for j, n in enumerate(sizes))
+        else:
+            raw_train, raw_test = (pipeline.sample_patches(src, n, stream.substream(22, i, j))
+                                   for j, n in enumerate(sizes))
             train = pipeline.preprocess(raw_train)
             test = pipeline.replay(train.provenance, raw_test.samples)
-            pipeline.save_dataset(train, out / f"train_{i:02d}.dbds")
-            pipeline.save_dataset(test, out / f"test_{i:02d}.dbds")
-    else:
-        raise ConfigError(f"unknown preprocess source {source!r}")
+        pipeline.save_dataset(train, out / f"train_{i:02d}.dbds")
+        pipeline.save_dataset(test, out / f"test_{i:02d}.dbds")
     _write_meta(out / "preprocess.meta.json", time.perf_counter() - started)
-    print(f"wrote {pairs} train/test pair(s) to {out}")
+    print(f"wrote {spec.pairs} train/test pair(s) to {out}")
     return 0
 
 
@@ -137,7 +121,7 @@ def _train_baseline(cfg, dataset, out, started):
 def cmd_train(cfg):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data_section = cfg.section("data", required=True)
+    data_section = cfg.section("data")
     if "train" not in data_section:
         raise ConfigError("missing data.train path")
     dataset = pipeline.load_dataset(data_section["train"])
@@ -199,7 +183,7 @@ def _write_report(cfg, section, dataset, out, started, log_values, fields, kind,
 def cmd_eval(cfg, threads):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    section = cfg.section("eval", required=True)
+    section = cfg.section("eval")
     for key in ("model", "dataset"):
         if key not in section:
             raise ConfigError(f"missing eval.{key}")
@@ -227,16 +211,13 @@ def cmd_eval(cfg, threads):
     if dataset.dim != stack.n_visible:
         raise ConfigError("dataset dimension does not match the model")
 
-    est = cfg.values["estimator"]
     result = estimation.evaluate_stack(
-        stack, dataset.samples, n_is=est["n_is"], exact=est["exact"],
-        marginals=est["marginals"], budget=est["enum_budget"], seed=cfg.seed,
-        threads=threads, **cfg.values["ais"],
+        stack, dataset.samples, cfg.estimator, seed=cfg.seed, threads=threads
     )
     d, n = dataset.dim, dataset.n_samples
     se_path_bits = float(np.sqrt(np.sum(result.standard_errors ** 2)) / n / (LOG2 * d))
     fields = {
-        "n_is": est["n_is"],
+        "n_is": cfg.estimator.n_is,
         "se_path_bits": _sig7("se_path_bits", se_path_bits),
         "log_z_top": _sig7("log_z_top", result.log_z_top.log_value),
         "se_log_z": _sig7("se_log_z", result.log_z_top.standard_error),
@@ -271,7 +252,7 @@ def _load_report(path):
 def cmd_compare(cfg):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    section = cfg.section("compare", required=True)
+    section = cfg.section("compare")
     patterns = section.get("reports", [])
     paths = sorted(p for pattern in patterns for p in glob.glob(pattern))
     if len(paths) < 2:
@@ -336,15 +317,9 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("preprocess", True),
-        ("train", True),
-        ("eval", True),
-        ("compare", True),
-        ("oracle", False),
-    ):
+    for name in ("preprocess", "train", "eval", "compare", "oracle"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config)
+        p.add_argument("--config", required=name != "oracle")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)

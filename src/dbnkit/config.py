@@ -1,12 +1,13 @@
 """Experiment configuration: sectioned key/value files, strictly validated.
 
 Unknown sections or keys are rejected before any work starts, so a typo
-cannot silently fall back to a default.  The keys of ``[synthetic]``,
-``[baseline]``, ``[layer.N]`` and ``[layer.N.train]`` are the parameters of
-the objects that check them (``pipeline.synthetic_spec``,
-``baselines.BaselineSpec``, ``training.LayerSpec`` and ``TrainConfig``), so
-a parameter added there is a config key at once.  The resolved
-configuration (after command-line overrides) is hashed into every report.
+cannot silently fall back to a default.  The keys of a section that
+configures a library object are the parameters of the object that checks
+them (``pipeline.PreprocessSpec``, ``synthetic_spec``, ``training.LayerSpec``,
+``TrainConfig``, ``baselines.BaselineSpec`` and, for ``[ais]`` and
+``[estimator]``, ``estimation.EstimatorSpec``), so a parameter added there is
+a config key at once.  The resolved configuration (after command-line
+overrides) is hashed into every report.
 """
 
 import configparser
@@ -15,11 +16,11 @@ import inspect
 import json
 import math
 import re
+from dataclasses import replace
 
 from .baselines import BaselineSpec
-from .estimation import EstimationError, check_choices
-from .models import DEFAULT_ENUM_BUDGET
-from .pipeline import synthetic_spec
+from .estimation import EstimatorSpec
+from .pipeline import PreprocessSpec, synthetic_spec
 from .training import LayerSpec, TrainConfig, check_stack
 
 
@@ -71,6 +72,10 @@ def _parameters(make, **rename):
     return keys
 
 
+# the EstimatorSpec fields that [ais] holds; [estimator] holds the others
+_AIS_KEYS = ("n_betas", "chains_top", "chains_interface", "chains_first")
+_ESTIMATOR_KEYS = _parameters(EstimatorSpec)
+
 _SCHEMA = {
     "experiment": {
         "seed": non_negative_int,
@@ -81,31 +86,14 @@ _SCHEMA = {
     "data": {
         "train": str,
     },
-    "preprocess": {
-        "source": str,  # "images" or "synthetic"
-        "images": str,
-        "patch_size": int,
-        "pairs": positive_int,
-        "n_train": positive_int,
-        "n_test": positive_int,
-    },
+    "preprocess": _parameters(PreprocessSpec),
     "synthetic": _parameters(synthetic_spec),
     "layers": {
         "count": positive_int,
     },
     "baseline": _parameters(BaselineSpec),
-    "ais": {
-        "n_betas": positive_int,
-        "chains_top": positive_int,
-        "chains_interface": positive_int,
-        "chains_first": positive_int,
-    },
-    "estimator": {
-        "n_is": positive_int,
-        "exact": str,  # one of estimation.EXACT_CHOICES
-        "marginals": str,  # one of estimation.MARGINAL_CHOICES
-        "enum_budget": positive_int,
-    },
+    "ais": {k: v for k, v in _ESTIMATOR_KEYS.items() if k in _AIS_KEYS},
+    "estimator": {k: v for k, v in _ESTIMATOR_KEYS.items() if k not in _AIS_KEYS},
     "eval": {
         "model": str,
         "dataset": str,
@@ -121,18 +109,6 @@ _TRAIN_KEYS = _parameters(TrainConfig)
 
 _DEFAULTS = {
     "experiment": {"seed": 0, "threads": None, "out_dir": "out", "label": "model"},
-    "ais": {
-        "n_betas": 1000,
-        "chains_top": 1000,
-        "chains_interface": 100000,
-        "chains_first": 100,
-    },
-    "estimator": {
-        "n_is": 100,
-        "exact": "auto",
-        "marginals": "auto",
-        "enum_budget": DEFAULT_ENUM_BUDGET,
-    },
 }
 
 _LAYER_RE = re.compile(r"^layer\.\d+(\.train)?$")
@@ -142,7 +118,7 @@ def _build(section, make, *args, **kwargs):
     """``make(*args, **kwargs)``, its rejection of a value reported against ``section``."""
     try:
         return make(*args, **kwargs)
-    except (ValueError, EstimationError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
@@ -150,8 +126,10 @@ class ExperimentConfig:
     """Parsed and validated configuration with command-line overrides applied.
 
     Loading builds the library objects that need no data (``layer_specs``,
-    ``train_configs``, ``baseline`` and ``synthetic``); each checks its own
-    values, so a bad one is a ConfigError naming its section.
+    ``train_configs``, ``baseline``, ``synthetic``, ``preprocess`` and
+    ``estimator``); each checks its own values, so a bad one is a
+    ConfigError naming its section.  The estimator's fields, defaults
+    included, are written back to ``values``, which ``config_hash`` covers.
     """
 
     def __init__(self, values):
@@ -184,8 +162,7 @@ class ExperimentConfig:
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}") from exc
             values[section] = parsed
-        for section, defaults in _DEFAULTS.items():
-            values[section] = {**defaults, **values.get(section, {})}
+        values["experiment"] = {**_DEFAULTS["experiment"], **values.get("experiment", {})}
         cfg = cls(values)
         cfg._apply_overrides(overrides or {})
         cfg._validate()
@@ -226,8 +203,13 @@ class ExperimentConfig:
         self.baseline = _build("baseline", BaselineSpec, **v["baseline"]) if "baseline" in v else None
         self.synthetic = (_build("synthetic", synthetic_spec, self.seed, **v.get("synthetic", {}))
                           if "synthetic" in v or "preprocess" in v else None)
-        est = v["estimator"]
-        _build("estimator", check_choices, est["exact"], est["marginals"])
+        self.preprocess = (_build("preprocess", PreprocessSpec, **v["preprocess"])
+                           if "preprocess" in v else None)
+        # [ais] is checked alone first, so a bad value is reported against its section
+        ais = _build("ais", EstimatorSpec, **v.get("ais", {}))
+        self.estimator = _build("estimator", replace, ais, **v.get("estimator", {}))
+        for sect in ("ais", "estimator"):
+            v[sect] = {k: getattr(self.estimator, k) for k in _SCHEMA[sect]}
 
     # -- convenience ------------------------------------------------------
 
@@ -243,11 +225,9 @@ class ExperimentConfig:
     def label(self):
         return self.values["experiment"]["label"]
 
-    def section(self, name, required=False):
+    def section(self, name):
         if name not in self.values:
-            if required:
-                raise ConfigError(f"missing section [{name}]")
-            return {}
+            raise ConfigError(f"missing section [{name}]")
         return self.values[name]
 
     def config_hash(self):

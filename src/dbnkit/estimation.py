@@ -61,13 +61,36 @@ PATH_TABLE_STATES = 2 ** 10
 # cells (rows x components, 8 MB) of the potential log-loss's reused block
 POTENTIAL_BLOCK = 2 ** 20
 
-# the values evaluate_stack (and so the [estimator] config section) accepts
+# the values EstimatorSpec (and so the [estimator] config section) accepts
 EXACT_CHOICES = ("auto", "on", "off")
 MARGINAL_CHOICES = ("auto", "exact", "ais")
 
 
 class EstimationError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """evaluate_stack's settings, with the defaults of ``dbnkit eval``; its
+    fields are the [ais] and [estimator] config keys."""
+
+    n_betas: int = 1000
+    chains_top: int = 1000
+    chains_interface: int = 100000
+    chains_first: int = 100
+    n_is: int = 100
+    exact: str = "auto"
+    marginals: str = "auto"
+    enum_budget: int = DEFAULT_ENUM_BUDGET
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            choices = {"exact": EXACT_CHOICES, "marginals": MARGINAL_CHOICES}.get(name)
+            if choices is None and value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value!r}")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
 
 
 def linear_betas(n_steps):
@@ -526,48 +549,39 @@ def _anneal(target, data, n_betas, n_chains, rng, threads):
     return run_ais(target, schedule, rng, threads=threads)
 
 
-def check_choices(exact, marginals):
-    """evaluate_stack's rule on its ``exact`` and ``marginals`` settings."""
-    for name, value, choices in (("exact", exact, EXACT_CHOICES),
-                                 ("marginals", marginals, MARGINAL_CHOICES)):
-        if value not in choices:
-            raise EstimationError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
-
-
-def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interface,
-                   chains_first, exact, marginals, budget, seed, threads=None):
+def evaluate_stack(stack, samples, spec, *, seed, threads=None):
     """Estimate log p(x) for each row of ``samples``, choosing between
-    enumeration and AIS for every ingredient.
+    enumeration and AIS for every ingredient by the EstimatorSpec ``spec``.
 
     The top log Z is enumerated unless ``exact`` is "off" or its states
-    exceed ``budget``; otherwise AIS runs ``chains_top`` chains
+    exceed ``enum_budget``; otherwise AIS runs ``chains_top`` chains
     (``chains_first`` for one layer).  Interior lateral layers' marginals
     are enumerated for ``marginals`` "exact", or "auto" within budget;
-    otherwise one AIS run each supplies them.  Unless ``exact`` is "off",
-    brute-force values are added when the stack is enumerable.  Beyond the
-    budget, ``exact="on"`` and ``marginals="exact"`` raise
-    EnumerationBudgetError; values outside EXACT_CHOICES and
-    MARGINAL_CHOICES raise EstimationError.  ``threads`` caps the worker
-    processes of each AIS run and of the path estimator (None: the CPU
-    affinity set, forked; pass 1 from a caller that runs threads of its
-    own), and changes no result.
+    otherwise one AIS run of ``chains_interface`` chains each supplies
+    them.  Every AIS run takes ``n_betas`` steps and each point averages
+    ``n_is`` paths.  Unless ``exact`` is "off", brute-force values are added
+    when the stack is enumerable.  Beyond the budget, ``exact="on"`` and
+    ``marginals="exact"`` raise EnumerationBudgetError.  ``threads`` caps
+    the worker processes of each AIS run and of the path estimator (None:
+    the CPU affinity set, forked; pass 1 from a caller that runs threads of
+    its own), and changes no result.
     """
-    check_choices(exact, marginals)
     stream = RngStream(seed)
-    ais = {"n_betas": n_betas, "schedule": "linear", "exact_z": False}
+    budget = spec.enum_budget
+    ais = {"n_betas": spec.n_betas, "schedule": "linear", "exact_z": False}
     stages = {}
     workers = 1
     started = time.perf_counter()
     exact_z_possible = 2 ** enumeration_bits(stack.top) <= budget
-    if exact == "on" and not exact_z_possible:
+    if spec.exact == "on" and not exact_z_possible:
         raise EnumerationBudgetError("estimator.exact=on but the top layer is not enumerable")
-    if exact != "off" and exact_z_possible:
+    if spec.exact != "off" and exact_z_possible:
         log_z_top = LogEstimate(brute_force_log_partition(stack.top, budget=budget), 0.0, 1)
         ais["exact_z"] = True
     else:
         top_data = ([samples] + feed_forward_sample(stack, samples, stream.substream(31, 0)))[-1]
-        chains = chains_top if stack.n_layers > 1 else chains_first
-        run = _anneal(stack.top, top_data, n_betas, chains, RngStream(seed, 41), threads)
+        chains = spec.chains_top if stack.n_layers > 1 else spec.chains_first
+        run = _anneal(stack.top, top_data, spec.n_betas, chains, RngStream(seed, 41), threads)
         log_z_top = run.log_z_estimate
         workers = run.workers
         ais["chains_top"] = chains
@@ -578,7 +592,7 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
         provider = AnalyticMarginals(stack)
     else:
         enumerable = all(2 ** enumeration_bits(stack.layers[i]) <= budget for i in interior_srbm)
-        if marginals == "exact" or (marginals == "auto" and enumerable):
+        if spec.marginals == "exact" or (spec.marginals == "auto" and enumerable):
             if not enumerable:
                 raise EnumerationBudgetError(
                     "estimator.marginals=exact but a lateral layer is not enumerable"
@@ -591,17 +605,17 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
                 started = time.perf_counter()
                 iface = ([samples] + feed_forward_sample(
                     stack, samples, stream.substream(31, 1 + i)))[i]
-                runs[i] = _anneal(stack.layers[i], iface, n_betas, chains_interface,
+                runs[i] = _anneal(stack.layers[i], iface, spec.n_betas, spec.chains_interface,
                                   RngStream(seed, 42 + i), threads)
                 workers = max(workers, runs[i].workers)
                 stages[f"ais_interface[{i}]"] = time.perf_counter() - started
             provider = AisMarginals(stack, runs)
             ais["marginals"] = "ais"
-            ais["chains_interface"] = chains_interface
+            ais["chains_interface"] = spec.chains_interface
 
     started = time.perf_counter()
     estimates, path_workers = estimate_dataset_log_likelihood(
-        stack, samples, n_is, provider, log_z_top, RngStream(seed, 33), threads=threads
+        stack, samples, spec.n_is, provider, log_z_top, RngStream(seed, 33), threads=threads
     )
     workers = max(workers, path_workers)
     if isinstance(provider, AisMarginals):
@@ -609,11 +623,11 @@ def evaluate_stack(stack, samples, *, n_is, n_betas, chains_top, chains_interfac
     stages["paths"] = time.perf_counter() - started
     started = time.perf_counter()
     brute_force = None
-    if exact != "off":
+    if spec.exact != "off":
         try:
             brute_force = brute_force_log_likelihood(stack, samples, budget=budget)
         except EnumerationBudgetError:
-            if exact == "on":
+            if spec.exact == "on":
                 raise
     stages["brute_force"] = time.perf_counter() - started
     log_values = np.array([e.log_value for e in estimates])

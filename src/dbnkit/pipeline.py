@@ -74,6 +74,28 @@ class PatchSource:
                 raise PipelineError("patch does not fit inside an image")
 
 
+@dataclass(frozen=True)
+class PreprocessSpec:
+    """``dbnkit preprocess``'s settings, and so the [preprocess] config keys:
+    ``pairs`` train/test pairs of ``n_train`` and ``n_test`` rows, drawn by the
+    synthetic generator or as ``patch_size`` patches of the bank at ``images``."""
+
+    source: str = "synthetic"
+    images: str = None
+    patch_size: int = 4
+    pairs: int = 10
+    n_train: int = 50000
+    n_test: int = 50000
+
+    def __post_init__(self):
+        if self.source not in ("synthetic", "images"):
+            raise PipelineError(f"unknown source {self.source!r}; expected synthetic or images")
+        if self.source == "images" and self.images is None:
+            raise PipelineError("source = images needs an 'images' path")
+        if min(self.pairs, self.n_train, self.n_test) < 1:
+            raise PipelineError("pairs, n_train and n_test must be at least 1")
+
+
 def sample_patches(source, n, rng=None):
     """n patches at uniform random positions, flattened row-major."""
     if rng is None:
@@ -214,6 +236,9 @@ def synthesize(spec, n, rng):
     Supported kinds: "isotropic_mixture" (means, sigma, weights),
     "full_cov_mixture" (covariances, weights),
     "grbm" and "rbm" (exact sampling of a small model by enumeration).
+    These two enumerate log Z under models.DEFAULT_ENUM_BUDGET and the
+    states they draw from under ``binary_states``' default budget, not
+    under [estimator] enum_budget.
     """
     kind = spec.get("kind")
     if kind == "isotropic_mixture":

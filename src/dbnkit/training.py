@@ -412,9 +412,10 @@ def choose_sigma(spec, data, config, seed=0):
 
     Only a gaussian layer with ``sigma_candidates`` is cross-validated;
     each candidate trains the layer alone on the other folds and scores
-    its exact log-loss on the held-out fold.  Returns the spec and the
-    table of ``baselines.cross_validate_sigma`` (empty when nothing was
-    cross-validated).
+    its exact log-loss on the held-out fold, enumerating log Z under
+    models.DEFAULT_ENUM_BUDGET, not [estimator] enum_budget.  Returns the
+    spec and the table of ``baselines.cross_validate_sigma`` (empty when
+    nothing was cross-validated).
     """
     if spec.variant != GRBM or not spec.sigma_candidates:
         return spec, []

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from dbnkit import cli
-from dbnkit.config import _LAYER_KEYS, _SCHEMA, _TRAIN_KEYS
+from dbnkit.config import _LAYER_KEYS, _SCHEMA, _TRAIN_KEYS, ExperimentConfig
 from dbnkit.dbn import load_dbn
-from dbnkit.pipeline import DataSet, load_dataset, save_dataset, save_images
+from dbnkit.estimation import EstimatorSpec
+from dbnkit.models import DEFAULT_ENUM_BUDGET
+from dbnkit.pipeline import DataSet, PreprocessSpec, load_dataset, save_dataset, save_images
 from dbnkit.storage import canonical_json, write_container
 from dbnkit.training import TrainConfig
 
@@ -182,6 +184,56 @@ def test_readme_lists_every_config_key():
     accepted = {section: set(keys) for section, keys in _SCHEMA.items()}
     accepted.update({"layer.0": set(_LAYER_KEYS), "layer.0.train": set(_TRAIN_KEYS)})
     assert _readme_config_keys() == accepted
+
+
+@pytest.mark.parametrize("section, spec", [
+    ("ais", EstimatorSpec), ("estimator", EstimatorSpec), ("preprocess", PreprocessSpec),
+])
+def test_readme_shows_the_spec_defaults(section, spec):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Config format", 1)[1].split(f"[{section}]", 1)[1]
+    shown = {}
+    for line in block.split("\n[", 1)[0].splitlines():
+        if "=" in line.split("#", 1)[0]:
+            key, raw = (part.strip() for part in line.split("#", 1)[0].split("=", 1))
+            shown[key] = _SCHEMA[section][key](raw)
+    defaults = {f.name: f.default for f in fields(spec)
+                if f.name in _SCHEMA[section] and f.default is not None}
+    assert defaults and {key: shown.get(key) for key in defaults} == defaults
+
+
+# ExperimentConfig.values, with the [ais] and [estimator] defaults filled in
+# and [preprocess] left as written, and the config hash, which covers them
+DEFAULT_ESTIMATOR_VALUES = {
+    "ais": {"n_betas": 1000, "chains_top": 1000, "chains_interface": 100000,
+            "chains_first": 100},
+    "estimator": {"n_is": 100, "exact": "auto", "marginals": "auto",
+                  "enum_budget": DEFAULT_ENUM_BUDGET},
+}
+
+
+@pytest.mark.parametrize("body, values, digest", [
+    ("[experiment]\nseed = 7\n[eval]\nmodel = m\ndataset = d\n",
+     {"experiment": {"seed": 7, "threads": None, "out_dir": "out", "label": "model"},
+      "eval": {"model": "m", "dataset": "d"}, **DEFAULT_ESTIMATOR_VALUES},
+     "65885ef5b46fcbd3"),
+    ("[preprocess]\nsource = images\nimages = bank.dbni\n",
+     {"experiment": {"seed": 0, "threads": None, "out_dir": "out", "label": "model"},
+      "preprocess": {"source": "images", "images": "bank.dbni"}, **DEFAULT_ESTIMATOR_VALUES},
+     "5a7dcfad98229d1a"),
+], ids=["eval-defaults", "preprocess-unfilled"])
+def test_config_values_and_hash_are_pinned(workspace, body, values, digest):
+    cfg = ExperimentConfig.load(write_config(workspace / "pinned.ini", body))
+    assert cfg.values == values
+    assert cfg.config_hash() == digest
+
+
+def test_demo_config_hash_is_pinned():
+    cfg = ExperimentConfig.load(str(Path(__file__).parents[1] / "configs" / "demo.ini"))
+    assert cfg.values["ais"] == {**DEFAULT_ESTIMATOR_VALUES["ais"], "chains_interface": 20000}
+    assert cfg.values["estimator"] == {**DEFAULT_ESTIMATOR_VALUES["estimator"],
+                                       "n_is": 1000, "marginals": "ais"}
+    assert cfg.config_hash() == "4940084ddfde844f"
 
 
 def test_train_writes_loadable_model(workspace):
@@ -477,13 +529,17 @@ def _images_config(ws):
         ("images", "patch_size = 3", "patch_size = -2", "preprocess"),
         ("preprocess", "spread = 1.0", "spread = nan", "synthetic"),
         ("preprocess", "seed = 5", "seed = -1", "experiment"),
+        ("preprocess", "n_test = 60", "n_test = 0", "preprocess"),
+        ("preprocess", "source = synthetic", "source = camera", "preprocess"),
+        ("images", "\nimages = ", "\n# images = ", "preprocess"),
     ],
     ids=[
         "mean_field_steps-0", "mean_field_damping-1", "weight_scale-nan", "weight_scale-1e308",
         "weight_decay-nan", "lr-inf", "grbm-without-sigma", "restarts-0", "em_iters-0",
         "em_iters-negative", "components-above-rows", "baseline-sigma_folds-above-rows",
         "layer-sigma_folds-above-rows", "sweep_x-inf", "patch_size-0", "patch_size-1",
-        "patch_size-negative", "synthetic-spread-nan", "seed-negative",
+        "patch_size-negative", "synthetic-spread-nan", "seed-negative", "n_test-0",
+        "unknown-source", "images-without-bank",
     ],
 )
 def test_value_its_library_object_rejects_names_the_section(workspace, capsys, command, old,
@@ -503,6 +559,23 @@ def test_value_its_library_object_rejects_names_the_section(workspace, capsys, c
     assert cli.main([run, "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"[{section}]" in err
+
+
+@pytest.mark.parametrize("old, new, section", [
+    ("chains_top = 50", "chains_top = 0", "ais"),
+    ("n_betas = 60", "n_betas = many", "ais"),
+    ("n_is = 50", "n_is = 0", "estimator"),
+    ("exact = auto", "exact = of", "estimator"),
+], ids=["chains_top-0", "n_betas-text", "n_is-0", "exact-typo"])
+def test_bad_estimator_setting_names_its_own_section(workspace, capsys, old, new, section):
+    # one EstimatorSpec checks both sections
+    text = Path(eval_config(workspace)).read_text()
+    assert old in text
+    (workspace / "bad.ini").write_text(text.replace(old, new, 1))
+    assert cli.main(["eval", "--config", str(workspace / "bad.ini")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    other = "estimator" if section == "ais" else "ais"
+    assert err.startswith("config error: ") and f"[{section}]" in err and f"[{other}]" not in err
 
 
 def test_negative_seed_option_is_config_error(workspace, capsys):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dbnkit.estimation import (
     AisSchedule,
     AnalyticMarginals,
     EstimationError,
+    EstimatorSpec,
     ExactMarginals,
     estimate_dbn_log_likelihood,
     estimate_lower_bound,
@@ -401,15 +403,14 @@ def small_three_layer_stack():
     return DbnModel(layers), rng.standard_normal((6, 3))
 
 
-EVAL_KNOBS = dict(
-    n_is=20, n_betas=20, chains_top=50, chains_interface=60, chains_first=40, seed=97,
-)
+EVAL_SPEC = EstimatorSpec(n_is=20, n_betas=20, chains_top=50, chains_interface=60,
+                          chains_first=40, enum_budget=2 ** 10)
+EVAL_SEED = 97
 
 
 def test_evaluate_stack_enumerates_within_budget():
     stack, x = small_three_layer_stack()
-    result = evaluate_stack(stack, x, exact="auto", marginals="auto", budget=2 ** 10,
-                            **EVAL_KNOBS)
+    result = evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED)
     assert result.ais["exact_z"] is True
     assert result.ais["marginals"] == "exact"
     assert result.log_z_top.log_value == brute_force_log_partition(stack.top)
@@ -419,8 +420,8 @@ def test_evaluate_stack_enumerates_within_budget():
 
 def test_evaluate_stack_anneals_with_exact_off():
     stack, x = small_three_layer_stack()
-    result = evaluate_stack(stack, x, exact="off", marginals="ais", budget=2 ** 10,
-                            **EVAL_KNOBS)
+    result = evaluate_stack(stack, x, replace(EVAL_SPEC, exact="off", marginals="ais"),
+                            seed=EVAL_SEED)
     assert result.brute_force is None
     assert set(result.stages) == {"log_z_top", "ais_interface[1]", "paths", "brute_force"}
     assert result.workers == 1
@@ -435,17 +436,23 @@ def test_evaluate_stack_anneals_with_exact_off():
 @pytest.mark.parametrize("exact, marginals", [("on", "auto"), ("off", "exact")])
 def test_evaluate_stack_refuses_enumeration_over_budget(exact, marginals):
     stack, x = small_three_layer_stack()
+    spec = replace(EVAL_SPEC, exact=exact, marginals=marginals, enum_budget=2 ** 4 - 1)
     with pytest.raises(EnumerationBudgetError, match="not enumerable"):
-        evaluate_stack(stack, x, exact=exact, marginals=marginals, budget=2 ** 4 - 1,
-                       **EVAL_KNOBS)
+        evaluate_stack(stack, x, spec, seed=EVAL_SEED)
 
 
-@pytest.mark.parametrize("key, bad", [("exact", "of"), ("marginals", "nonsense")])
-def test_evaluate_stack_rejects_unknown_choice(key, bad):
-    stack, x = small_three_layer_stack()
-    choices = {"exact": "auto", "marginals": "auto", key: bad}
-    with pytest.raises(EstimationError, match=f"{key} must be one of .*'{bad}'"):
-        evaluate_stack(stack, x, budget=2 ** 10, **choices, **EVAL_KNOBS)
+@pytest.mark.parametrize("key, bad", [
+    ("exact", "of"), ("marginals", "nonsense"), ("n_is", 0), ("chains_first", -1),
+    ("enum_budget", 0),
+])
+def test_estimator_spec_refuses_bad_value(key, bad):
+    rule = {"exact": "one of auto, on, off", "marginals": "one of auto, exact, ais"}
+    message = f"^{key} must be {rule.get(key, 'at least 1')}, not {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        EstimatorSpec(**{key: bad})
+    # replace checks the new values too
+    with pytest.raises(ValueError, match=message):
+        replace(EVAL_SPEC, **{key: bad})
 
 
 # -- path estimator workers ---------------------------------------------------------
@@ -461,16 +468,15 @@ def rbm_paths_stack(monkeypatch):
 
 def test_paths_are_byte_identical_across_worker_counts(monkeypatch):
     stack, x = rbm_paths_stack(monkeypatch)
-    knobs = dict(EVAL_KNOBS, exact="auto", marginals="auto", budget=2 ** 10)
-    results = [evaluate_stack(stack, x, **dict(knobs, threads=t)) for t in (1, 2, 3)]
+    results = [evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=t) for t in (1, 2, 3)]
     assert [r.workers for r in results] == [1, 2, 3]
     for r in results[1:]:
         assert np.array_equal(r.log_values, results[0].log_values)
         assert np.array_equal(r.standard_errors, results[0].standard_errors)
     # point i, whatever its block, draws from substream (13, i)
-    stream = RngStream(knobs["seed"], 33)
+    stream = RngStream(EVAL_SEED, 33)
     for i in (0, 5, 22):
-        est = estimate_dbn_log_likelihood(stack, x[i], knobs["n_is"], AnalyticMarginals(stack),
+        est = estimate_dbn_log_likelihood(stack, x[i], EVAL_SPEC.n_is, AnalyticMarginals(stack),
                                           results[2].log_z_top, stream.substream(13, i))
         assert est.log_value == results[2].log_values[i]
 
@@ -487,15 +493,15 @@ def test_paths_start_a_pool_only_for_analytic_marginals(monkeypatch, case, margi
     elif case == "one-layer":
         stack = DbnModel(stack.layers[:1])
     sizes = _record_pools(monkeypatch)
-    knobs = dict(EVAL_KNOBS, exact="off" if case == "ais" else "auto",
-                 marginals=marginals or "auto", budget=2 ** 10)
-    result = evaluate_stack(stack, x, threads=10 ** 6, **knobs)
+    spec = replace(EVAL_SPEC, exact="off" if case == "ais" else "auto",
+                   marginals=marginals or "auto")
+    result = evaluate_stack(stack, x, spec, seed=EVAL_SEED, threads=10 ** 6)
     assert result.ais.get("marginals") == marginals
     assert sizes == pool_sizes
     assert result.workers == max(pool_sizes, default=1)
     # a count below 1 is refused whether or not the paths leave this process
     with pytest.raises(EstimationError, match="threads must be at least 1"):
-        evaluate_stack(stack, x, threads=0, **knobs)
+        evaluate_stack(stack, x, spec, seed=EVAL_SEED, threads=0)
 
 
 @pytest.mark.parametrize("case, workers", [("analytic", 3), ("one-layer", 1), ("lateral", 1)])
@@ -507,9 +513,8 @@ def test_paths_use_the_cpu_set_by_default(monkeypatch, case, workers):
     elif case == "lateral":
         # enumerated marginals fill their memo in this process
         stack, x = small_three_layer_stack()
-    knobs = dict(EVAL_KNOBS, exact="auto", marginals="auto", budget=2 ** 10)
-    default = evaluate_stack(stack, x, **knobs)
-    serial = evaluate_stack(stack, x, threads=1, **knobs)
+    default = evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED)
+    serial = evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=1)
     assert default.workers == workers
     assert np.array_equal(default.log_values, serial.log_values)
     assert np.array_equal(default.standard_errors, serial.standard_errors)
@@ -520,8 +525,7 @@ def test_dead_path_worker_is_estimation_error(monkeypatch):
     # the forked workers inherit the patch and die without a result
     monkeypatch.setattr(estimation, "estimate_dbn_log_likelihood", lambda *args: os._exit(3))
     with pytest.raises(EstimationError, match="a path worker process died"):
-        evaluate_stack(stack, x, exact="auto", marginals="auto", budget=2 ** 10,
-                       **dict(EVAL_KNOBS, threads=2))
+        evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=2)
 
 
 # -- path tables -------------------------------------------------------------------
@@ -633,8 +637,7 @@ def test_layers_over_the_table_cap_draw_row_by_row(monkeypatch, cap, tabulated):
     provider = AnalyticMarginals(stack)
     assert [t is not None for t in estimation._path_tables(stack, provider)] == tabulated
     assert_matches_reference(stack, x, provider, AnalyticMarginals(stack))
-    knobs = dict(EVAL_KNOBS, exact="auto", marginals="auto", budget=2 ** 10)
-    results = [evaluate_stack(stack, x, **dict(knobs, threads=t)) for t in (1, 2, 3)]
+    results = [evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=t) for t in (1, 2, 3)]
     assert [r.workers for r in results] == [1, 2, 3]
     for r in results[1:]:
         assert np.array_equal(r.log_values, results[0].log_values)

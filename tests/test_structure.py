@@ -7,11 +7,13 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import dbnkit
+from dbnkit import config, estimation, pipeline
 
 SRC = Path(dbnkit.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -295,3 +297,13 @@ def test_tests_and_benchmark_import_only_declared_dependencies():
         undeclared |= {f"{path.parent.name}/{path.name}: {name}"
                        for name in imported_top_levels(path) if name not in known}
     assert not undeclared, f"imports missing from pyproject.toml: {sorted(undeclared)}"
+
+
+def test_config_sections_come_from_their_spec_objects():
+    # [ais] and [estimator] split EstimatorSpec's fields, [preprocess] holds
+    # PreprocessSpec's, and no default is kept outside the object that uses it
+    ais, estimator = set(config._SCHEMA["ais"]), set(config._SCHEMA["estimator"])
+    assert not ais & estimator
+    assert ais | estimator == {f.name for f in fields(estimation.EstimatorSpec)}
+    assert set(config._SCHEMA["preprocess"]) == {f.name for f in fields(pipeline.PreprocessSpec)}
+    assert set(config._DEFAULTS) == {"experiment"}
