@@ -9,11 +9,12 @@ visible units, and q_L is the top layer's (normalized) visible marginal.
 """
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .models import DEFAULT_ENUM_BUDGET, GRBM, SRBM, binary_states
+from .models import DEFAULT_ENUM_BUDGET, ENUM_BLOCK, GRBM
 from .numerics import LOG2, log_sum_exp
 from .storage import canonical_json, load_model, save_model
 from . import models as _models
@@ -71,29 +72,47 @@ def feed_forward_sample(dbn, x0, rng):
     return states
 
 
-def _log_conditional_table(layer, xs, ys, budget):
-    """Matrix of log q(x | y) over every (row of ``xs``, row of ``ys``) pair.
+def _log_sum_block(x, a, c):
+    """log sum_j exp(x . a[:, j] + c[j]) for each row of ``x``: one block."""
+    return log_sum_exp(x @ a + c, axis=1)
 
-    A lateral-connected layer has no analytic conditional: exp(-E(x, y))
-    is normalized by its enumerated hidden marginal q*(y).
+
+def _absorb(layer, x_chunks, table, budget, what):
+    """log sum_y exp(log q(x | y) + table[y]) for the rows x of the blocks
+    ``x_chunks()`` yields, y running over the layer's 2^h hidden states.
+
+    Each block of y states gets its terms of log q(x | y) = x . A(y) + c(y)
+    + r(x) once (``models.conditional_terms``); the x rows pass it in row
+    blocks, one matrix product each, and the y blocks combine in a running
+    log-sum-exp.  No block holds more than min(budget, ENUM_BLOCK) cells.
     """
-    pairs = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
-    if layer.variant != SRBM:
-        return layer.log_visible_conditional(*pairs).reshape(len(xs), len(ys))
-    norms = _models.brute_force_hidden_marginal_srbm(layer, ys, budget)
-    return -layer.energy(*pairs).reshape(len(xs), len(ys)) - norms
+    cells = min(budget, ENUM_BLOCK)
+    cols = max(1, cells // max(layer.n_visible, layer.n_hidden))
+    total, start = None, 0
+    for ys in _models.state_chunks(layer.n_hidden, budget, what):
+        for lo in range(0, len(ys), cols):
+            a, c, r = _models.conditional_terms(layer, ys[lo : lo + cols], budget)
+            c += table[start : start + len(c)]
+            start += len(c)
+            rows = max(1, cells // len(c))
+            piece = np.concatenate([
+                _log_sum_block(xs[i : i + rows], a, c)
+                for xs in x_chunks() for i in range(0, len(xs), rows)
+            ])
+            total = piece if total is None else log_sum_exp([total, piece], axis=0)
+    return total + np.concatenate([r(xs) for xs in x_chunks()])
 
 
 def brute_force_log_likelihood(dbn, x, budget=DEFAULT_ENUM_BUDGET):
     """Exact log p(x) in nats by enumerating every interface.
 
     Tables are built top-down: the top layer's normalized visible marginal
-    over all of its 2^d states, then each interface in turn absorbs the
-    layer's downward conditional, so the nesting order is fixed as
-    top-to-bottom regardless of layer widths.  No table or block holds
-    more than ``budget`` states or cells; the bottom layer's conditional is
-    evaluated in row blocks to keep to that.  Accepts a single state or a
-    batch of rows.
+    over all of its 2^d states, then each layer below absorbs its downward
+    conditional (``_absorb``), an interior layer over all of its visible
+    states and the bottom layer at the rows of ``x``, so the nesting order
+    is fixed as top-to-bottom regardless of layer widths.  ``budget`` bounds
+    the states each table enumerates (2^(m+h) for an interior one), not the
+    memory.  Accepts a single state or a batch of rows.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -111,22 +130,11 @@ def brute_force_log_likelihood(dbn, x, budget=DEFAULT_ENUM_BUDGET):
         for s in _models.state_chunks(top.n_visible, budget, "top table")
     ]) - log_z
     for i in range(dbn.n_layers - 2, 0, -1):
-        layer = dbn.layers[i]
-        _models.check_budget(
-            layer.n_visible + layer.n_hidden, budget, f"conditional table of layer {i}"
-        )
-        cond = _log_conditional_table(
-            layer, binary_states(layer.n_visible, budget), binary_states(layer.n_hidden, budget),
-            budget,
-        )
-        table = log_sum_exp(cond + table, axis=1)
-
-    hidden = binary_states(first.n_hidden, budget, "bottom table")
-    rows = budget // len(hidden)
-    out = np.concatenate([
-        log_sum_exp(_log_conditional_table(first, x[i:i + rows], hidden, budget) + table, axis=1)
-        for i in range(0, len(x), rows)
-    ])
+        layer, what = dbn.layers[i], f"conditional table of layer {i}"
+        _models.check_budget(layer.n_visible + layer.n_hidden, budget, what)
+        states = partial(_models.state_chunks, layer.n_visible, budget, what)
+        table = _absorb(layer, states, table, budget, what)
+    out = _absorb(first, lambda: [x], table, budget, "bottom table")
     return float(out[0]) if single else out
 
 

@@ -30,6 +30,7 @@ from . import kernels
 from .dbn import average_log_loss, brute_force_log_likelihood, feed_forward_sample
 from .models import (
     DEFAULT_ENUM_BUDGET,
+    ENUM_BLOCK,
     GRBM,
     RBM,
     SRBM,
@@ -37,6 +38,7 @@ from .models import (
     ModelError,
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
+    conditional_terms,
     enumeration_bits,
     state_chunks,
     state_index,
@@ -255,36 +257,33 @@ def run_ais(target, schedule, rng, threads=None):
     return AisRun(log_w, samples, log_z_base, log_z, schedule.betas.size, workers)
 
 
-def _log_hidden_conditional_terms(target, samples):
-    """log q(y_j = 1 | x) and log q(y_j = 0 | x) at the AIS samples."""
-    act = target.hidden_activation(samples)
-    return -softplus_log(-act), -softplus_log(act)
-
-
 def estimate_unnorm_marginal_batch(run, target, states):
     """Importance-reweighted estimates of log q*(y) for rows of ``states``.
 
     Reuses the AIS samples and weights: q*(y) is the weighted average of
     q(y | x) over the retained samples, times the base partition function.
+    The log terms of each state and sample are built in place for blocks of
+    as many states as keep within ENUM_BLOCK cells (one state at least), so
+    their memory does not grow with the number of states.
     Returns (values, relative standard errors).
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if states.shape[1] != target.n_hidden:
         raise ModelError("state dimension does not match the hidden units")
-    log_on, log_off = _log_hidden_conditional_terms(target, run.final_samples)
-    values = np.empty(states.shape[0])
-    errors = np.empty(states.shape[0])
-    n = run.log_weights.size
-    chunk = max(1, int(2 ** 22 // max(n, 1)))
-    for lo in range(0, states.shape[0], chunk):
-        y = states[lo : lo + chunk]
-        log_cond = y @ log_on.T + (1.0 - y) @ log_off.T  # (rows, n_samples)
-        combined = log_cond + run.log_weights[None, :]
-        for i in range(y.shape[0]):
-            est = monte_carlo_se(combined[i])
-            values[lo + i] = est.log_value + run.log_z_base
-            errors[lo + i] = est.standard_error
-    return values, errors
+    # log q(y_j = 1 | x) and log q(y_j = 0 | x) at the AIS samples
+    act = target.hidden_activation(run.final_samples)
+    log_on, log_off = -softplus_log(-act), -softplus_log(act)
+    ests = []
+    step = max(1, ENUM_BLOCK // max(run.log_weights.size, 1))
+    for lo in range(0, states.shape[0], step):
+        y = states[lo : lo + step]
+        # (y @ log_on.T + (1 - y) @ log_off.T) + log_w, in one buffer
+        combined = y @ log_on.T
+        combined += (1.0 - y) @ log_off.T
+        combined += run.log_weights
+        ests.extend(monte_carlo_se(row) for row in combined)
+    return (np.array([e.log_value for e in ests]) + run.log_z_base,
+            np.array([e.standard_error for e in ests]))
 
 
 class AnalyticMarginals:
@@ -639,18 +638,14 @@ def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):
     """Variational lower bound on log p(x) for a two-layer stack.
 
     Averages log r*(y) q(x | y) over y drawn from the factorial posterior
-    of the first layer, adds the analytic Bernoulli entropy, and subtracts
-    the top log partition function.  With ``exact=True`` the expectation
+    of the first layer (q(x | y) enumerated for a lateral one), adds the
+    analytic Bernoulli entropy, and subtracts the top log partition function.  With ``exact=True`` the expectation
     is enumerated over all hidden states instead of sampled, in blocks;
     more than DEFAULT_ENUM_BUDGET states raise EnumerationBudgetError.
     """
     if dbn.n_layers != 2:
         raise EstimationError("the bound is defined for a two-layer view")
     first, top = dbn.layers
-    if not hasattr(first, "log_visible_conditional"):
-        raise EstimationError(
-            "layer 1 must have an analytic visible conditional for the bound"
-        )
     x = np.asarray(x, dtype=np.float64)
     p = np.atleast_1d(first.hidden_conditional(x))
     entropy = float(bernoulli_entropy(p))
@@ -663,9 +658,7 @@ def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):
         expect, se, n_used = 0.0, 0.0, 0
         for ys in state_chunks(first.n_hidden, DEFAULT_ENUM_BUDGET, "the exact lower bound"):
             weights = np.exp(ys @ log_p + (1.0 - ys) @ log_q)
-            vals = top.log_unnorm_visible(ys) + first.log_visible_conditional(
-                np.broadcast_to(x, (len(ys), x.size)), ys
-            )
+            vals = top.log_unnorm_visible(ys) + first.log_visible_conditional(x, ys)
             keep = weights > 0
             expect += float(np.sum(weights[keep] * vals[keep]))
             n_used += int(keep.sum())
@@ -673,9 +666,7 @@ def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):
         if n_samples < 1:
             raise EstimationError("need at least one posterior sample")
         ys = (rng.random((n_samples, p.size)) < p).astype(np.float64)
-        vals = top.log_unnorm_visible(ys) + first.log_visible_conditional(
-            np.broadcast_to(x, (n_samples, x.size)), ys
-        )
+        vals = top.log_unnorm_visible(ys) + first.log_visible_conditional(x, ys)
         expect = float(vals.mean())
         se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
         n_used = n_samples
@@ -692,11 +683,10 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
     doubles as the reconstruction set, which deliberately encourages
     optimistic estimates.
 
-    Every log q(x | y_k) is folded into x . A[:, k] + c[k] + r(x), so the
-    mixture over K components costs one GEMM and one exp per row block.
+    Every log q(x | y_k) is x . A[:, k] + c[k] + r(x) (``conditional_terms``,
+    which enumerates a lateral layer's c), so the mixture over K components
+    costs one GEMM and one exp per row block.
     """
-    if layer1.variant == SRBM:
-        raise EstimationError("potential log-loss needs an analytic visible conditional")
     if k_recon < 1:
         raise EstimationError("need at least one reconstruction per point")
     eval_set = np.atleast_2d(np.asarray(eval_set, dtype=np.float64))
@@ -713,28 +703,11 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
         rng = RngStream(0).generator()
 
     probs = np.atleast_2d(layer1.hidden_conditional(recon))
-    parts = []
-    for _ in range(k_recon):
-        parts.append((rng.random(probs.shape) < probs).astype(np.float64))
-    components = np.concatenate(parts, axis=0)
+    components = np.concatenate(
+        [(rng.random(probs.shape) < probs).astype(np.float64) for _ in range(k_recon)])
     n_comp = components.shape[0]
 
-    # r(x) = r_shift - r_scale |x|^2
-    if layer1.variant == GRBM:
-        # -|x - m|^2 / 2s^2 = x.m/s^2 - |m|^2/2s^2 - |x|^2/2s^2
-        var = layer1.sigma ** 2
-        means = layer1.visible_bias + layer1.sigma * (components @ layer1.weights.T)
-        a = means.T / var
-        c = -np.sum(means ** 2, axis=1) / (2.0 * var)
-        r_scale, r_shift = 0.5 / var, -0.5 * layer1.n_visible * np.log(2.0 * np.pi * var)
-    else:
-        # x log sigmoid(act) + (1 - x) log sigmoid(-act) = x act - softplus(act)
-        act = components @ layer1.weights.T + layer1.visible_bias
-        a = act.T
-        c = -np.sum(softplus_log(act), axis=1)
-        r_scale, r_shift = 0.0, 0.0
-    # a row-major right operand keeps the GEMM off a transposed BLAS path
-    a = np.ascontiguousarray(a)
+    a, c, r = conditional_terms(layer1, components)
     step = max(1, POTENTIAL_BLOCK // n_comp)
     buf = np.empty((min(step, eval_set.shape[0]), n_comp))
 
@@ -748,8 +721,7 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
             top = block.max(axis=1)
             block -= top[:, None]
             np.exp(block, out=block)
-            r = r_shift - r_scale * np.sum(x * x, axis=1)
-            out[lo : lo + step] = top + np.log(block.sum(axis=1)) - np.log(n_comp) + r
+            out[lo : lo + step] = top + np.log(block.sum(axis=1)) - np.log(n_comp) + r(x)
         return out
 
     return average_log_loss(eval_set, evaluator)

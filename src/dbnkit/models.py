@@ -21,6 +21,8 @@ SRBM = "srbm"
 
 DEFAULT_ENUM_BUDGET = 2 ** 25
 _ENUM_CHUNK = 2 ** 16
+# cells (1 MB of float64) in one block of a pair enumeration or AIS reweighting
+ENUM_BLOCK = 2 ** 17
 
 
 class ModelError(ValueError):
@@ -140,15 +142,9 @@ class LayerModel:
     def energy(self, x, y):
         x, sx = _rows(x, self.n_visible, "visible state")
         y, sy = _rows(y, self.n_hidden, "hidden state")
-        if x.shape[0] != y.shape[0]:
-            if x.shape[0] == 1:
-                x = np.broadcast_to(x, (y.shape[0], x.shape[1]))
-            elif y.shape[0] == 1:
-                y = np.broadcast_to(y, (x.shape[0], y.shape[1]))
-            else:
-                raise ModelError("mismatched batch sizes")
-        e = self._energy_rows(x, y)
-        return _ret(e, sx and sy)
+        if len(x) != len(y) and min(len(x), len(y)) > 1:
+            raise ModelError("mismatched batch sizes")
+        return _ret(self._energy_rows(x, y), sx and sy)
 
     def log_unnorm_visible(self, x):
         """log q*(x): the hidden units summed (or integrated) out analytically."""
@@ -159,6 +155,14 @@ class LayerModel:
         """log q*(y): the visible units summed (or integrated) out analytically."""
         y, single = _rows(y, self.n_hidden, "hidden state")
         return _ret(self._log_unnorm_hidden_rows(y), single)
+
+    def log_visible_conditional(self, x, y):
+        """log q(x | y) for paired rows (or one state and rows) of ``x`` and
+        ``y``, by ``conditional_terms`` within DEFAULT_ENUM_BUDGET."""
+        x, sx = _rows(x, self.n_visible, "visible state")
+        y, sy = _rows(y, self.n_hidden, "hidden state")
+        a, c, r = conditional_terms(self, y)
+        return _ret(np.sum(x * a.T, axis=1) + c + r(x), sx and sy)
 
     def parameter_arrays(self):
         """Names and arrays of all trainable parameters, in a fixed order."""
@@ -200,14 +204,6 @@ class Rbm(LayerModel):
         p = logistic(y @ self.weights.T + self.visible_bias)
         x = (rng.random(p.shape) < p).astype(np.float64)
         return _ret(x, single)
-
-    def log_visible_conditional(self, x, y):
-        """log q(x | y), factorial Bernoulli."""
-        x, sx = _rows(x, self.n_visible, "visible state")
-        y, sy = _rows(y, self.n_hidden, "hidden state")
-        act = y @ self.weights.T + self.visible_bias
-        ll = -(softplus_log(-act) * x + softplus_log(act) * (1.0 - x)).sum(axis=1)
-        return _ret(ll, sx and sy)
 
 
 class Grbm(LayerModel):
@@ -267,17 +263,6 @@ class Grbm(LayerModel):
         mean = self.visible_bias + self.sigma * (y @ self.weights.T)
         x = mean + self.sigma * rng.standard_normal(mean.shape)
         return _ret(x, single)
-
-    def log_visible_conditional(self, x, y):
-        """log density of q(x | y) = Normal(b + s W y, s^2 I)."""
-        x, sx = _rows(x, self.n_visible, "visible state")
-        y, sy = _rows(y, self.n_hidden, "hidden state")
-        d = x - (self.visible_bias + self.sigma * (y @ self.weights.T))
-        ll = (
-            -np.sum(d * d, axis=1) / (2.0 * self.sigma ** 2)
-            - 0.5 * self.n_visible * np.log(2.0 * np.pi * self.sigma ** 2)
-        )
-        return _ret(ll, sx and sy)
 
     def settings(self):
         return {"sigma": self.sigma}
@@ -412,16 +397,50 @@ def brute_force_log_partition(model, budget=DEFAULT_ENUM_BUDGET):
     return log_sum_exp([log_sum_exp(fn(s)) for s in state_chunks(k, budget, "partition function")])
 
 
+def conditional_terms(model, y, budget=DEFAULT_ENUM_BUDGET):
+    """``(a, c, r)`` with log q(x | y_j) = x . a[:, j] + c[j] + r(x) for the
+    rows y_j of ``y``: ``a`` is row-major, ``r`` a function of visible rows.
+    A lateral model has A(y) = Wy, r(x) = b'x + x'Lx/2 and c(y) = c'y -
+    log q*(y) = -log sum_x exp(x . A(y) + r(x)), enumerated over its 2^m
+    visible states within ``budget`` in blocks of at most
+    max(min(budget, ENUM_BLOCK), rows of y) cells."""
+    y, _ = _rows(y, model.n_hidden, "hidden state")
+    if model.variant == GRBM:
+        # -|x - m|^2 / 2s^2 - (n/2) log(2 pi s^2), m = b + sWy, square expanded
+        var = model.sigma ** 2
+        means = model.visible_bias + model.sigma * (y @ model.weights.T)
+        a, c = means.T / var, -np.sum(means ** 2, axis=1) / (2.0 * var)
+        r_scale, r_shift = 0.5 / var, -0.5 * model.n_visible * np.log(2.0 * np.pi * var)
+
+        def r(x):
+            return r_shift - r_scale * np.sum(x * x, axis=1)
+    elif model.variant == RBM:
+        # x log sigmoid(act) + (1 - x) log sigmoid(-act) = x act - softplus(act)
+        act = y @ model.weights.T + model.visible_bias
+        a, c = act.T, -np.sum(softplus_log(act), axis=1)
+
+        def r(x):
+            return np.zeros(x.shape[0])
+    else:
+        a = (y @ model.weights.T).T
+
+        def r(x):
+            return x @ model.visible_bias + 0.5 * np.sum((x @ model.lateral) * x, axis=1)
+        rows = max(1, min(budget, ENUM_BLOCK) // max(len(y), 1))
+        c = None
+        for xs in state_chunks(model.n_visible, budget, "hidden marginal"):
+            for x in (xs[lo : lo + rows] for lo in range(0, len(xs), rows)):
+                piece = log_sum_exp(r(x)[:, None] + x @ a, axis=0)
+                c = piece if c is None else log_sum_exp([c, piece], axis=0)
+        c = -c
+    # a row-major A keeps the callers' GEMMs off a transposed BLAS path
+    return np.ascontiguousarray(a), c, r
+
+
 def brute_force_hidden_marginal_srbm(model, y, budget=DEFAULT_ENUM_BUDGET):
-    """log q*(y) = log sum_x exp(-E(x, y)) by visible enumeration."""
+    """log q*(y) = log sum_x exp(-E(x, y)) = c'y - c(y), see ``conditional_terms``."""
     if model.variant != SRBM:
         raise ModelError("visible enumeration of the hidden marginal is for "
                          "lateral-connected models; others have it analytically")
     y, single = _rows(y, model.n_hidden, "hidden state")
-    wy = y @ model.weights.T  # (ny, m)
-    pieces = []
-    for x in state_chunks(model.n_visible, budget, "hidden marginal"):
-        quad = x @ model.visible_bias + 0.5 * np.sum((x @ model.lateral) * x, axis=1)
-        # (chunk, ny) log terms: x'(Wy) + b'x + x'Lx/2
-        pieces.append(log_sum_exp(quad[:, None] + x @ wy.T, axis=0))
-    return _ret(y @ model.hidden_bias + log_sum_exp(pieces, axis=0), single)
+    return _ret(y @ model.hidden_bias - conditional_terms(model, y, budget)[1], single)

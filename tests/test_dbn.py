@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,17 +160,48 @@ def test_small_budget_evaluates_the_bottom_in_row_blocks(monkeypatch):
     with pytest.raises(EnumerationBudgetError, match="layer 1"):
         brute_force_log_likelihood(stack, x, budget=2 ** 4)
     calls = []
-    table = dbn._log_conditional_table
+    block = dbn._log_sum_block
 
-    def spy(layer, xs, ys, budget):
-        calls.append((layer.variant, len(xs), len(ys)))
-        return table(layer, xs, ys, budget)
+    def spy(xs, a, c):
+        # (visible units of the layer, x rows, y columns)
+        calls.append((xs.shape[1], len(xs), a.shape[1]))
+        return block(xs, a, c)
 
-    monkeypatch.setattr(dbn, "_log_conditional_table", spy)
+    monkeypatch.setattr(dbn, "_log_sum_block", spy)
     got = brute_force_log_likelihood(stack, x, budget=2 ** 5)
-    # the 2^2 x 2^3 interior table, then 10 rows as blocks of 2^5 // 2^2 = 8 and 2
-    assert calls == [("srbm", 4, 8), ("rbm", 8, 4), ("rbm", 2, 4)]
+    # the 2^2 x 2^3 interior table of the srbm, then the bottom rbm's 10
+    # rows as blocks of 2^5 // 2^2 = 8 and 2
+    assert calls == [(2, 4, 8), (4, 8, 4), (4, 2, 4)]
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_budget_admits_the_largest_table_at_its_size_and_not_one_bit_wider():
+    # the 5-7 interior table has 2^12 cells, the stack's largest
+    rng = RngStream(67).generator()
+    x = binary_states(3)
+
+    def stack(m):
+        return DbnModel([random_rbm(rng, 3, m), random_rbm(rng, m, 7), random_rbm(rng, 7, 2)])
+
+    assert np.all(np.isfinite(brute_force_log_likelihood(stack(5), x, budget=2 ** 12)))
+    with pytest.raises(EnumerationBudgetError,
+                       match="layer 1 needs 2\\^13 states, above the budget of 4096"):
+        brute_force_log_likelihood(stack(6), x, budget=2 ** 12)
+
+
+def test_brute_force_memory_stays_within_fixed_blocks():
+    # a pair grid over the 2^20 cells of each 10-10 table took 480 MB
+    rng = RngStream(68).generator()
+    stack = DbnModel([random_rbm(rng, 4, 10), random_rbm(rng, 10, 10), random_rbm(rng, 10, 4)])
+    x = (rng.random((10, 4)) < 0.5).astype(np.float64)
+    tracemalloc.start()
+    try:
+        got = brute_force_log_likelihood(stack, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert np.all(np.isfinite(got)) and np.all(got < 0.0)
 
 
 # -- log loss -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from dbnkit.models import (
     brute_force_log_partition,
     state_index,
 )
-from dbnkit.numerics import LOG2, LogEstimate, RngStream, monte_carlo_se
+from dbnkit.numerics import LOG2, LogEstimate, RngStream, monte_carlo_se, softplus_log
 from dbnkit.oracle import exact_log_z, random_grbm, random_rbm, random_srbm
 from dbnkit.training import init_srbm_from_grbm
 
@@ -311,6 +312,29 @@ def test_single_state_marginal_matches_batch():
     batch, errs = estimate_unnorm_marginal_batch(run, target, y[None, :])
     assert single.shape == (1,)
     assert single[0] == batch[0] and single_err[0] == errs[0]
+
+
+def test_marginal_reweighting_memory_stays_within_fixed_blocks():
+    # the 64 x 20000 log terms, built whole, took 22.4 MB at their peak
+    rng = RngStream(86).generator()
+    target = random_srbm(rng, m=8, n=8, scale=0.4)
+    run = run_ais(target, AisSchedule(linear_betas(5), 20000, fit_base_model(target)),
+                  RngStream(87), threads=1)
+    ys = binary_states(8)[rng.permutation(256)[:64]]
+    tracemalloc.start()
+    try:
+        values, errors = estimate_unnorm_marginal_batch(run, target, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    # the blocks keep the unblocked arithmetic, bit for bit
+    act = target.hidden_activation(run.final_samples)
+    log_on, log_off = -softplus_log(-act), -softplus_log(act)
+    whole = ys @ log_on.T + (1.0 - ys) @ log_off.T + run.log_weights
+    reference = [monte_carlo_se(row) for row in whole]
+    assert np.array_equal(values, [e.log_value + run.log_z_base for e in reference])
+    assert np.array_equal(errors, [e.standard_error for e in reference])
 
 
 # -- stack likelihood estimator ----------------------------------------------------
@@ -681,6 +705,26 @@ def test_lower_bound_monte_carlo_matches_exact():
     assert abs(mc.log_value - exact.log_value) < 4 * mc.standard_error + 1e-3
 
 
+def test_exact_lower_bound_of_a_lateral_first_layer_falls_short_by_the_kl():
+    rng = RngStream(97).generator()
+    first, top = random_srbm(rng, m=4, n=3), random_rbm(rng, m=3, n=3)
+    stack = DbnModel([first, top])
+    x = binary_states(4)[5]
+    z = exact_log_z(top)
+    bound = estimate_lower_bound(stack, x, None, z, None, exact=True).log_value
+    truth = brute_force_log_likelihood(stack, x)
+    # log p(x, y) with q(x | y) enumerated from the energy
+    ys, xs = binary_states(3), binary_states(4)
+    log_cond = np.array([-first.energy(x, y) - scipy.special.logsumexp(-first.energy(xs, y))
+                         for y in ys])
+    log_joint = log_cond + top.log_unnorm_visible(ys) - z.log_value
+    p = first.hidden_conditional(x)
+    log_q = ys @ np.log(p) + (1.0 - ys) @ np.log1p(-p)
+    kl = float(np.sum(np.exp(log_q) * (log_q - (log_joint - truth))))
+    assert bound < truth
+    assert bound == pytest.approx(truth - kl, abs=1e-10)
+
+
 def test_exact_lower_bound_keeps_to_its_budget(monkeypatch):
     rng = RngStream(98).generator()
     first = random_rbm(rng, m=4, n=3, scale=0.5)
@@ -760,6 +804,22 @@ def test_potential_log_loss_matches_pairwise_definition(monkeypatch, variant):
     ])
     np.testing.assert_allclose(rows[0], want, rtol=0, atol=1e-10)
     assert got == pytest.approx(float(np.mean(-want / LOG2) / data.shape[1]), abs=1e-10)
+
+
+def test_potential_log_loss_enumerates_a_lateral_layer():
+    rng = RngStream(108).generator()
+    model = random_srbm(rng, m=4, n=3)
+    data = (rng.random((12, 4)) < 0.5).astype(np.float64)
+    got = estimate_potential_log_loss(model, data, k_recon=2, rng=RngStream(109).generator())
+    redo = RngStream(109).generator()
+    probs = model.hidden_conditional(data)
+    ys = np.concatenate([(redo.random(probs.shape) < probs).astype(float) for _ in range(2)])
+    # q(x | y) = exp(-E(x, y)) / sum_x' exp(-E(x', y)), enumerated here
+    xs = binary_states(4)
+    log_norm = np.array([scipy.special.logsumexp(-model.energy(xs, y)) for y in ys])
+    want = np.array([scipy.special.logsumexp(-model.energy(x, ys) - log_norm) - np.log(len(ys))
+                     for x in data])
+    assert got == pytest.approx(float(np.mean(-want / LOG2) / 4), abs=1e-10)
 
 
 @pytest.mark.parametrize("which", ["eval_set", "recon_set"])

@@ -51,6 +51,19 @@ def test_energy_dimension_mismatch():
         model.energy(np.ones(4), np.ones(2))
 
 
+def test_energy_pairs_one_state_with_every_row():
+    rng = RngStream(9).generator()
+    model = random_srbm(rng, m=4, n=3)
+    xs, ys = binary_states(4), binary_states(3)
+    x, y = xs[6], ys[5]
+    np.testing.assert_allclose(model.energy(x, ys), model.energy(np.tile(x, (8, 1)), ys),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.energy(xs, y), model.energy(xs, np.tile(y, (16, 1))),
+                               rtol=0, atol=1e-12)
+    with pytest.raises(ModelError, match="mismatched batch sizes"):
+        model.energy(xs, ys)
+
+
 # -- hidden conditional -----------------------------------------------------
 
 
@@ -271,6 +284,35 @@ def test_srbm_marginal_consistency_with_partition():
     ys = binary_states(4)
     total = log_sum_exp(brute_force_hidden_marginal_srbm(model, ys))
     assert total == pytest.approx(brute_force_log_partition(model), abs=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["rbm", "grbm", "srbm"])
+def test_conditional_terms_match_the_direct_conditionals(variant):
+    # log q(x | y) = x . A(y) + c(y) + r(x) against each variant's own form,
+    # on the grid and through log_visible_conditional on paired rows
+    rng = RngStream(19).generator()
+    ys = binary_states(3)
+    if variant == "grbm":
+        model = random_grbm(rng, m=4, n=3, sigma=0.7)
+        xs = 2.0 * rng.standard_normal((8, 4))
+        d = xs[:, None, :] - (model.visible_bias + 0.7 * (ys @ model.weights.T))[None]
+        want = -np.sum(d * d, axis=2) / (2 * 0.7 ** 2) - 2 * np.log(2 * np.pi * 0.7 ** 2)
+    elif variant == "rbm":
+        model = random_rbm(rng, m=4, n=3)
+        xs = binary_states(4)
+        act = (ys @ model.weights.T + model.visible_bias)[None]
+        on = xs[:, None, :]
+        want = -(np.logaddexp(0, -act) * on + np.logaddexp(0, act) * (1 - on)).sum(axis=2)
+    else:
+        model = random_srbm(rng, m=4, n=3)
+        xs = binary_states(4)
+        want = np.array([[-model.energy(x, y) - log_sum_exp(-model.energy(xs, y)) for y in ys]
+                         for x in xs])
+    a, c, r = models.conditional_terms(model, ys)
+    np.testing.assert_allclose(xs @ a + c + r(xs)[:, None], want, rtol=0, atol=1e-12)
+    paired = model.log_visible_conditional(np.repeat(xs, len(ys), axis=0),
+                                           np.tile(ys, (len(xs), 1)))
+    np.testing.assert_allclose(paired.reshape(want.shape), want, rtol=0, atol=1e-12)
 
 
 # -- initialization and serialization ----------------------------------------

@@ -28,6 +28,9 @@ SIGMOID_WORDS = ("sigmoid", "logistic")
 SIGMOID_CALLS = {"tanh", "expit"}
 # ufuncs that raise a base to each element of an exponent array
 POWER_CALLS = {"left_shift", "power", "float_power", "exp2", "ldexp"}
+# names that hold all of an enumerated side's states at once, or repeat rows
+# into every (x, y) pair of a grid
+PAIR_GRID_NAMES = {"binary_states", "repeat", "tile"}
 
 
 def _is_binary_mode(mode):
@@ -79,8 +82,9 @@ p.open()
     assert sorted(binary_file_access(ast.parse(code))) == [2, 3, 4, 5, 6, 7, 8]
 
 
-def worker_decisions(tree):
-    """Line numbers where a module names a CPU-count call or a process pool."""
+def named_lines(tree, wanted):
+    """Line numbers where a module imports, or names as a variable or an
+    attribute, one of the names in ``wanted``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names = {a.name for a in node.names}
@@ -90,8 +94,13 @@ def worker_decisions(tree):
             names = {node.attr}
         else:
             continue
-        if names & WORKER_NAMES:
+        if names & wanted:
             yield node.lineno
+
+
+def worker_decisions(tree):
+    """Line numbers where a module names a CPU-count call or a process pool."""
+    return named_lines(tree, WORKER_NAMES)
 
 
 def test_only_the_pool_helper_decides_worker_processes():
@@ -220,6 +229,25 @@ n = 2 ** k
 np.power(x, 2)
 """
     assert sorted(bit_power_packings(ast.parse(code))) == [2, 3, 4, 5, 6, 7]
+
+
+def test_brute_force_builds_no_pair_grid():
+    # dbn's tables stream state_chunks through matrix products in blocks; a
+    # grid of every (x, y) pair took about 510 bytes a cell
+    found = sorted(set(named_lines(ast.parse((SRC / "dbn.py").read_text()), PAIR_GRID_NAMES)))
+    assert not found, f"dbn.py builds whole state or pair grids at lines {found}"
+
+
+def test_the_rule_sees_each_form_of_pair_grid():
+    code = """
+from .models import GRBM, binary_states
+ys = models.binary_states(k, budget)
+pairs = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
+rows = xs.repeat(2, axis=0)
+for chunk in state_chunks(k, budget, what):
+    np.concatenate([chunk, chunk])
+"""
+    assert sorted(set(named_lines(ast.parse(code), PAIR_GRID_NAMES))) == [2, 3, 4, 5]
 
 
 def run_fresh(code):
