@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG2, is_gaussian_scale
+from .numerics import bits_per_component, is_gaussian_scale
 from .storage import read_model, write_model
 
 logger = logging.getLogger(__name__)
@@ -203,7 +203,7 @@ def _check_simplex(weights, k):
 
 def average_log_loss_bits(model, data):
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    return float(np.mean(-model.log_density(data) / LOG2) / data.shape[1])
+    return bits_per_component(model.log_density(data), data.shape[1])
 
 
 def default_ridge(data):

@@ -3,6 +3,8 @@
 Every command is deterministic given (config, seed): model files and
 reports are byte-identical across reruns and thread counts.  Timing goes
 to ``*.meta.json`` sidecars so the reports themselves stay comparable.
+The commands only load, call the library and write: every number comes
+from it (``eval``'s from ``estimation.report_fields``).
 
 Exit codes: 2 config error, 3 data error, 4 training divergence,
 5 estimation failure.
@@ -16,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,7 @@ from .baselines import BaselineError
 from .config import ConfigError, ExperimentConfig, positive_int
 from .estimation import EstimationError
 from .models import EnumerationBudgetError
-from .numerics import LOG2, RngStream
+from .numerics import RngStream
 from .pipeline import PipelineError
 from .storage import StorageError, canonical_json
 from .training import TrainingDiverged
@@ -34,13 +37,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_ESTIMATION = 5
-
-
-def _sig7(name, x):
-    """``x`` to 7 significant digits; a report cannot hold a non-finite one."""
-    if not np.isfinite(x):
-        raise EstimationError(f"{name} is not finite ({x})")
-    return float(f"{x:.7g}")
 
 
 def _write_json(path, obj):
@@ -149,34 +145,6 @@ def cmd_train(cfg):
     return 0
 
 
-def _write_report(cfg, section, dataset, out, started, log_values, fields, kind, meta=None):
-    """Write report.json, with ``fields`` added to the shared header, and its
-    sidecar, with ``meta`` added to the wall time."""
-    report = {
-        "tool_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "label": cfg.label,
-        "dim": dataset.dim,
-        "n_samples": dataset.n_samples,
-        "bits_per_component": _sig7(
-            "bits_per_component", float(np.mean(-log_values / LOG2) / dataset.dim)
-        ),
-        "per_sample_log2": [float(v / LOG2) if np.isfinite(v) else None for v in log_values],
-        "timing": "report.meta.json",
-        **fields,
-    }
-    if "sweep_x" in section:
-        report["sweep_x"] = section["sweep_x"]
-    _write_json(out / "report.json", report)
-    _write_meta(out / "report.meta.json", time.perf_counter() - started, **(meta or {}))
-    line = f"{kind} log-loss: {report['bits_per_component']} bits/component"
-    if "brute_force_bits" in report:
-        line += f" (true {report['brute_force_bits']})"
-    print(line)
-    return 0
-
-
 # a huge test value overflows the log-likelihood; the report's non-finite
 # check names the field (exit 5), so numpy's warnings would only add noise
 @np.errstate(over="ignore", invalid="ignore")
@@ -195,44 +163,29 @@ def cmd_eval(cfg, threads):
     if model_path.is_file():
         # a single container file holds a baseline density
         model = baselines.load_baseline(model_path)
-        if dataset.dim != model.dim:
-            raise ConfigError("dataset dimension does not match the model")
-        stage = time.perf_counter()
-        log_values = model.log_density(dataset.samples)
-        return _write_report(
-            cfg, section, dataset, out, started, log_values,
-            {"se_path_bits": 0.0, "exact_density": True}, "exact",
-            {"stages": {"log_density": time.perf_counter() - stage}, "workers": 1},
-        )
-    try:
-        stack = dbn.load_dbn(model_path)
-    except (dbn.DbnError, StorageError, OSError, KeyError, ValueError) as exc:
-        raise PipelineError(f"cannot load model {section['model']!r}: {exc}") from exc
-    if dataset.dim != stack.n_visible:
+        dim, evaluate = model.dim, estimation.evaluate_density
+    else:
+        try:
+            model = dbn.load_dbn(model_path)
+        except (dbn.DbnError, StorageError, OSError, KeyError, ValueError) as exc:
+            raise PipelineError(f"cannot load model {section['model']!r}: {exc}") from exc
+        dim, evaluate = model.n_visible, partial(
+            estimation.evaluate_stack, spec=cfg.estimator, seed=cfg.seed, threads=threads)
+    if dataset.dim != dim:
         raise ConfigError("dataset dimension does not match the model")
-
-    result = estimation.evaluate_stack(
-        stack, dataset.samples, cfg.estimator, seed=cfg.seed, threads=threads
-    )
-    d, n = dataset.dim, dataset.n_samples
-    se_path_bits = float(np.sqrt(np.sum(result.standard_errors ** 2)) / n / (LOG2 * d))
-    fields = {
-        "n_is": cfg.estimator.n_is,
-        "se_path_bits": _sig7("se_path_bits", se_path_bits),
-        "log_z_top": _sig7("log_z_top", result.log_z_top.log_value),
-        "se_log_z": _sig7("se_log_z", result.log_z_top.standard_error),
-        # the float entries (marginal_se_mean) are Monte Carlo summaries too
-        "ais": {k: _sig7(f"ais.{k}", v) if isinstance(v, float) else v
-                for k, v in result.ais.items()},
-    }
-    if result.brute_force is not None:
-        fields["brute_force_bits"] = _sig7(
-            "brute_force_bits", float(np.mean(-result.brute_force / LOG2) / d)
-        )
-    return _write_report(
-        cfg, section, dataset, out, started, result.log_values, fields, "estimated",
-        {"stages": result.stages, "workers": result.workers},
-    )
+    result = evaluate(model, dataset.samples)
+    report = {"tool_version": __version__, "config_hash": cfg.config_hash(), "seed": cfg.seed,
+              "label": cfg.label, "timing": "report.meta.json",
+              **estimation.report_fields(result, dataset.dim)}
+    if "sweep_x" in section:
+        report["sweep_x"] = section["sweep_x"]
+    _write_json(out / "report.json", report)
+    _write_meta(out / "report.meta.json", time.perf_counter() - started,
+                stages=result.stages, workers=result.workers)
+    truth = f" (true {report['brute_force_bits']})" if "brute_force_bits" in report else ""
+    print(f"{'exact' if result.log_z_top is None else 'estimated'} log-loss: "
+          f"{report['bits_per_component']} bits/component{truth}")
+    return 0
 
 
 def _load_report(path):
@@ -270,17 +223,9 @@ def cmd_compare(cfg):
         writer = csv.writer(fh)
         writer.writerow(["label", "n_trials", "mean_bits", "sem_bits", "mean_true_bits"])
         for label in sorted(by_label):
-            vals = np.array([r["bits_per_component"] for r in by_label[label]])
-            sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-            trues = [r.get("brute_force_bits") for r in by_label[label]]
-            true_mean = (
-                f"{np.mean([t for t in trues if t is not None]):.7g}"
-                if all(t is not None for t in trues)
-                else ""
-            )
-            writer.writerow(
-                [label, len(vals), f"{vals.mean():.7g}", f"{sem:.7g}", true_mean]
-            )
+            mean, sem, true_mean = estimation.trial_summary(by_label[label])
+            writer.writerow([label, len(by_label[label]), f"{mean:.7g}", f"{sem:.7g}",
+                             "" if true_mean is None else f"{true_mean:.7g}"])
 
     for label in sorted(by_label):
         swept = [r for r in by_label[label] if "sweep_x" in r]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import DEFAULT_ENUM_BUDGET, ENUM_BLOCK, GRBM
-from .numerics import LOG2, log_sum_exp
+from .numerics import bits_per_component, log_sum_exp
 from .storage import canonical_json, load_model, save_model
 from . import models as _models
 
@@ -159,7 +159,7 @@ def average_log_loss(dataset, evaluator):
         raise
     if log_p.shape != (data.shape[0],):
         raise EvaluationError("evaluator returned a malformed result")
-    return float(np.mean(-log_p / LOG2) / data.shape[1])
+    return bits_per_component(log_p, data.shape[1])
 
 
 def save_dbn(dbn, directory, provenance=None):

@@ -44,9 +44,11 @@ from .models import (
     state_index,
 )
 from .numerics import (
+    LOG2,
     LogEstimate,
     RngStream,
     bernoulli_entropy,
+    bits_per_component,
     monte_carlo_se,
     softplus_log,
 )
@@ -524,21 +526,24 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
 @dataclass
 class EvalResult:
     """Per-sample log p(x) estimates in nats with their path-sampling SEs, the
-    top log Z, how it and the marginals were obtained (``ais``), and the
-    brute-force values when the stack was enumerated.  With AIS marginals,
-    ``ais["marginal_se_mean"]`` averages the relative SE of the distinct
-    states the paths drew (``AisMarginals.mean_standard_error``).
-    ``stages`` holds the wall seconds of "log_z_top", each
-    "ais_interface[<i>]", "paths" and "brute_force"; ``workers`` is the
-    most worker processes any stage used."""
+    top log Z, how it and the marginals were obtained (``ais``), the
+    brute-force values when the stack was enumerated, and the paths per point
+    ``n_is``.  With AIS marginals, ``ais["marginal_se_mean"]`` averages the
+    relative SE of the distinct states the paths drew
+    (``AisMarginals.mean_standard_error``).  ``stages`` holds the wall seconds
+    of "log_z_top", each "ais_interface[<i>]", "paths" and "brute_force";
+    ``workers`` is the most worker processes any stage used.  A density's
+    result (``evaluate_density``) has zero SEs, None for the stack's fields
+    and the one stage "log_density"."""
 
     log_values: np.ndarray
     standard_errors: np.ndarray
-    log_z_top: LogEstimate
-    ais: dict
+    log_z_top: LogEstimate | None
+    ais: dict | None
     brute_force: np.ndarray | None
     stages: dict
     workers: int
+    n_is: int | None
 
 
 def _anneal(target, data, n_betas, n_chains, rng, threads):
@@ -563,7 +568,8 @@ def evaluate_stack(stack, samples, spec, *, seed, threads=None):
     ``marginals="exact"`` raise EnumerationBudgetError.  ``threads`` caps
     the worker processes of each AIS run and of the path estimator (None:
     the CPU affinity set, forked; pass 1 from a caller that runs threads of
-    its own), and changes no result.
+    its own), and changes no result.  The EvalResult carries ``n_is`` for
+    ``report_fields``; ``evaluate_density`` makes one for a baseline density.
     """
     stream = RngStream(seed)
     budget = spec.enum_budget
@@ -631,7 +637,56 @@ def evaluate_stack(stack, samples, spec, *, seed, threads=None):
     stages["brute_force"] = time.perf_counter() - started
     log_values = np.array([e.log_value for e in estimates])
     ses = np.array([e.standard_error for e in estimates])
-    return EvalResult(log_values, ses, log_z_top, ais, brute_force, stages, workers)
+    return EvalResult(log_values, ses, log_z_top, ais, brute_force, stages, workers, spec.n_is)
+
+
+def evaluate_density(model, samples):
+    """An exact EvalResult of a normalized density, such as a baseline, on ``samples``."""
+    started = time.perf_counter()
+    log_values = model.log_density(samples)
+    stages = {"log_density": time.perf_counter() - started}
+    return EvalResult(log_values, np.zeros_like(log_values), None, None, None, stages, 1, None)
+
+
+def _sig7(name, x):
+    """``x`` to 7 significant digits; a report cannot hold a non-finite one."""
+    if not np.isfinite(x):
+        raise EstimationError(f"{name} is not finite ({x})")
+    return float(f"{x:.7g}")
+
+
+def report_fields(result, dim):
+    """Every number of ``dbnkit eval``'s report for an EvalResult of
+    ``dim``-component points: bits per component, each point's log2 p(x), the
+    path SE in bits per component, and a stack's ``n_is``, top log Z, ``ais``
+    and brute-force bits.  Other floats than the points' keep 7 significant
+    digits, and a non-finite one raises EstimationError naming its field."""
+    values, z = result.log_values, result.log_z_top
+    se_path = float(np.sqrt(np.sum(result.standard_errors ** 2)) / len(values) / (LOG2 * dim))
+    fields = {"dim": dim, "n_samples": len(values), "se_path_bits": _sig7("se_path_bits", se_path)}
+    if z is None:
+        fields["exact_density"] = True
+    else:
+        # the float entries of ais (marginal_se_mean) are Monte Carlo summaries too
+        fields |= {"n_is": result.n_is, "log_z_top": _sig7("log_z_top", z.log_value),
+                   "se_log_z": _sig7("se_log_z", z.standard_error),
+                   "ais": {k: _sig7(f"ais.{k}", v) if isinstance(v, float) else v
+                           for k, v in result.ais.items()}}
+    for name, log_values in (("brute_force_bits", result.brute_force),
+                             ("bits_per_component", values)):
+        if log_values is not None:
+            fields[name] = _sig7(name, bits_per_component(log_values, dim))
+    fields["per_sample_log2"] = [float(v / LOG2) if np.isfinite(v) else None for v in values]
+    return fields
+
+
+def trial_summary(reports):
+    """``(mean, sem, true_mean)`` of repeated evaluations' bits per component;
+    ``true_mean`` averages their brute-force bits, None unless all have them."""
+    bits = np.array([r["bits_per_component"] for r in reports])
+    sem = float(bits.std(ddof=1) / np.sqrt(len(bits))) if len(bits) > 1 else 0.0
+    trues = [r.get("brute_force_bits") for r in reports]
+    return bits.mean(), sem, (np.mean(trues) if None not in trues else None)
 
 
 def estimate_lower_bound(dbn, x, n_samples, log_z_top, rng, exact=False):

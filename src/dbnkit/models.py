@@ -388,13 +388,18 @@ def enumeration_bits(model):
 
 
 def brute_force_log_partition(model, budget=DEFAULT_ENUM_BUDGET):
-    """Exact log Z by enumerating the cheaper analytic marginal."""
+    """Exact log Z by enumerating the cheaper analytic marginal, evaluated on
+    row blocks of at most ENUM_BLOCK cells of the wider side."""
     k = enumeration_bits(model)
     if model.variant != SRBM and k == model.n_hidden:
         fn = model.log_unnorm_hidden
     else:
         fn = model.log_unnorm_visible
-    return log_sum_exp([log_sum_exp(fn(s)) for s in state_chunks(k, budget, "partition function")])
+    rows = max(1, ENUM_BLOCK // max(model.n_visible, model.n_hidden))
+
+    def chunk_log_sum(s):
+        return log_sum_exp(np.concatenate([fn(s[i : i + rows]) for i in range(0, len(s), rows)]))
+    return log_sum_exp([chunk_log_sum(s) for s in state_chunks(k, budget, "partition function")])
 
 
 def conditional_terms(model, y, budget=DEFAULT_ENUM_BUDGET):

@@ -70,6 +70,11 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
+def bits_per_component(log_values, dim):
+    """Average log-loss in bits per component of ``dim``-component points' log densities."""
+    return float(np.mean(-log_values / LOG2) / dim)
+
+
 def log_sum_exp(values, axis=None):
     """log(sum(exp(values))), stable under large magnitudes.
 

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -6,23 +8,28 @@ import numpy as np
 import pytest
 import scipy.special
 
-from dbnkit import estimation
-from dbnkit.dbn import DbnModel, average_log_loss, brute_force_log_likelihood
+from dbnkit import cli, estimation
+from dbnkit.baselines import MoigModel, average_log_loss_bits, save_baseline
+from dbnkit.config import ExperimentConfig
+from dbnkit.dbn import DbnModel, average_log_loss, brute_force_log_likelihood, save_dbn
 from dbnkit.estimation import (
     AisMarginals,
     AisSchedule,
     AnalyticMarginals,
     EstimationError,
     EstimatorSpec,
+    EvalResult,
     ExactMarginals,
     estimate_dbn_log_likelihood,
     estimate_lower_bound,
     estimate_potential_log_loss,
     estimate_unnorm_marginal_batch,
+    evaluate_density,
     evaluate_stack,
     fit_base_model,
     linear_betas,
     log_partition_zero_weight,
+    report_fields,
     run_ais,
 )
 from dbnkit.models import (
@@ -37,6 +44,7 @@ from dbnkit.models import (
 )
 from dbnkit.numerics import LOG2, LogEstimate, RngStream, monte_carlo_se, softplus_log
 from dbnkit.oracle import exact_log_z, random_grbm, random_rbm, random_srbm
+from dbnkit.pipeline import DataSet, save_dataset
 from dbnkit.training import init_srbm_from_grbm
 
 # -- schedules and bases --------------------------------------------------------
@@ -477,6 +485,75 @@ def test_estimator_spec_refuses_bad_value(key, bad):
     # replace checks the new values too
     with pytest.raises(ValueError, match=message):
         replace(EVAL_SPEC, **{key: bad})
+
+
+def small_moig():
+    return MoigModel([[0.3, -0.2, 0.1], [-0.5, 0.4, 0.0]], 0.9, [0.4, 0.6])
+
+
+def cli_eval_config(tmp_path, model, x):
+    """An eval config for ``model`` (a stack directory or a baseline file) on
+    the rows ``x``, with EVAL_SPEC's AIS settings and AIS marginals."""
+    save_dataset(DataSet(x), tmp_path / "x.dbds")
+    path = tmp_path / "eval.ini"
+    path.write_text(
+        f"[experiment]\nseed = {EVAL_SEED}\nout_dir = {tmp_path / 'ev'}\n\n"
+        f"[eval]\nmodel = {model}\ndataset = {tmp_path / 'x.dbds'}\n\n"
+        "[ais]\nn_betas = 20\nchains_top = 50\nchains_interface = 60\n\n"
+        "[estimator]\nn_is = 20\nmarginals = ais\n"
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["stack", "density"])
+def test_report_fields_are_the_cli_report_without_its_header(tmp_path, kind):
+    stack, x = small_three_layer_stack()
+    if kind == "stack":
+        save_dbn(stack, tmp_path / "model")
+        cfg = cli_eval_config(tmp_path, tmp_path / "model", x)
+        spec = ExperimentConfig.load(cfg).estimator
+        result = evaluate_stack(stack, x, spec, seed=EVAL_SEED, threads=1)
+    else:
+        save_baseline(small_moig(), tmp_path / "baseline.dbk")
+        cfg = cli_eval_config(tmp_path, tmp_path / "baseline.dbk", x)
+        result = evaluate_density(small_moig(), x)
+    assert cli.main(["eval", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "ev" / "report.json").read_text())
+    header = {"tool_version", "config_hash", "seed", "label", "timing"}
+    fields = report_fields(result, 3)
+    assert fields == {k: v for k, v in report.items() if k not in header}
+    # the bits, and the path SE as sqrt(sum se^2) / n / (ln 2 d), to 7 digits
+    se = np.sqrt(np.sum(result.standard_errors ** 2)) / len(x) / (np.log(2) * 3)
+    assert fields["se_path_bits"] == pytest.approx(se, rel=1e-6)
+    assert fields["bits_per_component"] == pytest.approx(
+        -np.mean(result.log_values) / np.log(2) / 3, rel=1e-6)
+    assert fields["per_sample_log2"] == pytest.approx(result.log_values / np.log(2), rel=1e-15)
+    stack_keys = {"n_is", "log_z_top", "se_log_z", "ais", "brute_force_bits"}
+    assert (stack_keys <= set(report)) == (kind == "stack")
+    assert ("marginal_se_mean" in report.get("ais", {})) == (kind == "stack")
+
+
+def test_density_report_is_exact_with_zero_path_se():
+    model, x = small_moig(), RngStream(98).generator().standard_normal((40, 3))
+    result = evaluate_density(model, x)
+    assert list(result.stages) == ["log_density"] and result.workers == 1
+    fields = report_fields(result, 3)
+    assert fields["exact_density"] is True
+    assert fields["se_path_bits"] == 0.0
+    # perfbench's check of the MoIG report
+    assert fields["bits_per_component"] == float(f"{average_log_loss_bits(model, x):.7g}")
+    assert not {"n_is", "log_z_top", "se_log_z", "ais", "brute_force_bits"} & set(fields)
+
+
+@pytest.mark.parametrize("field, log_z_top, ais", [
+    ("log_z_top", LogEstimate(np.inf, 0.0, 1), {}),
+    ("se_log_z", LogEstimate(0.0, np.inf, 1), {}),
+    ("ais.marginal_se_mean", LogEstimate(0.0, 0.0, 1), {"marginal_se_mean": np.nan}),
+])
+def test_report_fields_name_a_non_finite_field(field, log_z_top, ais):
+    result = EvalResult(np.zeros(2), np.zeros(2), log_z_top, ais, None, {}, 1, 10)
+    with pytest.raises(EstimationError, match=rf"^{re.escape(field)} is not finite"):
+        report_fields(result, 2)
 
 
 # -- path estimator workers ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
@@ -234,6 +236,22 @@ def test_partition_budget():
     model = Rbm(np.zeros((30, 30)), np.zeros(30), np.zeros(30))
     with pytest.raises(EnumerationBudgetError, match="importance sampling"):
         brute_force_log_partition(model, budget=2 ** 10)
+
+
+def test_partition_memory_stays_within_fixed_blocks():
+    # the marginal of a whole 2^16-state chunk took 2^16 x 60 floats of
+    # temporaries (98.5 MB peak); row blocks of ENUM_BLOCK cells leave the
+    # chunk itself as the largest array
+    model = random_rbm(RngStream(69).generator(), 60, 16)
+    tracemalloc.start()
+    try:
+        log_z = brute_force_log_partition(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    reference = log_sum_exp(model.log_unnorm_hidden(binary_states(16)))
+    assert log_z == pytest.approx(reference, rel=1e-12)
 
 
 @pytest.mark.parametrize(

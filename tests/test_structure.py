@@ -250,6 +250,27 @@ for chunk in state_chunks(k, budget, what):
     assert sorted(set(named_lines(ast.parse(code), PAIR_GRID_NAMES))) == [2, 3, 4, 5]
 
 
+def test_only_numerics_and_estimation_read_log2():
+    # bits come from numerics.bits_per_component and estimation.report_fields
+    found = {
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in {"numerics.py", "estimation.py"}
+        for line in named_lines(ast.parse(path.read_text()), {"LOG2"})
+    }
+    assert not found, f"LOG2 read outside numerics and estimation: {sorted(found)}"
+
+
+def test_the_rule_sees_each_form_of_log2():
+    code = """
+from .numerics import LOG2, RngStream
+bits = -log_p / numerics.LOG2
+bits = -log_p / LOG2
+log2 = np.log(2.0)
+"""
+    assert sorted(named_lines(ast.parse(code), {"LOG2"})) == [2, 3, 4]
+
+
 def run_fresh(code):
     """Run ``code`` in a new interpreter that imports this checkout's package."""
     path = os.environ.get("PYTHONPATH")
