@@ -25,7 +25,7 @@ from .estimation import (
     AisRun,
     AisSchedule,
     EstimatorSpec,
-    estimate_dbn_log_likelihood,
+    estimate_dataset_log_likelihood,
     estimate_lower_bound,
     estimate_potential_log_loss,
     evaluate_stack,

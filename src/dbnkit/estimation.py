@@ -373,31 +373,26 @@ class AisMarginals(_TableMarginals):
         )
         return values
 
-    def mean_standard_error(self):
-        """Average relative SE over the distinct states the paths drew.
-
-        A layer without a path table counts every state estimated for it,
-        since its paths call the provider on their drawn rows.  A tabulated
-        layer's table estimates all of its 2^h states, but only those some
-        path drew count."""
-        kept = getattr(self, "_path_tables", None)
-        tables = kept[1] if kept is not None else []
+    def mean_standard_error(self, drawn):
+        """Average relative SE over the distinct states the paths drew, by
+        ``estimate_dataset_log_likelihood``'s ``drawn`` masks; a layer without
+        a table (None) counts every state estimated for it, since its paths
+        call the provider on their drawn rows."""
         errors = []
         for l, by_state in self.standard_errors.items():
-            if l >= len(tables) or tables[l] is None:
+            if drawn[l] is None:
                 errors.extend(by_state.values())
                 continue
             states = np.concatenate(list(state_chunks(
                 self.dbn.layers[l].n_hidden, PATH_TABLE_STATES, "a path table")))
-            errors.extend(by_state[row.tobytes()] for row in states[tables[l][2]])
+            errors.extend(by_state[row.tobytes()] for row in states[drawn[l]])
         return float(np.mean(errors)) if errors else 0.0
 
 
 def _path_table(dbn, marginal_provider, l):
-    """``(ratio, cond, seen)`` over the 2^h states of layer ``l``'s hidden
-    units, in ascending ``state_index`` order: ratio = log q_{l+1}*(s) -
-    log q_l*(s), cond = q_{l+1}(y = 1 | s) when layer l + 1 is interior
-    (else None), and seen marks the states a path in this process drew.
+    """``(ratio, cond)`` over the 2^h states of layer ``l``'s hidden units, in
+    ascending ``state_index`` order: ratio = log q_{l+1}*(s) - log q_l*(s) and
+    cond = q_{l+1}(y = 1 | s) when layer l + 1 is interior (else None).
     None when 2^h exceeds PATH_TABLE_STATES.  The provider is called on
     blocks of at most PATH_BLOCK states, which keeps an AIS reweighting's
     temporaries small."""
@@ -417,110 +412,85 @@ def _path_table(dbn, marginal_provider, l):
             if cond is not None:
                 cond[rows] = upper.hidden_conditional(states)
             start += len(states)
-    return ratio, cond, np.zeros(2 ** h, dtype=bool)
+    return ratio, cond
 
 
-def _path_tables(dbn, marginal_provider):
-    """Each interior layer's ``_path_table`` (None above the cap), built on
-    the first call for this provider and stack and kept on the provider."""
-    kept = getattr(marginal_provider, "_path_tables", None)
-    if kept is None or kept[0] is not dbn:
-        kept = dbn, [_path_table(dbn, marginal_provider, l) for l in range(dbn.n_layers - 1)]
-        marginal_provider._path_tables = kept
-    return kept[1]
-
-
-def _visible_term(dbn, rows, n_is, log_z_top):
+def _visible_term(dbn, rows, log_z_top):
     """log q1*(x) - log Z_top for a state or rows of states: the base term of
     every path estimate, and all of a one-layer stack's, which draws none."""
-    if n_is < 1:
-        raise EstimationError("need at least one importance sample")
     return dbn.layers[0].log_unnorm_visible(rows) - log_z_top.log_value
 
 
-def estimate_dbn_log_likelihood(dbn, x0, n_is, marginal_provider, log_z_top, rng):
-    """Consistent Monte Carlo estimate of log p(x0) for a layer stack.
-
-    Hidden states are drawn feed-forward through the layer conditionals;
-    each path accumulates the log ratio of the next layer's visible
-    marginal to the current layer's hidden marginal, and the paths are
-    averaged in the linear domain.  The returned standard error covers
-    the path-sampling variance only.
-
-    A narrow interior layer is tabulated: its ratio and the next layer's
-    conditional are computed once per provider and stack for each of its
-    2^h states (see ``_path_table``), and every path reads them by the code
-    of its state.  A layer too wide for a table evaluates them per path.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 1:
-        raise EstimationError("x0 must be a single state vector")
-    base_term = float(_visible_term(dbn, x0, n_is, log_z_top))
-    if dbn.n_layers == 1:
-        return LogEstimate(base_term, 0.0, n_is)
-
-    tables = _path_tables(dbn, marginal_provider)
-    p = dbn.layers[0].hidden_conditional(x0)
-    log_w = np.zeros(n_is)
-    for l, table in enumerate(tables):
-        drawn = rng.random((n_is, dbn.layers[l].n_hidden)) < p
-        if table is None:
-            current = drawn.astype(np.float64)
-            upper = dbn.layers[l + 1]
-            log_w += upper.log_unnorm_visible(current) - marginal_provider(l, current)
-            p = upper.hidden_conditional(current) if l + 2 < dbn.n_layers else None
-        else:
-            ratio, cond, seen = table
-            code = state_index(drawn)
-            seen[code] = True
-            log_w += ratio[code]
-            p = None if cond is None else cond[code]
-    est = monte_carlo_se(log_w)
-    return LogEstimate(base_term + est.log_value, est.standard_error, n_is)
-
-
 def _path_block(job):
-    """Estimates for consecutive points; ``job`` is
-    (dbn, rows, first_index, n_is, marginal_provider, log_z_top, stream)."""
-    dbn, rows, first, n_is, marginal_provider, log_z_top, stream = job
+    """``(estimates, drawn)`` for consecutive points; ``job`` is (dbn, rows,
+    first_index, n_is, marginal_provider, tables, log_z_top, stream).  Point
+    i draws its paths from substream (13, i); ``drawn`` marks, per table, the
+    states they reached (None for a layer without one)."""
+    dbn, rows, first, n_is, marginal_provider, tables, log_z_top, stream = job
     if dbn.n_layers == 1:
         return [LogEstimate(float(v), 0.0, n_is)
-                for v in _visible_term(dbn, rows, n_is, log_z_top)]
-    return [
-        estimate_dbn_log_likelihood(
-            dbn, x, n_is, marginal_provider, log_z_top, stream.substream(13, first + k)
-        )
-        for k, x in enumerate(rows)
-    ]
+                for v in _visible_term(dbn, rows, log_z_top)], []
+    drawn = [None if table is None else np.zeros(len(table[0]), dtype=bool) for table in tables]
+    estimates = []
+    for k, x0 in enumerate(rows):
+        rng = stream.substream(13, first + k)
+        base_term = float(_visible_term(dbn, x0, log_z_top))
+        p = dbn.layers[0].hidden_conditional(x0)
+        log_w = np.zeros(n_is)
+        for l, table in enumerate(tables):
+            states = rng.random((n_is, dbn.layers[l].n_hidden)) < p
+            if table is None:
+                current = states.astype(np.float64)
+                upper = dbn.layers[l + 1]
+                log_w += upper.log_unnorm_visible(current) - marginal_provider(l, current)
+                p = upper.hidden_conditional(current) if l + 2 < dbn.n_layers else None
+            else:
+                ratio, cond = table
+                code = state_index(states)
+                drawn[l][code] = True
+                log_w += ratio[code]
+                p = None if cond is None else cond[code]
+        est = monte_carlo_se(log_w)
+        estimates.append(LogEstimate(base_term + est.log_value, est.standard_error, n_is))
+    return estimates, drawn
 
 
 def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_top, stream,
                                     threads=None):
-    """Per-sample estimates over a dataset, one RNG substream per sample,
-    and the number of worker processes that drew them.
+    """Consistent Monte Carlo estimates of log p(x) for each row of ``data``
+    (a point is a one-row dataset), the worker processes that drew them, and
+    per interior layer a boolean mask of its table's states that some path
+    drew (None for a layer without a table).
 
-    The provider's path tables are built here, before any point is drawn,
-    so every worker reads the same ones.  Blocks of PATH_BLOCK points run
-    in up to ``threads`` worker processes (None: the CPU affinity set) when
-    the stack draws paths and its marginals are analytic, a pure function
-    of the state.  Otherwise all points are one block, which runs in this
-    process: there the table providers fill their memo and standard errors
-    and the paths mark the tabulated states they drew, and a one-layer
-    stack is one evaluation of its visible marginal.
-    Every point keeps its substream, so the estimates are the same at any
-    count.
+    Each point averages n_is feed-forward paths of density ratios in the
+    linear domain, and its SE covers that sampling only.  Point i draws from
+    substream (13, i), so the estimates are the same at any worker count.
+    Each interior layer within PATH_TABLE_STATES is tabulated once per call
+    (``_path_table``); a wider one is evaluated on each path's rows.  Blocks
+    of PATH_BLOCK points run in up to ``threads`` worker processes (None: the
+    CPU affinity set), except for a one-layer stack, one evaluation of its
+    visible marginal, or a lateral interior layer without a table, whose
+    provider fills its memo: their points are one block in this process.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if dbn.n_layers > 1:
-        _path_tables(dbn, marginal_provider)
-    spread = isinstance(marginal_provider, AnalyticMarginals) and dbn.n_layers > 1
-    block = PATH_BLOCK if spread else max(1, data.shape[0])
+    if data.shape[0] == 0:
+        raise EstimationError("no points to estimate")
+    if n_is < 1:
+        raise EstimationError("need at least one importance sample")
+    tables = [_path_table(dbn, marginal_provider, l) for l in range(dbn.n_layers - 1)]
+    spread = dbn.n_layers > 1 and not any(
+        table is None and dbn.layers[l].variant == SRBM for l, table in enumerate(tables))
+    block = PATH_BLOCK if spread else data.shape[0]
+    # only a layer without a table calls the provider, which can be large to send
+    provider = marginal_provider if None in tables else None
     jobs = [
-        (dbn, data[lo : lo + block], lo, n_is, marginal_provider, log_z_top, stream)
+        (dbn, data[lo : lo + block], lo, n_is, provider, tables, log_z_top, stream)
         for lo in range(0, data.shape[0], block)
     ]
     parts, workers = _map_in_processes(_path_block, jobs, threads, "a path")
-    return [e for part in parts for e in part], workers
+    drawn = [None if table is None else np.any([part[1][l] for part in parts], axis=0)
+             for l, table in enumerate(tables)]
+    return [e for part in parts for e in part[0]], workers, drawn
 
 
 @dataclass
@@ -619,12 +589,12 @@ def evaluate_stack(stack, samples, spec, *, seed, threads=None):
             ais["chains_interface"] = spec.chains_interface
 
     started = time.perf_counter()
-    estimates, path_workers = estimate_dataset_log_likelihood(
+    estimates, path_workers, drawn = estimate_dataset_log_likelihood(
         stack, samples, spec.n_is, provider, log_z_top, RngStream(seed, 33), threads=threads
     )
     workers = max(workers, path_workers)
     if isinstance(provider, AisMarginals):
-        ais["marginal_se_mean"] = provider.mean_standard_error()
+        ais["marginal_se_mean"] = provider.mean_standard_error(drawn)
     stages["paths"] = time.perf_counter() - started
     started = time.perf_counter()
     brute_force = None

@@ -42,18 +42,23 @@ def check_budget(k, budget, what):
         )
 
 
+def _state_block(lo, hi, k):
+    """States lo..hi-1 as float64 rows, unpacked from the low bytes of their
+    little-endian codes: the block is the one (rows, k) array of 8-byte items."""
+    codes = np.arange(lo, hi, dtype="<i8").view(np.uint8).reshape(-1, 8)[:, : -(-k // 8)]
+    block = np.empty((hi - lo, k))
+    block[:] = np.unpackbits(codes, axis=1, bitorder="little")[:, :k]
+    return block
+
+
 def state_chunks(k, budget, what):
     """The 2^k binary states, low bit first, in blocks of at most _ENUM_CHUNK rows.
 
     The budget is checked before any block is built.
     """
     check_budget(k, budget, what)
-    n, bits = 2 ** k, np.arange(k)
-    return (
-        ((np.arange(i, min(i + _ENUM_CHUNK, n), dtype=np.int64)[:, None] >> bits) & 1)
-        .astype(np.float64)
-        for i in range(0, n, _ENUM_CHUNK)
-    )
+    n = 2 ** k
+    return (_state_block(i, min(i + _ENUM_CHUNK, n), k) for i in range(0, n, _ENUM_CHUNK))
 
 
 def binary_states(k, budget=2 ** 22, what="a binary state matrix"):

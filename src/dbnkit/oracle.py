@@ -62,6 +62,13 @@ def exact_log_z(model):
     return LogEstimate(models.brute_force_log_partition(model), 0.0, 1)
 
 
+def repeated_estimates(stack, x, reps, n_is, provider, log_z_top, stream):
+    """``reps`` independent path estimates of log p(x): those of ``reps`` copies of x."""
+    estimates, _, _ = estimation.estimate_dataset_log_likelihood(
+        stack, np.tile(x, (reps, 1)), n_is, provider, log_z_top, stream)
+    return np.array([e.log_value for e in estimates])
+
+
 def check_marginal_consistency():
     rng = RngStream(101).generator()
     worst = 0.0
@@ -177,14 +184,7 @@ def check_init_identity():
     worst = 0.0
     value_err = 0.0
     for n_is in (1, 100):
-        vals = np.array(
-            [
-                estimation.estimate_dbn_log_likelihood(
-                    stack, x, n_is, provider, z, RngStream(1201, i).generator()
-                ).log_value
-                for i in range(50)
-            ]
-        )
+        vals = repeated_estimates(stack, x, 50, n_is, provider, z, RngStream(1201))
         worst = max(worst, float(np.var(vals)))
         value_err = max(value_err, abs(vals[0] - truth))
     xs = np.vstack([x, rng.standard_normal((7, 5))])
@@ -236,15 +236,7 @@ def check_estimator_unbiased():
     reps = 2000
     rows = []
     for n_is in (1, 10):
-        stream = RngStream(1301 + n_is)
-        vals = np.array(
-            [
-                estimation.estimate_dbn_log_likelihood(
-                    stack, x, n_is, provider, z, stream.substream(i)
-                ).log_value
-                for i in range(reps)
-            ]
-        )
+        vals = repeated_estimates(stack, x, reps, n_is, provider, z, RngStream(1301 + n_is))
         ratio = np.exp(vals - truth)
         se = ratio.std(ddof=1) / np.sqrt(reps)
         rows.append((n_is, float(abs(ratio.mean() - 1.0)), float(3 * se)))

@@ -37,6 +37,8 @@ class DataSet:
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
+        if self.samples.shape[0] == 0:
+            raise PipelineError("dataset has no rows")
         if not np.isfinite(self.samples).all():
             raise PipelineError("dataset contains non-finite values")
 
@@ -319,7 +321,10 @@ def load_dataset(path):
         samples = arrays["samples"]
     except KeyError as exc:
         raise StorageError(f"{path} is not a complete dataset: it has no {exc}") from exc
-    return DataSet(samples, provenance)
+    try:
+        return DataSet(samples, provenance)
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from exc
 
 
 def save_images(images, path):

@@ -14,7 +14,7 @@ from dbnkit.estimation import (
     AisSchedule,
     AnalyticMarginals,
     ExactMarginals,
-    estimate_dbn_log_likelihood,
+    estimate_dataset_log_likelihood,
     estimate_potential_log_loss,
     fit_base_model,
     linear_betas,
@@ -22,7 +22,7 @@ from dbnkit.estimation import (
 )
 from dbnkit.models import Grbm, Srbm, binary_states
 from dbnkit.numerics import LOG2, LogEstimate, RngStream, log_mean_exp
-from dbnkit.oracle import exact_log_z, random_rbm
+from dbnkit.oracle import exact_log_z, random_rbm, repeated_estimates
 from dbnkit.pipeline import synthesize
 from dbnkit.training import LayerSpec, TrainConfig, train_dbn_greedy
 
@@ -65,15 +65,9 @@ def test_criterion_01_estimator_vs_truth(trained_stack):
     z = exact_log_z(stack.top)
 
     def run_with(provider):
-        stream = RngStream(1003)
-        est = np.array(
-            [
-                estimate_dbn_log_likelihood(
-                    stack, x, 10 ** 4, provider, z, stream.substream(i)
-                ).log_value
-                for i, x in enumerate(test)
-            ]
-        )
+        estimates, _, _ = estimate_dataset_log_likelihood(
+            stack, test, 10 ** 4, provider, z, RngStream(1003))
+        est = np.array([e.log_value for e in estimates])
         return float(np.mean(-est / LOG2) / test.shape[1])
 
     # enumerated interface marginals: only path-sampling error remains
@@ -134,13 +128,10 @@ def test_criterion_05_overestimation_with_noisy_z():
     pair_log_z = (
         log_mean_exp(pooled.log_weights.reshape(reps, 2), axis=1) + pooled.log_z_base
     )
-    stream = RngStream(1402)
-    estimates = np.empty(reps)
-    for i in range(reps):
-        z = LogEstimate(float(pair_log_z[i]), 0.0, 2)
-        estimates[i] = np.exp(
-            estimate_dbn_log_likelihood(stack, x, 5, provider, z, stream.substream(i)).log_value
-        )
+    # each replication's own log Z is subtracted from an estimate made with log Z = 0
+    unnormalized = repeated_estimates(stack, x, reps, 5, provider, LogEstimate(0.0, 0.0, 2),
+                                      RngStream(1402))
+    estimates = np.exp(unnormalized - pair_log_z)
     se = estimates.std(ddof=1) / np.sqrt(reps)
     t = (estimates.mean() - truth) / se
     # one-sided test at alpha = 0.01
@@ -228,15 +219,9 @@ def test_criterion_10_marginal_sample_trend():
             block_vals = []
             for j in range(min(10, pool // c)):
                 provider = AisMarginals(stack, {1: _sliced_run(full, c, j, n_betas)})
-                stream = RngStream(1903, seed)
-                vals = np.array(
-                    [
-                        estimate_dbn_log_likelihood(
-                            stack, x, 300, provider, z, stream.substream(i)
-                        ).log_value
-                        for i, x in enumerate(test)
-                    ]
-                )
+                estimates, _, _ = estimate_dataset_log_likelihood(
+                    stack, test, 300, provider, z, RngStream(1903, seed))
+                vals = np.array([e.log_value for e in estimates])
                 block_vals.append(float(np.mean(-vals / LOG2) / 4))
             sums[c].append(float(np.mean(block_vals)))
     means = [float(np.mean(sums[c])) for c in counts]

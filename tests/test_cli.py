@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from dbnkit import cli
+from dbnkit.baselines import GaussianModel, save_baseline
 from dbnkit.config import _LAYER_KEYS, _SCHEMA, _TRAIN_KEYS, ExperimentConfig
-from dbnkit.dbn import load_dbn
+from dbnkit.dbn import DbnModel, load_dbn, save_dbn
 from dbnkit.estimation import EstimatorSpec
 from dbnkit.models import DEFAULT_ENUM_BUDGET
+from dbnkit.numerics import RngStream
+from dbnkit.oracle import random_rbm
 from dbnkit.pipeline import DataSet, PreprocessSpec, load_dataset, save_dataset, save_images
 from dbnkit.storage import canonical_json, write_container
 from dbnkit.training import TrainConfig
@@ -869,7 +872,7 @@ def test_eval_dead_path_worker_exit_code(workspace, monkeypatch, capsys):
 
     cfg = rbm_stack_eval_config(workspace, monkeypatch)
     # the forked workers inherit the patch
-    monkeypatch.setattr(estimation, "estimate_dbn_log_likelihood", lambda *args: os._exit(3))
+    monkeypatch.setattr(estimation, "_visible_term", lambda *args: os._exit(3))
     capsys.readouterr()
     assert cli.main(["eval", "--config", cfg, "--threads", "2"]) == cli.EXIT_ESTIMATION
     assert capsys.readouterr().err.startswith(
@@ -1210,6 +1213,53 @@ def test_eval_non_finite_is_estimation_error(workspace, capsys, kind, exact):
     assert cli.main(["eval", "--config", ev]) == cli.EXIT_ESTIMATION
     assert "not finite" in capsys.readouterr().err
     assert not (workspace / "ev" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, model, exact", [
+    ("eval", "stack", "auto"), ("eval", "stack", "off"), ("eval", "gaussian", "auto"),
+    ("train", "rbm", None),
+])
+def test_a_dataset_without_rows_is_a_data_error(workspace, capsys, command, model, exact):
+    empty = workspace / "empty.dbds"
+    write_container(empty, "dataset", {"provenance": []}, {"samples": np.zeros((0, 3))})
+    if command == "train":
+        cfg = write_config(workspace / "train.ini", f"""
+            [experiment]
+            out_dir = {workspace / 'run'}
+
+            [data]
+            train = {empty}
+
+            [layers]
+            count = 1
+
+            [layer.0]
+            variant = rbm
+            hidden = 2
+            """)
+    else:
+        if model == "stack":
+            rng = RngStream(120).generator()
+            save_dbn(DbnModel([random_rbm(rng, 3, 2), random_rbm(rng, 2, 2)]), workspace / "model")
+        else:
+            save_baseline(GaussianModel(np.zeros(3), np.eye(3)), workspace / "model")
+        cfg = write_config(workspace / "eval.ini", f"""
+            [experiment]
+            out_dir = {workspace / 'ev'}
+
+            [eval]
+            model = {workspace / 'model'}
+            dataset = {empty}
+
+            [estimator]
+            n_is = 5
+            exact = {exact}
+            """)
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {empty}: dataset has no rows\n"
+    assert not (workspace / "ev" / "report.json").exists()
+    assert not (workspace / "run" / "model").exists()
 
 
 def test_layers_and_baseline_conflict(workspace):

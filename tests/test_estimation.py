@@ -20,7 +20,7 @@ from dbnkit.estimation import (
     EstimatorSpec,
     EvalResult,
     ExactMarginals,
-    estimate_dbn_log_likelihood,
+    estimate_dataset_log_likelihood,
     estimate_lower_bound,
     estimate_potential_log_loss,
     estimate_unnorm_marginal_batch,
@@ -354,9 +354,9 @@ def test_estimator_single_layer_identity():
     stack = DbnModel([model])
     z = exact_log_z(model)
     x = binary_states(4)[9]
-    est = estimate_dbn_log_likelihood(
-        stack, x, 7, AnalyticMarginals(stack), z, RngStream(86).generator()
-    )
+    # a single point is a one-row dataset
+    (est,), _, _ = estimate_dataset_log_likelihood(
+        stack, x, 7, AnalyticMarginals(stack), z, RngStream(86))
     expected = float(model.log_unnorm_visible(x)) - z.log_value
     assert est.log_value == pytest.approx(expected, abs=1e-12)
     assert est.standard_error == 0.0
@@ -369,10 +369,8 @@ def test_estimator_missing_marginal_names_interface():
     stack = DbnModel([first, top])
     provider = AnalyticMarginals(stack)
     with pytest.raises(EstimationError, match="layer 0"):
-        estimate_dbn_log_likelihood(
-            stack, binary_states(4)[2], 5, provider, exact_log_z(top),
-            RngStream(92).generator(),
-        )
+        estimate_dataset_log_likelihood(
+            stack, binary_states(4)[2], 5, provider, exact_log_z(top), RngStream(92))
     with pytest.raises(EstimationError, match="layer 0"):
         AisMarginals(stack, {})(0, binary_states(3)[:2])
 
@@ -412,9 +410,7 @@ def test_estimator_with_exact_marginals_converges():
     truth = brute_force_log_likelihood(stack, x)
     errs = []
     for n_is in (10, 1000, 100000):
-        est = estimate_dbn_log_likelihood(
-            stack, x, n_is, provider, z, RngStream(95).generator()
-        )
+        (est,), _, _ = estimate_dataset_log_likelihood(stack, x, n_is, provider, z, RngStream(95))
         errs.append(abs(est.log_value - truth))
     assert errs[2] < 0.01
     assert errs[2] < errs[0] + 1e-12
@@ -567,35 +563,54 @@ def rbm_paths_stack(monkeypatch):
     return DbnModel(layers), (rng.random((23, 5)) < 0.5).astype(np.float64)
 
 
+def path_case(monkeypatch, case):
+    """``(stack, points, spec)`` of a path worker test.  "analytic" is
+    rbm_paths_stack and "one-layer" its first layer.  "exact" and "ais" are
+    small_three_layer_stack with enumerated or AIS interface marginals, its 6
+    points 3 blocks of PATH_BLOCK = 2; "lateral" is "ais" with a table cap of
+    8 states, under layer 1's 16."""
+    if case in ("analytic", "one-layer"):
+        stack, x = rbm_paths_stack(monkeypatch)
+        return (stack if case == "analytic" else DbnModel(stack.layers[:1])), x, EVAL_SPEC
+    monkeypatch.setattr(estimation, "PATH_BLOCK", 2)
+    if case == "lateral":
+        monkeypatch.setattr(estimation, "PATH_TABLE_STATES", 8)
+    stack, x = small_three_layer_stack()
+    if case == "exact":
+        return stack, x, replace(EVAL_SPEC, marginals="exact")
+    return stack, x, replace(EVAL_SPEC, exact="off", marginals="ais")
+
+
 def test_paths_are_byte_identical_across_worker_counts(monkeypatch):
-    stack, x = rbm_paths_stack(monkeypatch)
-    results = [evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=t) for t in (1, 2, 3)]
-    assert [r.workers for r in results] == [1, 2, 3]
-    for r in results[1:]:
-        assert np.array_equal(r.log_values, results[0].log_values)
-        assert np.array_equal(r.standard_errors, results[0].standard_errors)
+    for case in ("analytic", "exact", "ais"):
+        stack, x, spec = path_case(monkeypatch, case)
+        results = [evaluate_stack(stack, x, spec, seed=EVAL_SEED, threads=t) for t in (1, 2, 3)]
+        assert [r.workers for r in results] == [1, 2, 3]
+        assert ("marginal_se_mean" in results[0].ais) == (case == "ais")
+        for r in results[1:]:
+            assert np.array_equal(r.log_values, results[0].log_values)
+            assert np.array_equal(r.standard_errors, results[0].standard_errors)
+            assert r.ais == results[0].ais
     # point i, whatever its block, draws from substream (13, i)
+    stack, x, _ = path_case(monkeypatch, "analytic")
+    result = evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=3)
     stream = RngStream(EVAL_SEED, 33)
     for i in (0, 5, 22):
-        est = estimate_dbn_log_likelihood(stack, x[i], EVAL_SPEC.n_is, AnalyticMarginals(stack),
-                                          results[2].log_z_top, stream.substream(13, i))
-        assert est.log_value == results[2].log_values[i]
+        want = per_row_reference(stack, x[i], EVAL_SPEC.n_is, AnalyticMarginals(stack),
+                                 result.log_z_top, stream.substream(13, i))
+        assert result.log_values[i] == pytest.approx(want.log_value, abs=1e-12)
 
 
 @pytest.mark.parametrize("case, marginals, pool_sizes", [
-    ("analytic", None, [6]), ("ais", "ais", []), ("exact", "exact", []), ("one-layer", None, []),
+    ("analytic", None, [6]), ("ais", "ais", [3]), ("exact", "exact", [3]), ("one-layer", None, []),
 ])
 def test_paths_start_a_pool_only_for_analytic_marginals(monkeypatch, case, marginals,
                                                         pool_sizes):
-    stack, x = rbm_paths_stack(monkeypatch)
-    if case in ("ais", "exact"):
-        # the table providers fill their memo in this process
-        stack, x = small_three_layer_stack()
-    elif case == "one-layer":
-        stack = DbnModel(stack.layers[:1])
+    """Every stack of more than one layer whose paths read tables or analytic
+    marginals spreads its blocks, here one worker a block; a one-layer stack
+    starts no pool."""
+    stack, x, spec = path_case(monkeypatch, case)
     sizes = _record_pools(monkeypatch)
-    spec = replace(EVAL_SPEC, exact="off" if case == "ais" else "auto",
-                   marginals=marginals or "auto")
     result = evaluate_stack(stack, x, spec, seed=EVAL_SEED, threads=10 ** 6)
     assert result.ais.get("marginals") == marginals
     assert sizes == pool_sizes
@@ -605,26 +620,25 @@ def test_paths_start_a_pool_only_for_analytic_marginals(monkeypatch, case, margi
         evaluate_stack(stack, x, spec, seed=EVAL_SEED, threads=0)
 
 
-@pytest.mark.parametrize("case, workers", [("analytic", 3), ("one-layer", 1), ("lateral", 1)])
+@pytest.mark.parametrize("case, workers", [
+    ("analytic", 3), ("one-layer", 1), ("lateral", 1), ("exact", 3), ("ais", 3),
+])
 def test_paths_use_the_cpu_set_by_default(monkeypatch, case, workers):
+    # a lateral layer without a table fills its provider's memo in this process
     _three_cpus(monkeypatch)
-    stack, x = rbm_paths_stack(monkeypatch)
-    if case == "one-layer":
-        stack = DbnModel(stack.layers[:1])
-    elif case == "lateral":
-        # enumerated marginals fill their memo in this process
-        stack, x = small_three_layer_stack()
-    default = evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED)
-    serial = evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=1)
+    stack, x, spec = path_case(monkeypatch, case)
+    default = evaluate_stack(stack, x, spec, seed=EVAL_SEED)
+    serial = evaluate_stack(stack, x, spec, seed=EVAL_SEED, threads=1)
     assert default.workers == workers
     assert np.array_equal(default.log_values, serial.log_values)
     assert np.array_equal(default.standard_errors, serial.standard_errors)
+    assert default.ais == serial.ais
 
 
 def test_dead_path_worker_is_estimation_error(monkeypatch):
     stack, x = rbm_paths_stack(monkeypatch)
     # the forked workers inherit the patch and die without a result
-    monkeypatch.setattr(estimation, "estimate_dbn_log_likelihood", lambda *args: os._exit(3))
+    monkeypatch.setattr(estimation, "_visible_term", lambda *args: os._exit(3))
     with pytest.raises(EstimationError, match="a path worker process died"):
         evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=2)
 
@@ -661,39 +675,42 @@ def providers_of(case, stack):
 
 
 def assert_matches_reference(stack, x, provider, reference, n_is=50):
+    """The dataset estimator agrees with per_row_reference at every point;
+    returns its drawn-state masks."""
     z, stream = exact_log_z(stack.top), RngStream(111)
-    for i, point in enumerate(x):
-        got = estimate_dbn_log_likelihood(stack, point, n_is, provider, z, stream.substream(13, i))
-        want = per_row_reference(stack, point, n_is, reference, z, stream.substream(13, i))
+    estimates, _, drawn = estimate_dataset_log_likelihood(stack, x, n_is, provider, z, stream)
+    for i, got in enumerate(estimates):
+        want = per_row_reference(stack, x[i], n_is, reference, z, stream.substream(13, i))
         assert got.log_value == pytest.approx(want.log_value, abs=1e-12)
         assert got.standard_error == pytest.approx(want.standard_error, abs=1e-12)
+    return drawn
 
 
 @pytest.mark.parametrize("case", ["analytic", "exact", "ais"])
 def test_path_tables_match_the_per_row_reference(monkeypatch, case):
     stack, x = rbm_paths_stack(monkeypatch) if case == "analytic" else small_three_layer_stack()
     provider, reference = providers_of(case, stack)
-    assert_matches_reference(stack, x, provider, reference)
-    assert all(t is not None for t in estimation._path_tables(stack, provider))
+    drawn = assert_matches_reference(stack, x, provider, reference)
+    assert all(mask is not None for mask in drawn)
     if case == "ais":
         # the table estimated every state of layer 1; the per-row reference
         # only those the paths drew, which are the ones the mean counts
         assert len(provider.standard_errors[1]) == 2 ** stack.layers[1].n_hidden
-        assert provider.mean_standard_error() == pytest.approx(
-            reference.mean_standard_error(), rel=1e-12)
+        assert provider.mean_standard_error(drawn) == pytest.approx(
+            reference.mean_standard_error([None, None]), rel=1e-12)
 
 
 def test_marginal_se_mean_counts_only_the_drawn_states():
     stack, x = small_three_layer_stack()
     provider, reference = providers_of("ais", stack)
     # two paths of one point reach at most two of layer 1's 16 states
-    assert_matches_reference(stack, x[:1], provider, reference, n_is=2)
-    drawn = reference.standard_errors[1]
-    assert 1 <= len(drawn) <= 2
+    drawn = assert_matches_reference(stack, x[:1], provider, reference, n_is=2)
+    reached = reference.standard_errors[1]
+    assert 1 <= len(reached) == drawn[1].sum() <= 2
     assert len(provider.standard_errors[1]) == 2 ** stack.layers[1].n_hidden
-    assert provider.mean_standard_error() == pytest.approx(np.mean(list(drawn.values())),
-                                                           rel=1e-12)
-    assert provider.mean_standard_error() != pytest.approx(
+    assert provider.mean_standard_error(drawn) == pytest.approx(np.mean(list(reached.values())),
+                                                                rel=1e-12)
+    assert provider.mean_standard_error(drawn) != pytest.approx(
         np.mean(list(provider.standard_errors[1].values())), rel=1e-6)
 
 
@@ -714,7 +731,7 @@ def test_provider_is_called_only_while_a_table_is_built(monkeypatch, threads):
     stack, x = rbm_paths_stack(monkeypatch)
     provider = CountingMarginals(stack)
     z = exact_log_z(stack.top)
-    _, workers = estimation.estimate_dataset_log_likelihood(
+    _, workers, _ = estimation.estimate_dataset_log_likelihood(
         stack, x, 20, provider, z, RngStream(112), threads=threads)
     assert workers == threads
     # the tables are built in this process, each state once, in ascending
@@ -723,11 +740,11 @@ def test_provider_is_called_only_while_a_table_is_built(monkeypatch, threads):
         calls = [codes for layer, codes in provider.calls if layer == l]
         assert max(map(len, calls)) <= estimation.PATH_BLOCK
         assert np.array_equal(np.concatenate(calls), np.arange(2 ** stack.layers[l].n_hidden))
+    # nothing is kept on the provider: each call builds its own tables
     built = len(provider.calls)
     estimation.estimate_dataset_log_likelihood(stack, x, 20, provider, z, RngStream(113),
                                                threads=1)
-    estimate_dbn_log_likelihood(stack, x[0], 20, provider, z, RngStream(114).generator())
-    assert len(provider.calls) == built
+    assert len(provider.calls) == 2 * built
 
 
 @pytest.mark.parametrize("cap, tabulated", [(8, [False, True]), (7, [False, False])])
@@ -735,9 +752,8 @@ def test_layers_over_the_table_cap_draw_row_by_row(monkeypatch, cap, tabulated):
     # layer 0 has 2^4 states, layer 1 2^3
     monkeypatch.setattr(estimation, "PATH_TABLE_STATES", cap)
     stack, x = rbm_paths_stack(monkeypatch)
-    provider = AnalyticMarginals(stack)
-    assert [t is not None for t in estimation._path_tables(stack, provider)] == tabulated
-    assert_matches_reference(stack, x, provider, AnalyticMarginals(stack))
+    drawn = assert_matches_reference(stack, x, AnalyticMarginals(stack), AnalyticMarginals(stack))
+    assert [mask is not None for mask in drawn] == tabulated
     results = [evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=t) for t in (1, 2, 3)]
     assert [r.workers for r in results] == [1, 2, 3]
     for r in results[1:]:
@@ -749,15 +765,27 @@ def test_one_layer_stack_is_one_evaluation(monkeypatch):
     stack, x = rbm_paths_stack(monkeypatch)
     stack = DbnModel(stack.layers[:1])
     z = exact_log_z(stack.top)
-    estimates, workers = estimation.estimate_dataset_log_likelihood(
+    estimates, workers, drawn = estimation.estimate_dataset_log_likelihood(
         stack, x, 7, AnalyticMarginals(stack), z, RngStream(115), threads=2)
-    assert workers == 1
+    assert (workers, drawn) == (1, [])
     want = [float(stack.top.log_unnorm_visible(point)) - z.log_value for point in x]
     assert [e.log_value for e in estimates] == pytest.approx(want, abs=1e-12)
     assert {(e.standard_error, e.n_samples) for e in estimates} == {(0.0, 7)}
     with pytest.raises(EstimationError, match="at least one importance sample"):
         estimation.estimate_dataset_log_likelihood(stack, x, 0, AnalyticMarginals(stack), z,
                                                    RngStream(115))
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_bad_arguments_are_refused_before_any_table_is_built(monkeypatch, layers):
+    stack, x = rbm_paths_stack(monkeypatch)
+    stack = DbnModel(stack.layers[:layers])
+    provider, z = CountingMarginals(stack), exact_log_z(stack.top)
+    with pytest.raises(EstimationError, match="no points to estimate"):
+        estimate_dataset_log_likelihood(stack, x[:0], 7, provider, z, RngStream(116))
+    with pytest.raises(EstimationError, match="at least one importance sample"):
+        estimate_dataset_log_likelihood(stack, x, 0, provider, z, RngStream(116))
+    assert provider.calls == []
 
 
 # -- lower bound -------------------------------------------------------------------

@@ -238,6 +238,20 @@ def test_partition_budget():
         brute_force_log_partition(model, budget=2 ** 10)
 
 
+def test_a_state_chunk_is_its_only_large_array():
+    chunks = models.state_chunks(16, 2 ** 16, "a test")
+    tracemalloc.start()
+    try:
+        chunk = next(chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk.shape == (2 ** 16, 16) and chunk.dtype == np.float64
+    assert np.array_equal(models.state_index(chunk), np.arange(2 ** 16))
+    # 8.4 MB; building it from (rows, k) int64 bit arrays peaks at 16.8 MB
+    assert peak <= 1.25 * chunk.nbytes
+
+
 def test_partition_memory_stays_within_fixed_blocks():
     # the marginal of a whole 2^16-state chunk took 2^16 x 60 floats of
     # temporaries (98.5 MB peak); row blocks of ENUM_BLOCK cells leave the
