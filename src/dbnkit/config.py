@@ -205,6 +205,8 @@ class ExperimentConfig:
                           if "synthetic" in v or "preprocess" in v else None)
         self.preprocess = (_build("preprocess", PreprocessSpec, **v["preprocess"])
                            if "preprocess" in v else None)
+        if self.preprocess is not None:  # refuse sizes it cannot hold before any draw
+            _build("preprocess", self.preprocess.check_rows, self.synthetic)
         # [ais] is checked alone first, so a bad value is reported against its section
         ais = _build("ais", EstimatorSpec, **v.get("ais", {}))
         self.estimator = _build("estimator", replace, ais, **v.get("estimator", {}))

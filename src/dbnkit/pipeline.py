@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import Grbm, Rbm, binary_states, brute_force_log_partition
 from .numerics import RngStream, is_gaussian_scale, log_sum_exp
@@ -16,9 +17,19 @@ from . import baselines
 
 logger = logging.getLogger(__name__)
 
+PATCH_BLOCK = 4096  # patches drawn and gathered at a time: temporaries stay O(block)
+MAX_CELLS = 2 ** 30  # values one dataset may hold (8 GiB of float64); more is refused
+
 
 class PipelineError(ValueError):
     pass
+
+
+def _check_rows(n, width, key="n"):
+    """Refuse ``n`` rows of ``width`` values past MAX_CELLS before any is drawn."""
+    if n * width > MAX_CELLS:
+        raise PipelineError(f"{key} = {n} rows of {width} values exceed the "
+                            f"{MAX_CELLS} values a dataset may hold")
 
 
 @dataclass
@@ -97,19 +108,34 @@ class PreprocessSpec:
         if min(self.pairs, self.n_train, self.n_test) < 1:
             raise PipelineError("pairs, n_train and n_test must be at least 1")
 
+    def check_rows(self, synthetic):
+        """Refuse ``n_train`` or ``n_test`` rows past MAX_CELLS values, by key.
+        A row is a patch, or a draw of the ``synthetic_spec`` ``synthetic``."""
+        width = self.patch_size ** 2 if self.source == "images" else _synthetic_dim(synthetic)
+        for key in ("n_train", "n_test"):
+            _check_rows(getattr(self, key), width, key)
+
 
 def sample_patches(source, n, rng=None):
-    """n patches at uniform random positions, flattened row-major."""
+    """n patches at uniform random positions, flattened row-major.
+
+    Positions are drawn in one pass: every image index, then each block's
+    corners, a row and a column draw per patch in turn, so a seeded dataset
+    has the same bytes at any PATCH_BLOCK."""
     if rng is None:
         rng = np.random.default_rng(source.seed)
-    s = source.patch_size
+    s, k = source.patch_size, len(source.images)
+    _check_rows(n, s * s)
     out = np.empty((n, s * s))
-    img_idx = rng.integers(len(source.images), size=n)
-    for i in range(n):
-        img = source.images[img_idx[i]]
-        r = int(rng.integers(img.shape[0] - s + 1))
-        c = int(rng.integers(img.shape[1] - s + 1))
-        out[i] = img[r : r + s, c : c + s].ravel()
+    img_idx = rng.integers(k, size=n).astype(np.min_scalar_type(k - 1))  # narrow: radix-sorted
+    free = np.array([img.shape for img in source.images]) - s + 1  # corners per axis
+    windows = [sliding_window_view(img, (s, s)) for img in source.images]
+    for start in range(0, n, PATCH_BLOCK):
+        idx = img_idx[start : start + PATCH_BLOCK]
+        r, c = rng.integers(np.take(free, idx, axis=0)).T
+        order = np.argsort(idx, kind="stable")  # each image's rows, in row order
+        for rows in np.split(order, np.flatnonzero(np.diff(idx[order])) + 1):
+            out[start + rows] = windows[idx[rows[0]]][r[rows], c[rows]].reshape(len(rows), -1)
     return DataSet(out, [{"kind": "patches", "patch_size": s, "n": n}])
 
 
@@ -160,7 +186,7 @@ def preprocess(raw):
 
     mean = data.mean(axis=0)
     steps.append({"kind": "center", "mean": mean})
-    data = data - mean
+    data -= mean  # in place: one n x d temporary fewer at the step's peak
 
     basis = _dc_basis(data.shape[1])
     steps.append({"kind": "dc_project", "basis": basis})
@@ -232,6 +258,13 @@ def synthetic_spec(seed, kind="isotropic_mixture", dim=6, components=3, sigma=0.
     return spec
 
 
+def _synthetic_dim(spec):
+    """The number of components of a draw from the ``synthetic_spec`` ``spec``."""
+    if "model" in spec:
+        return spec["model"].n_visible
+    return np.shape(spec["means"] if "means" in spec else spec["covariances"])[-1]
+
+
 def synthesize(spec, n, rng):
     """IID draws from a named ground-truth density, evaluator attached.
 
@@ -243,6 +276,9 @@ def synthesize(spec, n, rng):
     under [estimator] enum_budget.
     """
     kind = spec.get("kind")
+    if kind not in ("isotropic_mixture", "full_cov_mixture", "grbm", "rbm"):
+        raise PipelineError(f"unknown generator spec {kind!r}")
+    _check_rows(n, _synthetic_dim(spec))
     if kind == "isotropic_mixture":
         model = baselines.MoigModel(spec["means"], spec["sigma"], spec["weights"])
         comp = rng.choice(model.n_components, size=n, p=model.weights)
@@ -281,7 +317,6 @@ def synthesize(spec, n, rng):
         return DataSet(
             samples, [{"kind": kind}], lambda x: model.log_unnorm_visible(x) - log_z
         )
-    raise PipelineError(f"unknown generator spec {kind!r}")
 
 
 def save_dataset(dataset, path):

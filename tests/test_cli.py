@@ -1,6 +1,7 @@
 import json
 import os
 import textwrap
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -145,6 +146,33 @@ def test_preprocess_missing_images_is_data_error(workspace):
         """,
     )
     assert cli.main(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("key", ["n_train", "n_test"])
+@pytest.mark.parametrize("source", ["synthetic", "images"])
+def test_preprocess_refuses_a_size_it_cannot_hold(workspace, capsys, source, key):
+    rng = RngStream(8).generator()
+    save_images([rng.random((12, 12)) + 0.5 for _ in range(2)], workspace / "bank.dbni")
+    sizes = {"n_train": 40, "n_test": 40, key: 10 ** 13}
+    cfg = write_config(
+        workspace / "prep.ini",
+        f"""
+        [experiment]
+        out_dir = {workspace / 'data'}
+
+        [preprocess]
+        source = {source}
+        images = {workspace / 'bank.dbni'}
+        pairs = 1
+        n_train = {sizes['n_train']}
+        n_test = {sizes['n_test']}
+        """,
+    )
+    started = time.perf_counter()
+    assert cli.main(["preprocess", "--config", cfg]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - started < 1.0
+    assert f"[preprocess] {key} = 10000000000000 rows" in capsys.readouterr().err
+    assert not (workspace / "data").exists()  # refused before anything was drawn
 
 
 @pytest.mark.parametrize(

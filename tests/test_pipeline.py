@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
 from dbnkit.models import Grbm, Rbm
+from dbnkit import pipeline
 from dbnkit.numerics import RngStream
 from dbnkit.pipeline import (
+    MAX_CELLS,
     DataSet,
     PatchSource,
     PipelineError,
+    PreprocessSpec,
     load_dataset,
     load_images,
     preprocess,
@@ -62,6 +67,94 @@ def test_patches_uniform_coverage():
     assert counts.sum() == n
     chi2 = ((counts - n / 36) ** 2 / (n / 36)).sum()
     assert chi2 < stats.chi2.ppf(0.99, df=35)
+
+
+def _loop_patches(source, n, rng):
+    """The per-patch loop sample_patches replaced: an image index per row
+    first, then a row and a column draw for each patch in turn."""
+    s = source.patch_size
+    out = np.empty((n, s * s))
+    img_idx = rng.integers(len(source.images), size=n)
+    for i in range(n):
+        img = source.images[img_idx[i]]
+        r = int(rng.integers(img.shape[0] - s + 1))
+        c = int(rng.integers(img.shape[1] - s + 1))
+        out[i] = img[r : r + s, c : c + s].ravel()
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_patches_equal_the_per_patch_loop_bit_for_bit(seed, monkeypatch):
+    bank = np.random.default_rng(seed)
+    s = int(bank.integers(2, 6))
+    # mixed shapes, the first image of every third bank exactly one patch high
+    images = [bank.random((int(bank.integers(s, s + 12)), int(bank.integers(s, s + 12)))) + 0.1
+              for _ in range(int(bank.integers(1, 7)))]
+    if seed % 3 == 0:
+        images[0] = images[0][:s]
+    source = PatchSource(tuple(images), s)
+    n = int(bank.integers(1, 400))
+    if seed % 2:
+        monkeypatch.setattr(pipeline, "PATCH_BLOCK", int(bank.integers(1, 50)))
+    for make in (lambda: RngStream(seed).substream(22, 0, 1),
+                 lambda: RngStream(seed).substream(22, 1, 0),
+                 lambda: np.random.default_rng(seed)):
+        rng, ref_rng = make(), make()
+        ds = sample_patches(source, n, rng)
+        assert np.array_equal(ds.samples, _loop_patches(source, n, ref_rng))
+        # and the generator is left where the loop leaves it
+        assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+
+
+class _CountingGenerator:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_patches_draw_positions_in_one_pass():
+    rng = RngStream(145).generator()
+    source = PatchSource(tuple(rng.random((12, 9 + k)) + 0.1 for k in range(3)), 3)
+    counting = _CountingGenerator(RngStream(146).generator())
+    sample_patches(source, 1000, counting)
+    assert counting.calls <= 2  # the per-patch loop makes 2001
+    looped = _CountingGenerator(RngStream(146).generator())
+    _loop_patches(source, 1000, looped)
+    assert looped.calls == 2001
+
+
+def test_patch_sampling_memory_stays_near_the_output():
+    rng = RngStream(147).generator()
+    source = PatchSource(tuple(rng.random((96, 96)) + 0.5 for _ in range(8)), 8)
+    n, rng = 50000, RngStream(148).generator()
+    tracemalloc.start()
+    try:
+        ds = sample_patches(source, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.samples.nbytes == n * 64 * 8
+    assert peak <= 1.2 * ds.samples.nbytes
+
+
+def test_sizes_past_max_cells_are_refused_before_drawing():
+    source = PatchSource((np.ones((8, 8)),), 4)
+    with pytest.raises(PipelineError, match="n = 10000000000000 rows of 16 values"):
+        sample_patches(source, 10 ** 13, RngStream(149).generator())
+    spec = synthetic_spec(0, dim=5)
+    with pytest.raises(PipelineError, match="rows of 5 values"):
+        synthesize(spec, 10 ** 13, RngStream(149).generator())
+    # exactly MAX_CELLS values is still a size one may ask for
+    PreprocessSpec(n_train=MAX_CELLS // 5).check_rows(spec)
+    with pytest.raises(PipelineError, match="n_test"):
+        PreprocessSpec(n_test=MAX_CELLS // 5 + 1).check_rows(spec)
+    with pytest.raises(PipelineError, match="n_train = 4194305 rows of 256 values"):
+        PreprocessSpec("images", "bank.dbni", 16, n_train=MAX_CELLS // 256 + 1).check_rows(None)
 
 
 def test_preprocess_requires_positive_intensities():
