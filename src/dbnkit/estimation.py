@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .models import (
     SRBM,
     EnumerationBudgetError,
     ModelError,
+    binary_states,
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
     conditional_terms,
@@ -45,6 +47,7 @@ from .models import (
 )
 from .numerics import (
     LOG2,
+    MAX_CELLS,
     LogEstimate,
     RngStream,
     bernoulli_entropy,
@@ -55,8 +58,7 @@ from .numerics import (
 
 # the largest number of chains in one AIS chunk (see run_ais)
 AIS_CHUNK = 4096
-# points per job of the path estimator's worker processes, and states per
-# marginal-provider call while a path table is built
+# points per job of the path estimator's worker processes
 PATH_BLOCK = 64
 # the most states (2^h) a path table covers: the widest interior layer a
 # benchmark workload measures (rbm_paths' 10 units); a wider layer's paths
@@ -77,7 +79,9 @@ class EstimationError(RuntimeError):
 @dataclass(frozen=True)
 class EstimatorSpec:
     """evaluate_stack's settings, with the defaults of ``dbnkit eval``; its
-    fields are the [ais] and [estimator] config keys."""
+    fields are the [ais] and [estimator] config keys.  Each count of chains,
+    annealing steps or paths is at most MAX_CELLS, so one that cannot run is
+    refused before any work starts."""
 
     n_betas: int = 1000
     chains_top: int = 1000
@@ -93,6 +97,8 @@ class EstimatorSpec:
             choices = {"exact": EXACT_CHOICES, "marginals": MARGINAL_CHOICES}.get(name)
             if choices is None and value < 1:
                 raise ValueError(f"{name} must be at least 1, not {value!r}")
+            if name not in ("exact", "marginals", "enum_budget") and value > MAX_CELLS:
+                raise ValueError(f"{name} must be at most {MAX_CELLS}, not {value!r}")
             if choices is not None and value not in choices:
                 raise ValueError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
 
@@ -305,73 +311,48 @@ class AnalyticMarginals:
         return layer.log_unnorm_hidden(states)
 
 
+def _exact_marginals(budget, layer, rows):
+    """A lateral layer's log q*(rows) by visible enumeration, with zero SEs."""
+    return brute_force_hidden_marginal_srbm(layer, rows, budget=budget), np.zeros(len(rows))
+
+
+def _ais_marginals(run, layer, rows):
+    """A lateral layer's log q*(rows) reweighted from its AIS run, with SEs;
+    private, so a partial of it pickles even while the public one is traced."""
+    return estimate_unnorm_marginal_batch(run, layer, rows)
+
+
 class _TableMarginals:
-    """Shared memoization: values are cached per exact state (its row bytes)."""
+    """The memoized marginal provider: ``computes`` maps a lateral layer's index
+    to ``compute(layer, rows) -> (values, relative SEs)``, cached per state by
+    its row bytes; new states are computed in ascending binary index (last
+    column most significant).  Other layers take the closed form."""
 
-    def __init__(self, dbn):
+    def __init__(self, dbn, computes):
         self.dbn = dbn
+        self.computes = dict(computes)
         self._tables = {}
-
-    def _compute(self, layer_index, states):
-        raise NotImplementedError
+        self.standard_errors = {}  # layer index -> {state row bytes: relative SE}
 
     def __call__(self, layer_index, states):
         layer = self.dbn.layers[layer_index]
         if layer.variant != SRBM:
             return layer.log_unnorm_hidden(states)
+        if layer_index not in self.computes:
+            raise EstimationError(f"no marginal provider for the hidden side of layer "
+                                  f"{layer_index} (lateral-connected); supply an AIS run for it")
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         table = self._tables.setdefault(layer_index, {})
+        errors = self.standard_errors.setdefault(layer_index, {})
         keys = [row.tobytes() for row in states]
         missing = {key: row for key, row in zip(keys, states) if key not in table}
         if missing:
             rows = np.array(list(missing.values()))
-            # new states are computed in ascending binary index (last column
-            # most significant), whatever order the call lists them in
             rows = rows[np.lexsort(rows.T)]
-            for row, val in zip(rows, self._compute(layer_index, rows)):
-                table[row.tobytes()] = float(val)
+            values, ses = self.computes[layer_index](layer, rows)
+            for key, val, se in zip(map(np.ndarray.tobytes, rows), values, ses):
+                table[key], errors[key] = float(val), float(se)
         return np.array([table[key] for key in keys])
-
-
-class ExactMarginals(_TableMarginals):
-    """Brute-force hidden marginals by visible enumeration, memoized."""
-
-    def __init__(self, dbn, budget=DEFAULT_ENUM_BUDGET):
-        super().__init__(dbn)
-        self.budget = budget
-
-    def _compute(self, layer_index, rows):
-        return brute_force_hidden_marginal_srbm(
-            self.dbn.layers[layer_index], rows, budget=self.budget
-        )
-
-
-class AisMarginals(_TableMarginals):
-    """AIS-backed hidden marginals, one retained run per lateral layer.
-
-    Tracks the relative standard error of every marginal it estimates so
-    callers can report the marginal-estimation uncertainty alongside the
-    path-sampling error instead of folding it in.
-    """
-
-    def __init__(self, dbn, runs):
-        super().__init__(dbn)
-        self.runs = dict(runs)
-        self.standard_errors = {}  # layer index -> {state row bytes: relative SE}
-
-    def _compute(self, layer_index, rows):
-        if layer_index not in self.runs:
-            raise EstimationError(
-                f"no marginal provider for the hidden side of layer "
-                f"{layer_index} (lateral-connected); supply an AIS run for it"
-            )
-        values, errors = estimate_unnorm_marginal_batch(
-            self.runs[layer_index], self.dbn.layers[layer_index], rows
-        )
-        self.standard_errors.setdefault(layer_index, {}).update(
-            (row.tobytes(), float(e)) for row, e in zip(rows, errors)
-        )
-        return values
 
     def mean_standard_error(self, drawn):
         """Average relative SE over the distinct states the paths drew, by
@@ -383,36 +364,40 @@ class AisMarginals(_TableMarginals):
             if drawn[l] is None:
                 errors.extend(by_state.values())
                 continue
-            states = np.concatenate(list(state_chunks(
-                self.dbn.layers[l].n_hidden, PATH_TABLE_STATES, "a path table")))
+            states = binary_states(self.dbn.layers[l].n_hidden, PATH_TABLE_STATES,
+                                   "a path table")
             errors.extend(by_state[row.tobytes()] for row in states[drawn[l]])
         return float(np.mean(errors)) if errors else 0.0
+
+
+def ExactMarginals(dbn, budget=DEFAULT_ENUM_BUDGET):
+    """Every lateral layer's hidden marginals by visible enumeration, memoized."""
+    compute = partial(_exact_marginals, budget)
+    return _TableMarginals(dbn, dict.fromkeys(range(dbn.n_layers), compute))
+
+
+def AisMarginals(dbn, runs):
+    """Hidden marginals reweighted from one retained AIS run per lateral
+    layer (``runs``: layer index -> AisRun), memoized with the relative SE of
+    each, so callers can report the marginal-estimation uncertainty
+    alongside the path-sampling error instead of folding it in."""
+    return _TableMarginals(dbn, {l: partial(_ais_marginals, run) for l, run in runs.items()})
 
 
 def _path_table(dbn, marginal_provider, l):
     """``(ratio, cond)`` over the 2^h states of layer ``l``'s hidden units, in
     ascending ``state_index`` order: ratio = log q_{l+1}*(s) - log q_l*(s) and
     cond = q_{l+1}(y = 1 | s) when layer l + 1 is interior (else None).
-    None when 2^h exceeds PATH_TABLE_STATES.  The provider is called on
-    blocks of at most PATH_BLOCK states, which keeps an AIS reweighting's
-    temporaries small."""
+    None when 2^h exceeds PATH_TABLE_STATES.  The provider is called once, on
+    all the states; its compute functions keep their own temporaries within
+    ENUM_BLOCK cells."""
     h = dbn.layers[l].n_hidden
     if 2 ** h > PATH_TABLE_STATES:
         return None
+    states = binary_states(h, PATH_TABLE_STATES, "a path table")
     upper = dbn.layers[l + 1]
-    width = upper.n_hidden if l + 2 < dbn.n_layers else 0
-    ratio = np.empty(2 ** h)
-    cond = np.empty((2 ** h, width)) if width else None
-    start = 0
-    for chunk in state_chunks(h, PATH_TABLE_STATES, "a path table"):
-        for lo in range(0, len(chunk), PATH_BLOCK):
-            states = chunk[lo : lo + PATH_BLOCK]
-            rows = slice(start, start + len(states))
-            ratio[rows] = upper.log_unnorm_visible(states) - marginal_provider(l, states)
-            if cond is not None:
-                cond[rows] = upper.hidden_conditional(states)
-            start += len(states)
-    return ratio, cond
+    ratio = upper.log_unnorm_visible(states) - marginal_provider(l, states)
+    return ratio, (upper.hidden_conditional(states) if l + 2 < dbn.n_layers else None)
 
 
 def _visible_term(dbn, rows, log_z_top):
@@ -500,7 +485,7 @@ class EvalResult:
     brute-force values when the stack was enumerated, and the paths per point
     ``n_is``.  With AIS marginals, ``ais["marginal_se_mean"]`` averages the
     relative SE of the distinct states the paths drew
-    (``AisMarginals.mean_standard_error``).  ``stages`` holds the wall seconds
+    (``_TableMarginals.mean_standard_error``).  ``stages`` holds the wall seconds
     of "log_z_top", each "ais_interface[<i>]", "paths" and "brute_force";
     ``workers`` is the most worker processes any stage used.  A density's
     result (``evaluate_density``) has zero SEs, None for the stack's fields
@@ -593,7 +578,7 @@ def evaluate_stack(stack, samples, spec, *, seed, threads=None):
         stack, samples, spec.n_is, provider, log_z_top, RngStream(seed, 33), threads=threads
     )
     workers = max(workers, path_workers)
-    if isinstance(provider, AisMarginals):
+    if ais.get("marginals") == "ais":
         ais["marginal_se_mean"] = provider.mean_standard_error(drawn)
     stages["paths"] = time.perf_counter() - started
     started = time.perf_counter()

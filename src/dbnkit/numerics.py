@@ -10,6 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG2 = float(np.log(2.0))
+# the most values one dataset, drawn array or count of work items may hold
+# (8 GiB of float64); a setting past it is refused before any work starts
+MAX_CELLS = 2 ** 30
 
 
 class NumericsError(ValueError):

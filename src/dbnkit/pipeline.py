@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import Grbm, Rbm, binary_states, brute_force_log_partition
-from .numerics import RngStream, is_gaussian_scale, log_sum_exp
+from .numerics import MAX_CELLS, RngStream, is_gaussian_scale, log_sum_exp
 from .storage import StorageError, read_container, write_container
 from .training import RUNAWAY
 from . import baselines
@@ -18,7 +18,13 @@ from . import baselines
 logger = logging.getLogger(__name__)
 
 PATCH_BLOCK = 4096  # patches drawn and gathered at a time: temporaries stay O(block)
-MAX_CELLS = 2 ** 30  # values one dataset may hold (8 GiB of float64); more is refused
+# the arrays each synthetic kind draws, by the synthetic_spec keys of their axes
+SYNTHETIC_SHAPES = {
+    "isotropic_mixture": ("components", "dim"),
+    "full_cov_mixture": ("components", "dim", "dim"),
+    "grbm": ("dim", "n_hidden"),
+    "rbm": ("dim", "n_hidden"),
+}
 
 
 class PipelineError(ValueError):
@@ -221,10 +227,20 @@ def synthetic_spec(seed, kind="isotropic_mixture", dim=6, components=3, sigma=0.
     shared ``sigma``; "full_cov_mixture" has zero-mean components with
     random covariances of scale ``spread``; "grbm" and "rbm" are layers
     with ``n_hidden`` hidden units and weights of scale ``weight_scale``
-    (and ``sigma`` for the gaussian one).
+    (and ``sigma`` for the gaussian one).  A kind whose arrays
+    (``SYNTHETIC_SHAPES``) would hold more than MAX_CELLS values is refused
+    before any draw.
     """
+    if kind not in SYNTHETIC_SHAPES:
+        raise PipelineError(f"unknown synthetic kind {kind!r}")
     if min(dim, components, n_hidden) < 1:
         raise PipelineError("dim, components and n_hidden must be at least 1")
+    axes = SYNTHETIC_SHAPES[kind]
+    sizes = {"dim": dim, "components": components, "n_hidden": n_hidden}
+    if math.prod(sizes[axis] for axis in axes) > MAX_CELLS:
+        raise PipelineError(
+            f"{kind} draws {' x '.join(axes)} = {' x '.join(str(sizes[a]) for a in axes)} "
+            f"values, more than the {MAX_CELLS} one array may hold")
     if not is_gaussian_scale(sigma):
         raise PipelineError("sigma must be positive, with sigma**2 finite and nonzero")
     if not (0 <= spread < math.inf):
@@ -245,14 +261,12 @@ def synthetic_spec(seed, kind="isotropic_mixture", dim=6, components=3, sigma=0.
                 a = rng.standard_normal((dim, dim))
                 covs.append(spread * (a @ a.T) / dim + 0.05 * np.eye(dim))
             spec = {"kind": kind, "covariances": np.array(covs), "weights": weights}
-        elif kind in ("grbm", "rbm"):
+        else:
             w = weight_scale * rng.standard_normal((dim, n_hidden))
             b = 0.3 * rng.standard_normal(dim)
             c = 0.3 * rng.standard_normal(n_hidden)
             model = Grbm(w, b, c, sigma) if kind == "grbm" else Rbm(w, b, c)
             return {"kind": kind, "model": model}
-        else:
-            raise PipelineError(f"unknown synthetic kind {kind!r}")
     if not all(np.isfinite(v).all() for v in spec.values() if isinstance(v, np.ndarray)):
         raise PipelineError("spread is so large that the mixture overflows")
     return spec
@@ -276,7 +290,7 @@ def synthesize(spec, n, rng):
     under [estimator] enum_budget.
     """
     kind = spec.get("kind")
-    if kind not in ("isotropic_mixture", "full_cov_mixture", "grbm", "rbm"):
+    if kind not in SYNTHETIC_SHAPES:
         raise PipelineError(f"unknown generator spec {kind!r}")
     _check_rows(n, _synthetic_dim(spec))
     if kind == "isotropic_mixture":

@@ -29,13 +29,11 @@ def canonical_json(obj) -> str:
 
 
 def write_container(path, kind, meta, arrays):
-    """Write named float64 arrays with a JSON header; order is preserved."""
-    entries = []
-    payloads = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        entries.append({"name": name, "shape": list(arr.shape)})
-        payloads.append(arr.tobytes())
+    """Write named float64 arrays with a JSON header; order is preserved.
+    Each payload is written from the array's own memory (a little-endian
+    contiguous one is not copied)."""
+    arrays = {name: np.ascontiguousarray(arr, dtype="<f8") for name, arr in arrays.items()}
+    entries = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
     header = canonical_json(
         {
             "format_version": FORMAT_VERSION,
@@ -48,8 +46,8 @@ def write_container(path, kind, meta, arrays):
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in payloads:
-            fh.write(blob)
+        for arr in arrays.values():
+            fh.write(memoryview(arr))
 
 
 def _read_exact(fh, n, path, what):

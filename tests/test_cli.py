@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import textwrap
 import time
 from dataclasses import fields
@@ -173,6 +174,45 @@ def test_preprocess_refuses_a_size_it_cannot_hold(workspace, capsys, source, key
     assert time.perf_counter() - started < 1.0
     assert f"[preprocess] {key} = 10000000000000 rows" in capsys.readouterr().err
     assert not (workspace / "data").exists()  # refused before anything was drawn
+
+
+def with_key(cfg, section, key, value):
+    """Set ``key`` of ``[section]`` in the config file ``cfg`` to ``value``; returns ``cfg``."""
+    text = re.sub(rf"\n{key} = [^\n]*", "", Path(cfg).read_text())
+    Path(cfg).write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1))
+    return cfg
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("isotropic_mixture", "dim"), ("isotropic_mixture", "components"),
+    ("full_cov_mixture", "dim"), ("full_cov_mixture", "components"),
+    ("grbm", "dim"), ("grbm", "n_hidden"), ("rbm", "dim"), ("rbm", "n_hidden"),
+])
+def test_preprocess_refuses_a_synthetic_density_it_cannot_draw(workspace, capsys, kind, key):
+    cfg = with_key(preprocess_config(workspace, n_train=40, n_test=10), "synthetic", "kind", kind)
+    with_key(cfg, "synthetic", key, 10 ** 13)
+    started = time.perf_counter()
+    assert cli.main(["preprocess", "--config", cfg]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert f"[synthetic] {kind} draws" in err and key in err and "10000000000000" in err
+    assert not (workspace / "data").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("ais", "n_betas"), ("ais", "chains_top"), ("ais", "chains_interface"),
+    ("ais", "chains_first"), ("estimator", "n_is"),
+])
+def test_eval_refuses_a_count_that_cannot_run(workspace, capsys, section, key):
+    # with exact = off every count would be used; the config is refused first
+    cfg = with_key(eval_config(workspace), "estimator", "exact", "off")
+    with_key(cfg, section, key, 10 ** 13)
+    started = time.perf_counter()
+    assert cli.main(["eval", "--config", cfg]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - started < 1.0
+    assert f"[{section}] {key} must be at most {2 ** 30}, not 10000000000000" in (
+        capsys.readouterr().err)
+    assert not (workspace / "evalout").exists()
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,10 @@ value, no exception may escape and the exit code must be a documented one.
 ``--threads`` and ``DBNKIT_THREADS`` take the same values and ``abc``, and
 each must exit 2.
 
-2**63 is left out on purpose: ``chains_top = 2**63`` with ``exact = off``
-builds 2**51 chunk job tuples before the first chain runs, and
-``epochs = 2**63`` is legal but would never finish.
+The ``[ais]`` and ``[estimator]`` keys also take 2**63: ``EstimatorSpec``
+refuses each count of chains, annealing steps or paths past ``MAX_CELLS``
+before any chain runs, and ``enum_budget`` only caps what is enumerated.
+Other keys leave it out: ``epochs = 2**63`` is legal but would never finish.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from dbnkit.config import _LAYER_KEYS, _SCHEMA, _TRAIN_KEYS
 from dbnkit.pipeline import save_images
 
 VALUES = ["0", "-1", "nan", "inf", "1e308"]
+# the sections that 2**63 is fuzzed on as well: all their counts are bounded
+BOUNDED = ("ais", "estimator")
 EXIT_CODES = {0, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGED, cli.EXIT_ESTIMATION}
 
 _LAYERS = {
@@ -135,7 +138,7 @@ def test_hostile_value_ends_in_a_documented_exit(fixture_dir, tmp_path, monkeypa
                                                  key, base):
     (tmp_path / "fixture").symlink_to(fixture_dir)
     monkeypatch.chdir(tmp_path)
-    for value in VALUES:
+    for value in VALUES + [str(2 ** 63)] * (section in BOUNDED):
         sections = {name: dict(values) for name, values in BASES[base].items()}
         sections.setdefault(section, {})[key] = value
         _write(tmp_path / "fuzz.ini", sections)

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +15,7 @@ from dbnkit.config import ExperimentConfig
 from dbnkit.dbn import DbnModel, average_log_loss, brute_force_log_likelihood, save_dbn
 from dbnkit.estimation import (
     AisMarginals,
+    AisRun,
     AisSchedule,
     AnalyticMarginals,
     EstimationError,
@@ -42,7 +44,14 @@ from dbnkit.models import (
     brute_force_log_partition,
     state_index,
 )
-from dbnkit.numerics import LOG2, LogEstimate, RngStream, monte_carlo_se, softplus_log
+from dbnkit.numerics import (
+    LOG2,
+    MAX_CELLS,
+    LogEstimate,
+    RngStream,
+    monte_carlo_se,
+    softplus_log,
+)
 from dbnkit.oracle import exact_log_z, random_grbm, random_rbm, random_srbm
 from dbnkit.pipeline import DataSet, save_dataset
 from dbnkit.training import init_srbm_from_grbm
@@ -483,6 +492,17 @@ def test_estimator_spec_refuses_bad_value(key, bad):
         replace(EVAL_SPEC, **{key: bad})
 
 
+@pytest.mark.parametrize("key", ["n_betas", "chains_top", "chains_interface", "chains_first",
+                                 "n_is"])
+def test_estimator_spec_refuses_a_count_past_max_cells(key):
+    assert getattr(EstimatorSpec(**{key: MAX_CELLS}), key) == MAX_CELLS
+    message = f"^{key} must be at most {MAX_CELLS}, not 10000000000000$"
+    with pytest.raises(ValueError, match=message):
+        EstimatorSpec(**{key: 10 ** 13})
+    # a budget is not a count: it may exceed the bound
+    assert EstimatorSpec(enum_budget=2 ** 63).enum_budget == 2 ** 63
+
+
 def small_moig():
     return MoigModel([[0.3, -0.2, 0.1], [-0.5, 0.4, 0.0]], 0.9, [0.4, 0.6])
 
@@ -604,8 +624,8 @@ def test_paths_are_byte_identical_across_worker_counts(monkeypatch):
 @pytest.mark.parametrize("case, marginals, pool_sizes", [
     ("analytic", None, [6]), ("ais", "ais", [3]), ("exact", "exact", [3]), ("one-layer", None, []),
 ])
-def test_paths_start_a_pool_only_for_analytic_marginals(monkeypatch, case, marginals,
-                                                        pool_sizes):
+def test_paths_start_a_pool_unless_the_stack_has_one_layer(monkeypatch, case, marginals,
+                                                           pool_sizes):
     """Every stack of more than one layer whose paths read tables or analytic
     marginals spreads its blocks, here one worker a block; a one-layer stack
     starts no pool."""
@@ -714,6 +734,47 @@ def test_marginal_se_mean_counts_only_the_drawn_states():
         np.mean(list(provider.standard_errors[1].values())), rel=1e-6)
 
 
+def test_exact_marginals_have_zero_errors_and_no_report_mean():
+    stack, x = small_three_layer_stack()
+    provider = ExactMarginals(stack)
+    _, _, drawn = estimate_dataset_log_likelihood(stack, x, 20, provider, exact_log_z(stack.top),
+                                                  RngStream(117))
+    assert len(provider.standard_errors[1]) == 2 ** stack.layers[1].n_hidden
+    assert set(provider.standard_errors[1].values()) == {0.0}
+    assert provider.mean_standard_error(drawn) == 0.0
+    # a provider pickles, memo and all, so a pool can take it
+    copy = pickle.loads(pickle.dumps(provider))
+    ys = binary_states(4)
+    assert np.array_equal(copy(1, ys), provider(1, ys))
+    result = evaluate_stack(stack, x, replace(EVAL_SPEC, marginals="exact"), seed=EVAL_SEED,
+                            threads=1)
+    assert result.ais["marginals"] == "exact"
+    assert "marginal_se_mean" not in report_fields(result, 3)["ais"]
+
+
+def test_an_ais_path_table_is_one_reweighting_within_fixed_memory():
+    """A 2^10-state table over 20000 AIS samples computes the samples'
+    activations once and keeps the rest within ENUM_BLOCK blocks."""
+    rng = RngStream(118).generator()
+    stack = DbnModel([random_srbm(rng, m=6, n=10), random_rbm(rng, m=10, n=3)])
+    n = 20000
+    run = AisRun(rng.standard_normal(n), (rng.random((n, 6)) < 0.5).astype(np.float64), 0.0,
+                 LogEstimate(0.0, 0.0, n), 5)
+    provider = AisMarginals(stack, {0: run})
+    tracemalloc.start()
+    try:
+        ratio, cond = estimation._path_table(stack, provider, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    states = binary_states(10)
+    values, errors = estimate_unnorm_marginal_batch(run, stack.layers[0], states)
+    assert cond is None
+    assert np.array_equal(ratio, stack.layers[1].log_unnorm_visible(states) - values)
+    assert list(provider.standard_errors[0].values()) == errors.tolist()
+
+
 class CountingMarginals(AnalyticMarginals):
     """Analytic marginals that record the codes of every call's states."""
 
@@ -734,12 +795,11 @@ def test_provider_is_called_only_while_a_table_is_built(monkeypatch, threads):
     _, workers, _ = estimation.estimate_dataset_log_likelihood(
         stack, x, 20, provider, z, RngStream(112), threads=threads)
     assert workers == threads
-    # the tables are built in this process, each state once, in ascending
-    # code order, PATH_BLOCK (here 4) states at most a call
-    for l in range(stack.n_layers - 1):
-        calls = [codes for layer, codes in provider.calls if layer == l]
-        assert max(map(len, calls)) <= estimation.PATH_BLOCK
-        assert np.array_equal(np.concatenate(calls), np.arange(2 ** stack.layers[l].n_hidden))
+    # the tables are built in this process, one call per layer holding all
+    # its states in ascending code order
+    assert [layer for layer, _ in provider.calls] == list(range(stack.n_layers - 1))
+    for l, codes in provider.calls:
+        assert np.array_equal(codes, np.arange(2 ** stack.layers[l].n_hidden))
     # nothing is kept on the provider: each call builds its own tables
     built = len(provider.calls)
     estimation.estimate_dataset_log_likelihood(stack, x, 20, provider, z, RngStream(113),

@@ -157,6 +157,22 @@ def test_sizes_past_max_cells_are_refused_before_drawing():
         PreprocessSpec("images", "bank.dbni", 16, n_train=MAX_CELLS // 256 + 1).check_rows(None)
 
 
+def test_saving_a_dataset_writes_the_samples_without_a_copy(tmp_path):
+    samples = RngStream(150).generator().standard_normal((20000, 15))
+    dataset = DataSet(samples)
+    tracemalloc.start()
+    try:
+        save_dataset(dataset, tmp_path / "x.dbds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * samples.nbytes
+    # the payload is the samples' little-endian bytes, after the header
+    data = (tmp_path / "x.dbds").read_bytes()
+    assert data.endswith(samples.astype("<f8").tobytes())
+    assert np.array_equal(load_dataset(tmp_path / "x.dbds").samples, samples)
+
+
 def test_preprocess_requires_positive_intensities():
     with pytest.raises(PipelineError, match="positive"):
         preprocess(DataSet(np.zeros((10, 4))))
