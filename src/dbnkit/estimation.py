@@ -31,7 +31,6 @@ from . import kernels
 from .dbn import average_log_loss, brute_force_log_likelihood, feed_forward_sample
 from .models import (
     DEFAULT_ENUM_BUDGET,
-    ENUM_BLOCK,
     GRBM,
     RBM,
     SRBM,
@@ -46,12 +45,14 @@ from .models import (
     state_index,
 )
 from .numerics import (
+    ENUM_BLOCK,
     LOG2,
     MAX_CELLS,
     LogEstimate,
     RngStream,
     bernoulli_entropy,
     bits_per_component,
+    first_nonfinite_row,
     monte_carlo_se,
     softplus_log,
 )
@@ -64,8 +65,6 @@ PATH_BLOCK = 64
 # benchmark workload measures (rbm_paths' 10 units); a wider layer's paths
 # are evaluated row by row
 PATH_TABLE_STATES = 2 ** 10
-# cells (rows x components, 8 MB) of the potential log-loss's reused block
-POTENTIAL_BLOCK = 2 ** 20
 
 # the values EstimatorSpec (and so the [estimator] config section) accepts
 EXACT_CHOICES = ("auto", "on", "off")
@@ -278,9 +277,14 @@ def estimate_unnorm_marginal_batch(run, target, states):
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if states.shape[1] != target.n_hidden:
         raise ModelError("state dimension does not match the hidden units")
-    # log q(y_j = 1 | x) and log q(y_j = 0 | x) at the AIS samples
+    # log q(y_j = 1 | x) = -softplus(-act) and log q(y_j = 0 | x) =
+    # -softplus(act) at the AIS samples, negated in place
     act = target.hidden_activation(run.final_samples)
-    log_on, log_off = -softplus_log(-act), -softplus_log(act)
+    log_off = softplus_log(act)
+    log_on = softplus_log(np.negative(act, out=act))
+    del act
+    np.negative(log_off, out=log_off)
+    np.negative(log_on, out=log_on)
     ests = []
     step = max(1, ENUM_BLOCK // max(run.log_weights.size, 1))
     for lo in range(0, states.shape[0], step):
@@ -695,7 +699,8 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
 
     Every log q(x | y_k) is x . A[:, k] + c[k] + r(x) (``conditional_terms``,
     which enumerates a lateral layer's c), so the mixture over K components
-    costs one GEMM and one exp per row block.
+    costs one GEMM and one exp per block of at most ENUM_BLOCK cells (one
+    row at least).
     """
     if k_recon < 1:
         raise EstimationError("need at least one reconstruction per point")
@@ -706,9 +711,9 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
     if eval_set.shape[0] == 0 or recon.shape[0] == 0:
         raise EstimationError("empty evaluation or reconstruction set")
     for name, rows in (("eval_set", eval_set), ("recon_set", recon)):
-        bad = ~np.isfinite(rows).all(axis=1)
-        if bad.any():
-            raise EstimationError(f"{name} row {int(np.argmax(bad))} is not finite")
+        bad = first_nonfinite_row(rows)
+        if bad is not None:
+            raise EstimationError(f"{name} row {bad} is not finite")
     if rng is None:
         rng = RngStream(0).generator()
 
@@ -718,7 +723,7 @@ def estimate_potential_log_loss(layer1, eval_set, recon_set=None, k_recon=1, rng
     n_comp = components.shape[0]
 
     a, c, r = conditional_terms(layer1, components)
-    step = max(1, POTENTIAL_BLOCK // n_comp)
+    step = max(1, ENUM_BLOCK // n_comp)
     buf = np.empty((min(step, eval_set.shape[0]), n_comp))
 
     def evaluator(rows):

@@ -13,7 +13,7 @@ all state-level operations accept either a single state vector or a
 import numpy as np
 
 from . import kernels
-from .numerics import is_gaussian_scale, log_sum_exp, logistic, softplus_log
+from .numerics import ENUM_BLOCK, is_gaussian_scale, log_sum_exp, logistic, softplus_log
 
 RBM = "rbm"
 GRBM = "grbm"
@@ -21,8 +21,6 @@ SRBM = "srbm"
 
 DEFAULT_ENUM_BUDGET = 2 ** 25
 _ENUM_CHUNK = 2 ** 16
-# cells (1 MB of float64) in one block of a pair enumeration or AIS reweighting
-ENUM_BLOCK = 2 ** 17
 
 
 class ModelError(ValueError):

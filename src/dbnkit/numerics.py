@@ -13,6 +13,9 @@ LOG2 = float(np.log(2.0))
 # the most values one dataset, drawn array or count of work items may hold
 # (8 GiB of float64); a setting past it is refused before any work starts
 MAX_CELLS = 2 ** 30
+# cells (1 MB of float64) in one block of a pair enumeration, AIS
+# reweighting, potential log-loss or finiteness scan
+ENUM_BLOCK = 2 ** 17
 
 
 class NumericsError(ValueError):
@@ -71,6 +74,18 @@ class RngStream:
             entropy=self.seed, spawn_key=(self.stream_id,) + key
         )
         return np.random.Generator(np.random.Philox(seq))
+
+
+def first_nonfinite_row(rows):
+    """Index of the first row of the 2-d ``rows`` holding a non-finite value,
+    or None; scanned in row blocks of at most ENUM_BLOCK cells (one row at
+    least), so no n x d temporary is built."""
+    step = max(1, ENUM_BLOCK // max(rows.shape[1], 1))
+    for lo in range(0, rows.shape[0], step):
+        bad = ~np.isfinite(rows[lo : lo + step]).all(axis=1)
+        if bad.any():
+            return lo + int(np.argmax(bad))
+    return None
 
 
 def bits_per_component(log_values, dim):

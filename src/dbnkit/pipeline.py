@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import Grbm, Rbm, binary_states, brute_force_log_partition
-from .numerics import MAX_CELLS, RngStream, is_gaussian_scale, log_sum_exp
+from .numerics import MAX_CELLS, RngStream, first_nonfinite_row, is_gaussian_scale, log_sum_exp
 from .storage import StorageError, read_container, write_container
 from .training import RUNAWAY
 from . import baselines
@@ -56,7 +56,7 @@ class DataSet:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
         if self.samples.shape[0] == 0:
             raise PipelineError("dataset has no rows")
-        if not np.isfinite(self.samples).all():
+        if first_nonfinite_row(self.samples) is not None:
             raise PipelineError("dataset contains non-finite values")
 
     @property

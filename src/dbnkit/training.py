@@ -278,6 +278,8 @@ def train_layer(
     try:
         for epoch in range(config.epochs):
             started = time.perf_counter()
+            # the last epoch's data, shuffled copy and batch go before the next are made
+            epoch_data = shuffled = batch = None
             epoch_data = data_provider(epoch) if data_provider is not None else data
             perm = stream.substream(epoch, 0).permutation(epoch_data.shape[0])
             cd_rng = stream.substream(epoch, 1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from dbnkit import cli, estimation
+from dbnkit import cli, estimation, numerics
 from dbnkit.baselines import MoigModel, average_log_loss_bits, save_baseline
 from dbnkit.config import ExperimentConfig
 from dbnkit.dbn import DbnModel, average_log_loss, brute_force_log_likelihood, save_dbn
@@ -53,7 +53,7 @@ from dbnkit.numerics import (
     softplus_log,
 )
 from dbnkit.oracle import exact_log_z, random_grbm, random_rbm, random_srbm
-from dbnkit.pipeline import DataSet, save_dataset
+from dbnkit.pipeline import DataSet, PipelineError, save_dataset
 from dbnkit.training import init_srbm_from_grbm
 
 # -- schedules and bases --------------------------------------------------------
@@ -948,7 +948,7 @@ def test_potential_log_loss_matches_pairwise_definition(monkeypatch, variant):
     recon = data[:10] + 0.25
     # 10 points x 2 reconstructions = 20 components, 5 rows per block: four
     # full blocks and a ragged last one of 3 rows
-    monkeypatch.setattr(estimation, "POTENTIAL_BLOCK", 100)
+    monkeypatch.setattr(estimation, "ENUM_BLOCK", 100)
     rows = []
 
     def keep_rows(dataset, evaluator):
@@ -997,6 +997,42 @@ def test_potential_log_loss_names_first_non_finite_row(which, bad):
     sets[which][7, 2] = bad
     with pytest.raises(EstimationError, match=f"{which} row 7 "):
         estimate_potential_log_loss(model, sets["eval_set"], recon_set=sets["recon_set"])
+
+
+@pytest.mark.parametrize("first", [0, 3, 4, 29, 48, 49])
+def test_blocked_finiteness_checks_name_the_first_bad_row(monkeypatch, first):
+    # blocks of 12 cells are 4 rows of 3 values: the bad rows sit at the
+    # edges of the first, a middle and the ragged last block
+    monkeypatch.setattr(numerics, "ENUM_BLOCK", 12)
+    rng = RngStream(110).generator()
+    model = random_grbm(rng, m=3, n=4)
+    clean = rng.standard_normal((50, 3))
+    rows = clean.copy()
+    rows[first, 1] = np.nan
+    rows[min(first + 5, 49), 0] = np.inf
+    for which in ("eval_set", "recon_set"):
+        sets = {"eval_set": clean, "recon_set": clean, which: rows}
+        with pytest.raises(EstimationError, match=f"^{which} row {first} is not finite$"):
+            estimate_potential_log_loss(model, sets["eval_set"], recon_set=sets["recon_set"])
+    with pytest.raises(PipelineError, match="^dataset contains non-finite values$"):
+        DataSet(rows)
+    assert DataSet(clean).samples is clean
+
+
+def test_potential_log_loss_memory_stays_within_fixed_blocks():
+    # an rbm_paths-sized call: 3000 binary points of 12 values, a 12 x 10
+    # RBM, 3000 components; blocks of 2^20 cells peaked at 8.8 MB here
+    rng = RngStream(111).generator()
+    model = random_rbm(rng, m=12, n=10, scale=0.5)
+    data = (rng.random((3000, 12)) < 0.5).astype(np.float64)
+    tracemalloc.start()
+    try:
+        value = estimate_potential_log_loss(model, data, rng=RngStream(112).generator())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 3 * 2 ** 20
 
 
 def test_potential_log_loss_grows_with_reconstruction_set():

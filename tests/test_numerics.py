@@ -2,10 +2,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from dbnkit import numerics
 from dbnkit.numerics import (
     NumericsError,
     RngStream,
     bernoulli_entropy,
+    first_nonfinite_row,
     log_mean_exp,
     log_sum_exp,
     logistic,
@@ -144,3 +146,17 @@ def test_rng_stream_independent_ids():
 def test_rng_substreams_differ():
     s = RngStream(5)
     assert not np.array_equal(s.substream(0).random(8), s.substream(1).random(8))
+
+
+@pytest.mark.parametrize("block", [1, 5, 12, 2 ** 17])
+def test_first_nonfinite_row_matches_a_whole_array_scan(monkeypatch, block):
+    monkeypatch.setattr(numerics, "ENUM_BLOCK", block)
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        rows = rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 6))))
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.integers(rows.shape[0]), rng.integers(rows.shape[1])
+            rows[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+        bad = ~np.isfinite(rows).all(axis=1)
+        assert first_nonfinite_row(rows) == (int(np.argmax(bad)) if bad.any() else None)
+    assert first_nonfinite_row(np.empty((3, 0))) is None

@@ -157,6 +157,19 @@ def test_sizes_past_max_cells_are_refused_before_drawing():
         PreprocessSpec("images", "bank.dbni", 16, n_train=MAX_CELLS // 256 + 1).check_rows(None)
 
 
+def test_building_a_dataset_checks_it_without_an_n_by_d_temporary():
+    samples = RngStream(151).generator().standard_normal((50000, 64))
+    tracemalloc.start()
+    try:
+        dataset = DataSet(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.samples is samples
+    # one whole-array isfinite is an n x d bool array, 13% of the samples
+    assert peak < 0.05 * samples.nbytes
+
+
 def test_saving_a_dataset_writes_the_samples_without_a_copy(tmp_path):
     samples = RngStream(150).generator().standard_normal((20000, 15))
     dataset = DataSet(samples)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,30 @@ def test_train_layer_writes_csv_log(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,lr,recon_error,exact_log_loss,wall_time"
     assert len(lines) == 4
+
+
+def test_train_layer_holds_one_shuffled_copy_at_a_time():
+    rng = RngStream(40).generator()
+    model = models.initialize_layer(models.GRBM, 15, 16, rng, sigma=0.7)
+    data = rng.standard_normal((20000, 15))
+    tracemalloc.start()
+    try:
+        train_layer(model, data, TrainConfig(epochs=2, batch_size=100, seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # epoch 1's copy made while epoch 0's was still held is two of them
+    assert peak < 1.5 * data.nbytes
+
+
+def test_train_layer_epochs_without_batches():
+    rng = RngStream(41).generator()
+    model = random_rbm(rng)
+    trained, diag = train_layer(model, np.empty((0, 3)), TrainConfig(epochs=2, batch_size=10))
+    assert [entry["epoch"] for entry in diag] == [0, 1]
+    assert all(np.isnan(entry["recon_error"]) for entry in diag)
+    for name, arr in model.parameter_arrays().items():
+        assert np.array_equal(trained.parameter_arrays()[name], arr)
 
 
 def test_divergence_guard_triggers():
