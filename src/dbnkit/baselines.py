@@ -2,12 +2,15 @@
 Gaussians with shared scale (means free), and zero-mean mixtures with free
 covariances, trained by EM."""
 
+import copy
 import logging
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimation
 from .numerics import bits_per_component, is_gaussian_scale
 from .storage import read_model, write_model
 
@@ -318,25 +321,75 @@ def check_mixture(kind, k, sigma, iters, restarts):
         _check_sigma(sigma, "an isotropic mixture's sigma")
 
 
-def fit_mixture(kind, k, data, sigma=None, iters=100, tol=1e-8, restarts=5, rng=None):
-    """EM with random restarts; the best final log-likelihood wins."""
+def _init_mixture(kind, k, data, sigma, rng):
+    return init_moig(k, data, sigma, rng) if kind == "moig" else init_mog(k, data, rng)
+
+
+def _state(rng):
+    """A generator's state as bytes, comparable whatever its bit generator."""
+    return pickle.dumps(rng.bit_generator.state)
+
+
+def _fit_restart(job):
+    """One EM restart; ``job`` is (model, data, iters, tol, rng).
+
+    Runs on one BLAS thread and holds back its log records.  Returns the
+    fitted model, its trace, the held (message, args) pairs, and the
+    generator if it moved (a collapsed component was reinitialized from
+    it), else None."""
+    model, data, iters, tol, rng = job
+    start, held = _state(rng), []
+
+    def hold(record):
+        held.append((record.msg, record.args))
+        return False
+
+    logger.addFilter(hold)
+    try:
+        with estimation._one_blas_thread():
+            model, trace = fit_em(model, data, iters=iters, tol=tol, rng=rng)
+    finally:
+        logger.removeFilter(hold)
+    return model, trace, held, rng if _state(rng) != start else None
+
+
+def fit_mixture(kind, k, data, sigma=None, iters=100, tol=1e-8, restarts=5, rng=None,
+                threads=None):
+    """EM with random restarts; the best final log-likelihood wins.
+
+    Every restart's initial model is drawn from ``rng`` in turn, each
+    followed by a copy of ``rng`` that its EM run draws from.  The runs go
+    to up to ``threads`` worker processes (None: the CPU affinity set), or
+    all to this one where numpy's OpenBLAS cannot be held to one thread.
+    EM draws from its generator only to reinitialize a collapsed component;
+    the restarts after the first that does are run again here, in turn,
+    from where it left the generator.  So the models, traces, warnings and
+    the final state of ``rng`` are those of running the restarts one after
+    another on ``rng``, whatever the number of workers.
+    """
     check_mixture(kind, k, sigma, iters, restarts)
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if k > data.shape[0]:
         raise BaselineError(f"{k} components need at least {k} rows, not {data.shape[0]}")
     if rng is None:
         rng = np.random.default_rng(0)
-    best = None
-    best_trace = None
-    for _ in range(restarts):
-        if kind == "moig":
-            model = init_moig(k, data, sigma, rng)
-        else:
-            model = init_mog(k, data, rng)
-        model, trace = fit_em(model, data, iters=iters, tol=tol, rng=rng)
-        if best is None or trace[-1] > best_trace[-1]:
-            best, best_trace = model, trace
-    return best, best_trace
+    if not estimation._openblas():  # unpinned workers ran slower than one process
+        threads = 1 if threads is None else min(threads, 1)
+    jobs = [(_init_mixture(kind, k, data, sigma, rng), data, iters, tol, copy.deepcopy(rng))
+            for _ in range(restarts)]
+    runs, _ = estimation._map_in_processes(_fit_restart, jobs, threads, "an EM restart")
+    fits = []
+    for model, trace, held, moved in runs:
+        for msg, args in held:
+            logger.warning(msg, *args)
+        fits.append((model, trace))
+        if moved is not None:
+            rng.bit_generator.state = moved.bit_generator.state
+            break
+    while len(fits) < restarts:
+        fits.append(fit_em(_init_mixture(kind, k, data, sigma, rng), data, iters=iters,
+                           tol=tol, rng=rng))
+    return max(fits, key=lambda fit: fit[1][-1])  # the first of equals
 
 
 def check_cross_validation(candidates, folds):
@@ -378,12 +431,13 @@ def cross_validate_sigma(candidates, data, folds, scorer, seed=0):
     return best["sigma"], table
 
 
-def moig_sigma_scorer(k, iters=50, tol=1e-8, restarts=2):
-    """Scorer closure for cross_validate_sigma over the isotropic mixture."""
+def moig_sigma_scorer(k, iters=50, tol=1e-8, restarts=2, threads=None):
+    """Scorer closure for cross_validate_sigma over the isotropic mixture;
+    ``threads`` is fit_mixture's."""
 
     def scorer(sigma, train, val, rng):
         model, _ = fit_mixture("moig", k, train, sigma=sigma, iters=iters, tol=tol,
-                               restarts=restarts, rng=rng)
+                               restarts=restarts, rng=rng, threads=threads)
         return average_log_loss_bits(model, val)
 
     return scorer
@@ -418,8 +472,8 @@ class BaselineSpec:
             check_mixture(self.kind, self.components, sigma, self.em_iters, self.restarts)
 
 
-def fit_baseline(spec, data, seed=0):
-    """Fit ``spec``'s density to ``data``.
+def fit_baseline(spec, data, seed=0, threads=None):
+    """Fit ``spec``'s density to ``data``; ``threads`` is fit_mixture's.
 
     Returns the model and the cross-validation table of its sigma, which
     is empty unless an isotropic mixture picked one from candidates.
@@ -428,13 +482,13 @@ def fit_baseline(spec, data, seed=0):
         return fit_gaussian(data), []
     sigma, table = spec.sigma, []
     if spec.kind == "moig" and spec.sigma_candidates:
-        scorer = moig_sigma_scorer(spec.components, iters=spec.em_iters)
+        scorer = moig_sigma_scorer(spec.components, iters=spec.em_iters, threads=threads)
         sigma, table = cross_validate_sigma(
             spec.sigma_candidates, data, spec.sigma_folds, scorer, seed=seed
         )
     model, _ = fit_mixture(spec.kind, spec.components, data, sigma=sigma,
                            iters=spec.em_iters, restarts=spec.restarts,
-                           rng=np.random.default_rng(seed))
+                           rng=np.random.default_rng(seed), threads=threads)
     return model, table
 
 

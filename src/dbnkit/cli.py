@@ -70,18 +70,24 @@ def cmd_preprocess(cfg):
             src = pipeline.PatchSource(tuple(images), spec.patch_size)
         except PipelineError as exc:
             raise ConfigError(f"[preprocess] {exc}") from exc
-    stream, sizes = RngStream(cfg.seed), (spec.n_train, spec.n_test)
+    stream = RngStream(cfg.seed)
     for i in range(spec.pairs):
-        if spec.source == "synthetic":
-            train, test = (pipeline.synthesize(cfg.synthetic, n, stream.substream(21, i, j))
-                           for j, n in enumerate(sizes))
-        else:
-            raw_train, raw_test = (pipeline.sample_patches(src, n, stream.substream(22, i, j))
-                                   for j, n in enumerate(sizes))
-            train = pipeline.preprocess(raw_train)
-            test = pipeline.replay(train.provenance, raw_test.samples)
-        pipeline.save_dataset(train, out / f"train_{i:02d}.dbds")
-        pipeline.save_dataset(test, out / f"test_{i:02d}.dbds")
+        # each set is saved before the next is drawn, and a raw patch set
+        # only lives through its transform: the training set's, which the
+        # test set replays
+        provenance = None
+        for j, (name, n) in enumerate((("train", spec.n_train), ("test", spec.n_test))):
+            if spec.source == "synthetic":
+                data = pipeline.synthesize(cfg.synthetic, n, stream.substream(21, i, j))
+            else:
+                raw = pipeline.sample_patches(src, n, stream.substream(22, i, j))
+                if provenance is None:
+                    data = pipeline.preprocess(raw)
+                else:
+                    data = pipeline.replay(provenance, raw.samples)
+                provenance, raw = data.provenance, None
+            pipeline.save_dataset(data, out / f"{name}_{i:02d}.dbds")
+            del data
     _write_meta(out / "preprocess.meta.json", time.perf_counter() - started)
     print(f"wrote {spec.pairs} train/test pair(s) to {out}")
     return 0
@@ -101,9 +107,10 @@ def _layer_specs(cfg, data):
     return specs
 
 
-def _train_baseline(cfg, dataset, out, started):
+def _train_baseline(cfg, dataset, out, started, threads):
     try:
-        model, table = baselines.fit_baseline(cfg.baseline, dataset.samples, seed=cfg.seed)
+        model, table = baselines.fit_baseline(cfg.baseline, dataset.samples, seed=cfg.seed,
+                                              threads=threads)
     except BaselineError as exc:
         raise ConfigError(f"[baseline] {exc}") from exc
     if table:
@@ -114,7 +121,7 @@ def _train_baseline(cfg, dataset, out, started):
     return 0
 
 
-def cmd_train(cfg):
+def cmd_train(cfg, threads):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_section = cfg.section("data")
@@ -123,7 +130,7 @@ def cmd_train(cfg):
     dataset = pipeline.load_dataset(data_section["train"])
     started = time.perf_counter()
     if cfg.baseline is not None:
-        return _train_baseline(cfg, dataset, out, started)
+        return _train_baseline(cfg, dataset, out, started, threads)
     if not cfg.layer_specs:
         raise ConfigError("missing section [layers]")
     specs = _layer_specs(cfg, dataset.samples)
@@ -293,12 +300,13 @@ def main(argv=None):
             overrides={"seed": args.seed, "out": args.out, "threads": args.threads},
         )
         # --threads (set in cfg) > [experiment] threads > DBNKIT_THREADS; None
-        # leaves the count to the estimators, which use the CPU affinity set
+        # leaves the count to the estimators and baseline EM restarts, which
+        # use the CPU affinity set
         threads = cfg.values["experiment"]["threads"] or env_threads
         if args.command == "preprocess":
             return cmd_preprocess(cfg)
         if args.command == "train":
-            return cmd_train(cfg)
+            return cmd_train(cfg, threads)
         if args.command == "eval":
             return cmd_eval(cfg, threads)
         if args.command == "compare":

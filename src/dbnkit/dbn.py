@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import DEFAULT_ENUM_BUDGET, ENUM_BLOCK, GRBM
-from .numerics import bits_per_component, log_sum_exp
+from .numerics import RUNAWAY, bits_per_component, log_sum_exp
 from .storage import canonical_json, load_model, save_model
 from . import models as _models
 
@@ -189,5 +189,12 @@ def load_dbn(directory):
     names = manifest.get("layers") if isinstance(manifest, dict) else None
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise DbnError(f"{manifest_path} does not list its layer files")
-    return DbnModel([load_model(directory / name) for name in names])
+    layers = [load_model(directory / name) for name in names]
+    # training stops at RUNAWAY; beyond it, a top weight of 1e300 read 0.0 bits
+    for name, layer in zip(names, layers):
+        for field, arr in layer.parameter_arrays().items():
+            if np.abs(arr).max(initial=0.0) > RUNAWAY:
+                raise DbnError(f"{name} {field} exceeds {RUNAWAY:g}, "
+                               "beyond what training can produce")
+    return DbnModel(layers)
 

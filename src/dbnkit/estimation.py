@@ -17,13 +17,17 @@ uncertainty of partition-function and marginal estimates is tracked
 separately by the callers and never folded in silently.
 """
 
+import ctypes
+import glob
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -211,6 +215,45 @@ def _map_in_processes(fn, jobs, threads, what):
             return list(pool.map(fn, jobs)), workers
     except BrokenProcessPool as exc:
         raise EstimationError(f"{what} worker process died: {exc}") from exc
+
+
+def _openblas():
+    """The thread-count (getter, setter) of each OpenBLAS bundled with numpy
+    or scipy that this process has loaded, numpy's first; none where they
+    are absent, as with a numpy built on another BLAS."""
+    found = []
+    site = Path(np.__file__).parent.parent
+    for package in ("numpy", "scipy"):
+        for path in glob.glob(str(site / f"{package}.libs" / "*openblas*")):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:  # not loaded: scipy's, before scipy.linalg is imported
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+                    break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """The body runs with every loaded bundled OpenBLAS on one thread and
+    restores their counts on exit: GEMM-heavy jobs in two or more workers
+    otherwise oversubscribe the CPUs."""
+    blas = _openblas()
+    old = [get() for get, _ in blas]
+    for _, put in blas:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(blas, old):
+            put(count)
 
 
 def _chain_chunk(job):

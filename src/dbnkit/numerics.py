@@ -16,6 +16,9 @@ MAX_CELLS = 2 ** 30
 # cells (1 MB of float64) in one block of a pair enumeration, AIS
 # reweighting, potential log-loss or finiteness scan
 ENUM_BLOCK = 2 ** 17
+# a parameter beyond this magnitude means training has diverged: training
+# stops there, and a stack holding one is refused on loading
+RUNAWAY = 1e6
 
 
 class NumericsError(ValueError):

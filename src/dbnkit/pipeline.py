@@ -10,9 +10,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import Grbm, Rbm, binary_states, brute_force_log_partition
-from .numerics import MAX_CELLS, RngStream, first_nonfinite_row, is_gaussian_scale, log_sum_exp
+from .numerics import (MAX_CELLS, RUNAWAY, RngStream, first_nonfinite_row, is_gaussian_scale,
+                       log_sum_exp)
 from .storage import StorageError, read_container, write_container
-from .training import RUNAWAY
 from . import baselines
 
 logger = logging.getLogger(__name__)

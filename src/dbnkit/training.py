@@ -22,10 +22,7 @@ from .models import (
     brute_force_log_partition,
     initialize_layer,
 )
-from .numerics import RngStream, is_gaussian_scale
-
-# a parameter beyond this magnitude means training has diverged
-RUNAWAY = 1e6
+from .numerics import RUNAWAY, RngStream, is_gaussian_scale
 
 
 class TrainingDiverged(RuntimeError):
@@ -97,8 +94,9 @@ def _stats(model, x, p):
     n = x.shape[0]
     stats = {
         "xy": x.T @ p / n,
-        "x": x.mean(axis=0),
-        "y": p.mean(axis=0),
+        # ndarray.mean's sum and division, without its wrapper's cost
+        "x": np.add.reduce(x, axis=0) / n,
+        "y": np.add.reduce(p, axis=0) / n,
     }
     if model.variant == SRBM:
         stats["xx"] = x.T @ x / n
@@ -153,7 +151,8 @@ def cd_gradient(model, batch, n, rng, out=None, mean_field_steps=20, mean_field_
         if step + 1 < n:
             hidden = (rng.random(p_neg.shape) < p_neg).astype(np.float64)
     _fill_grads(out, model, pos, _stats(model, recon, p_neg))
-    out.last_recon_error = float(np.mean((batch - recon) ** 2))
+    d = batch - recon
+    out.last_recon_error = float(np.add.reduce(d * d, axis=None) / d.size)
     return out
 
 

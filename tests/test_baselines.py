@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from dbnkit import baselines
+from dbnkit import baselines, estimation
 from dbnkit.baselines import (
     BaselineError,
     BaselineSpec,
@@ -182,9 +184,142 @@ def test_fit_mixture_runs_fit_em_once_per_restart(monkeypatch):
 
     monkeypatch.setattr(baselines, "fit_em", counting)
     data = RngStream(132).generator().standard_normal((200, 2))
+    # in this process: forked workers would count in their own copies
+    fit_mixture("moig", 2, data, sigma=0.5, iters=7, tol=-np.inf, restarts=3,
+                rng=np.random.default_rng(0), threads=1)
+    assert [len(trace) for trace in traces] == [8, 8, 8]
+
+
+def _record_restarts(monkeypatch):
+    """Record the worker count and the traces of each fit_mixture pool."""
+    pools = []
+    original = estimation._map_in_processes
+
+    def recording(fn, jobs, threads, what):
+        runs, workers = original(fn, jobs, threads, what)
+        pools.append((workers, [run[1] for run in runs]))
+        return runs, workers
+
+    monkeypatch.setattr(estimation, "_map_in_processes", recording)
+    return pools
+
+
+def test_pooled_fit_mixture_runs_fit_em_once_per_restart(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    pools = _record_restarts(monkeypatch)
+    data = RngStream(132).generator().standard_normal((200, 2))
     fit_mixture("moig", 2, data, sigma=0.5, iters=7, tol=-np.inf, restarts=3,
                 rng=np.random.default_rng(0))
+    workers, traces = pools[0]
+    assert (len(pools), workers) == (1, 3)
     assert [len(trace) for trace in traces] == [8, 8, 8]
+
+
+def serial_restarts(kind, k, data, sigma, iters, restarts, rng):
+    """fit_mixture as one loop over restarts, each drawing from ``rng`` in turn."""
+    best = best_trace = None
+    for _ in range(restarts):
+        init = (baselines.init_moig(k, data, sigma, rng) if kind == "moig"
+                else baselines.init_mog(k, data, rng))
+        model, trace = fit_em(init, data, iters=iters, rng=rng)
+        if best is None or trace[-1] > best_trace[-1]:
+            best, best_trace = model, trace
+    return best, best_trace
+
+
+def _mixture_data():
+    rng = RngStream(133).generator()
+    centers = 2.0 * rng.standard_normal((3, 3))
+    return centers[rng.integers(3, size=300)] + rng.standard_normal((300, 3))
+
+
+def _assert_same_fit(got, want, rng, want_rng):
+    assert got[0].variant == want[0].variant
+    for name, arr in want[0].parameter_arrays().items():
+        assert np.array_equal(got[0].parameter_arrays()[name], arr)
+    assert got[1] == want[1]
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["moig", "mog"])
+def test_restarts_are_byte_identical_at_any_worker_count(monkeypatch, kind):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    data = _mixture_data()
+    want_rng = np.random.default_rng(4)
+    want = serial_restarts(kind, 3, data, 0.8, 20, 4, want_rng)
+    pools = _record_restarts(monkeypatch)
+    for threads in (1, 2, 3, None):
+        rng = np.random.default_rng(4)
+        got = fit_mixture(kind, 3, data, sigma=0.8, iters=20, restarts=4, rng=rng,
+                          threads=threads)
+        _assert_same_fit(got, want, rng, want_rng)
+    assert [workers for workers, _ in pools] == [1, 2, 3, 3]
+
+
+def _collapse_first_init(monkeypatch):
+    """The first initial model of the isotropic mixture has one mean far
+    from the data, so its component collapses in the first E-step."""
+    calls = []
+
+    def far_first(k, data, sigma, rng):
+        model = init_moig(k, data, sigma, rng)
+        if not calls:
+            model.means[0] = 500.0
+        calls.append(k)
+        return model
+
+    monkeypatch.setattr(baselines, "init_moig", far_first)
+
+
+@pytest.mark.parametrize("threads", [1, None])
+def test_a_collapsed_restart_gives_the_serial_result(monkeypatch, caplog, threads):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    data = _mixture_data()
+    _collapse_first_init(monkeypatch)
+    want_rng = np.random.default_rng(5)
+    want = serial_restarts("moig", 3, data, 0.8, 20, 3, want_rng)
+    _collapse_first_init(monkeypatch)  # again: the fit's first init is the far one
+    caplog.clear()
+    rng = np.random.default_rng(5)
+    with caplog.at_level("WARNING"):
+        got = fit_mixture("moig", 3, data, sigma=0.8, iters=20, restarts=3, rng=rng,
+                          threads=threads)
+    _assert_same_fit(got, want, rng, want_rng)
+    assert [r.getMessage() for r in caplog.records] == ["reinitializing 1 collapsed component(s)"]
+
+
+def test_restarts_run_in_this_process_without_a_one_thread_blas(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(estimation, "_openblas", lambda: [])
+    monkeypatch.setattr(estimation, "ProcessPoolExecutor", None)  # no pool may start
+    data = _mixture_data()
+    want_rng = np.random.default_rng(6)
+    want = serial_restarts("moig", 3, data, 0.8, 20, 3, want_rng)
+    pools = _record_restarts(monkeypatch)
+    for threads in (3, None):
+        rng = np.random.default_rng(6)
+        got = fit_mixture("moig", 3, data, sigma=0.8, iters=20, restarts=3, rng=rng,
+                          threads=threads)
+        _assert_same_fit(got, want, rng, want_rng)
+    assert [workers for workers, _ in pools] == [1, 1]
+
+
+def test_each_restart_runs_on_one_blas_thread(monkeypatch):
+    blas = estimation._openblas()
+    if not blas:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    before = [get() for get, _ in blas]
+    seen = []
+    original = baselines.fit_em
+
+    def recording(*args, **kwargs):
+        seen.append([get() for get, _ in blas])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "fit_em", recording)
+    fit_mixture("moig", 2, _mixture_data(), sigma=0.8, iters=5, restarts=2, threads=1)
+    assert seen == [[1] * len(blas)] * 2
+    assert [get() for get, _ in blas] == before
 
 
 def test_cross_validate_single_candidate():

@@ -319,6 +319,20 @@ def test_train_writes_loadable_model(workspace):
     assert (workspace / "run" / "train_layer_00.csv").exists()
 
 
+def test_eval_refuses_a_stack_training_could_not_produce(workspace, capsys):
+    # a top weight of 1e300 evaluated to 0.0 bits with exit 0
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    assert cli.main(["train", "--config", train_config(workspace)]) == 0
+    stack = load_dbn(workspace / "run" / "model")
+    stack.layers[-1].weights[0, 0] = 1e300
+    save_dbn(stack, workspace / "run" / "model")
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", eval_config(workspace)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "layer_01.dbk weights exceeds 1e+06" in err
+    assert not (workspace / "evalout" / "report.json").exists()
+
+
 def test_train_zero_epochs_persists_initialized_model(workspace):
     cli.main(["preprocess", "--config", preprocess_config(workspace)])
     cfg = train_config(workspace, out="run0", epochs=0)
@@ -1170,6 +1184,18 @@ def baseline_train_config(ws, kind, out, extra=""):
         {extra}
         """,
     )
+
+
+def test_baseline_is_the_same_at_any_thread_count(workspace):
+    cli.main(["preprocess", "--config", preprocess_config(workspace)])
+    cfg = baseline_train_config(workspace, "moig", "run",
+                                "components = 3\nsigma = 0.5\nem_iters = 30\nrestarts = 3")
+    files = []
+    for threads in ([], ["--threads", "1"], ["--threads", "2"]):
+        out = workspace / f"t{len(files)}"
+        assert cli.main(["train", "--config", cfg, "--out", str(out), *threads]) == 0
+        files.append((out / "baseline.dbk").read_bytes())
+    assert files[1] == files[0] and files[2] == files[0]
 
 
 def test_baseline_fit_eval_and_compare(workspace):

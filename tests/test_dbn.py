@@ -22,7 +22,7 @@ from dbnkit.models import (
     brute_force_hidden_marginal_srbm,
     brute_force_log_partition,
 )
-from dbnkit.numerics import RngStream
+from dbnkit.numerics import RUNAWAY, RngStream
 from dbnkit.oracle import random_grbm, random_rbm, random_srbm
 from dbnkit.training import init_srbm_from_grbm
 
@@ -254,3 +254,19 @@ def test_dbn_roundtrip(tmp_path):
     )
     manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
     assert manifest["provenance"]["seed"] == 1
+
+
+@pytest.mark.parametrize("layer, field", [(0, "visible_bias"), (1, "lateral"), (1, "weights")])
+def test_load_refuses_a_parameter_training_could_not_produce(tmp_path, layer, field):
+    rng = RngStream(66).generator()
+    grbm = random_grbm(rng, m=3, n=4)
+    stack = DbnModel([grbm, init_srbm_from_grbm(grbm, 5)])
+    arr = stack.layers[layer].parameter_arrays()[field]
+    for value, name in ((RUNAWAY, "at"), (-np.nextafter(RUNAWAY, np.inf), "beyond")):
+        # a lateral matrix stays symmetric with a zero diagonal
+        arr.flat[1] = value
+        arr.T.flat[1] = value
+        save_dbn(stack, tmp_path / name)
+    assert load_dbn(tmp_path / "at").n_layers == 2  # training stops only past the bound
+    with pytest.raises(DbnError, match=f"layer_{layer:02d}.dbk {field} exceeds 1e\\+06"):
+        load_dbn(tmp_path / "beyond")
