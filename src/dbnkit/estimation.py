@@ -58,6 +58,7 @@ from .numerics import (
     bits_per_component,
     first_nonfinite_row,
     monte_carlo_se,
+    monte_carlo_se_rows,
     softplus_log,
 )
 
@@ -190,29 +191,57 @@ class AisRun:
             raise EstimationError("weight and sample counts disagree")
 
 
-def _map_in_processes(fn, jobs, threads, what):
-    """``([fn(job) for job in jobs], workers)``: the one place that decides
-    worker processes.  ``threads`` None means the CPU affinity set; there is
-    never more than one worker a job, and a single worker is this process.
-    ``fn`` must be a private module-level function: it is pickled by name,
-    which a traced (wrapped) public one cannot be.  A worker that dies
-    raises EstimationError naming ``what``."""
+# a worker process's ``common`` arguments of _map_in_processes, set once as it
+# starts; never set in the calling process
+_shared = ()
+
+
+def _share(common):
+    global _shared
+    _shared = common
+
+
+def _run_shared(fn, job):
+    return fn(*_shared, job)
+
+
+def _map_in_processes(fn, jobs, threads, what, common=(), during=None):
+    """``([fn(*common, job) for job in jobs], workers, during())``: the one
+    place that decides worker processes.  ``threads`` None means the CPU
+    affinity set; there is never more than one worker a job, and a single
+    worker is this process.  ``fn`` must be a private module-level
+    function: it is pickled by name, which a traced (wrapped) public one
+    cannot be.  ``common`` reaches each worker once, through the fork (pool
+    initializer arguments are not pickled under fork), not with every job.
+    ``during``, a function of no arguments (or None, which returns None),
+    runs in this process while the workers run the jobs, or before the jobs
+    when they run here; an error it raises cancels the jobs not yet started
+    and propagates, unchanged, once the workers have exited.  A worker that dies raises EstimationError naming
+    ``what``."""
     if threads is None:
         threads = len(os.sched_getaffinity(0))
     if threads < 1:
         raise EstimationError(f"threads must be at least 1, not {threads}")
     workers = min(threads, len(jobs))
     if workers <= 1:
-        return [fn(job) for job in jobs], 1
+        extra = during() if during else None
+        return [fn(*common, job) for job in jobs], 1, extra
     # the jobs' many small numpy calls hold the interpreter lock, so only
     # processes run them in parallel.  fork, not spawn: a spawned worker
     # re-imports the caller's main module, which a script without a
     # __main__ guard cannot survive; a worker touches only its job
     try:
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_share, initargs=(common,),
         ) as pool:
-            return list(pool.map(fn, jobs)), workers
+            results = pool.map(partial(_run_shared, fn), jobs)  # every job is sent now
+            try:
+                extra = during() if during else None
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            return list(results), workers, extra
     except BrokenProcessPool as exc:
         raise EstimationError(f"{what} worker process died: {exc}") from exc
 
@@ -263,6 +292,13 @@ def _chain_chunk(job):
     return kernel(*job)
 
 
+def _chunk_count(n_chains):
+    """The chunks run_ais splits ``n_chains`` chains into: ceil(n / AIS_CHUNK),
+    rounded up to an even count when there are several."""
+    count = -(-n_chains // AIS_CHUNK)
+    return count + count % 2 if 1 < count < n_chains else count
+
+
 def run_ais(target, schedule, rng, threads=None):
     """Annealed importance sampling toward ``target``.
 
@@ -291,14 +327,12 @@ def run_ais(target, schedule, rng, threads=None):
     log_z_base = log_partition_zero_weight(base)
 
     n = schedule.n_chains
-    count = -(-n // AIS_CHUNK)
-    if 1 < count < n:
-        count += count % 2
+    count = _chunk_count(n)
     jobs = [
         (target, base, schedule.betas, n // count + (i < n % count), rng.substream(9, i))
         for i in range(count)
     ]
-    parts, workers = _map_in_processes(_chain_chunk, jobs, threads, "an AIS")
+    parts, workers, _ = _map_in_processes(_chain_chunk, jobs, threads, "an AIS")
 
     log_w = np.concatenate([p[0] for p in parts])
     samples = np.concatenate([p[1] for p in parts], axis=0)
@@ -314,7 +348,8 @@ def estimate_unnorm_marginal_batch(run, target, states):
     q(y | x) over the retained samples, times the base partition function.
     The log terms of each state and sample are built in place for blocks of
     as many states as keep within ENUM_BLOCK cells (one state at least), so
-    their memory does not grow with the number of states.
+    their memory does not grow with the number of states, and each block is
+    summarized in one row-wise pass (``monte_carlo_se_rows``).
     Returns (values, relative standard errors).
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -328,7 +363,7 @@ def estimate_unnorm_marginal_batch(run, target, states):
     del act
     np.negative(log_off, out=log_off)
     np.negative(log_on, out=log_on)
-    ests = []
+    values, errors = np.empty(states.shape[0]), np.empty(states.shape[0])
     step = max(1, ENUM_BLOCK // max(run.log_weights.size, 1))
     for lo in range(0, states.shape[0], step):
         y = states[lo : lo + step]
@@ -336,9 +371,8 @@ def estimate_unnorm_marginal_batch(run, target, states):
         combined = y @ log_on.T
         combined += (1.0 - y) @ log_off.T
         combined += run.log_weights
-        ests.extend(monte_carlo_se(row) for row in combined)
-    return (np.array([e.log_value for e in ests]) + run.log_z_base,
-            np.array([e.standard_error for e in ests]))
+        values[lo : lo + step], errors[lo : lo + step] = monte_carlo_se_rows(combined)
+    return values + run.log_z_base, errors
 
 
 class AnalyticMarginals:
@@ -447,28 +481,37 @@ def _path_table(dbn, marginal_provider, l):
     return ratio, (upper.hidden_conditional(states) if l + 2 < dbn.n_layers else None)
 
 
-def _visible_term(dbn, rows, log_z_top):
-    """log q1*(x) - log Z_top for a state or rows of states: the base term of
-    every path estimate, and all of a one-layer stack's, which draws none."""
-    return dbn.layers[0].log_unnorm_visible(rows) - log_z_top.log_value
+def _visible_term(dbn, rows):
+    """log q1*(x) for a state or rows of states: with log Z_top subtracted,
+    the base term of every path estimate, and all of a one-layer stack's,
+    which draws none."""
+    return dbn.layers[0].log_unnorm_visible(rows)
 
 
 def _path_block(job):
-    """``(estimates, drawn)`` for consecutive points; ``job`` is (dbn, rows,
-    first_index, n_is, marginal_provider, tables, log_z_top, stream).  Point
-    i draws its paths from substream (13, i); ``drawn`` marks, per table, the
-    states they reached (None for a layer without one)."""
-    dbn, rows, first, n_is, marginal_provider, tables, log_z_top, stream = job
+    """``(visible, log_means, ses, drawn)`` for consecutive points; ``job`` is
+    (dbn, rows, first_index, n_is, marginal_provider, tables, stream).  Per
+    point, ``visible`` holds its ``_visible_term`` and ``log_means`` and
+    ``ses`` the monte_carlo_se of its path log weights (0 for a one-layer
+    stack), so its estimate is (visible - log Z_top) + log mean.  Point i
+    draws its paths from substream (13, i), one point at a time, into a row
+    of a buffer of at most max(ENUM_BLOCK, n_is) cells; each full buffer is
+    summarized in one row-wise pass.  ``drawn`` marks, per table, the states
+    the paths reached (None for a layer without one)."""
+    dbn, rows, first, n_is, marginal_provider, tables, stream = job
     if dbn.n_layers == 1:
-        return [LogEstimate(float(v), 0.0, n_is)
-                for v in _visible_term(dbn, rows, log_z_top)], []
+        zeros = np.zeros(len(rows))
+        return _visible_term(dbn, rows), zeros, zeros, []
     drawn = [None if table is None else np.zeros(len(table[0]), dtype=bool) for table in tables]
-    estimates = []
+    visible, log_means, ses = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows))
+    buffer = np.empty((min(len(rows), max(1, ENUM_BLOCK // n_is)), n_is))
     for k, x0 in enumerate(rows):
         rng = stream.substream(13, first + k)
-        base_term = float(_visible_term(dbn, x0, log_z_top))
+        visible[k] = _visible_term(dbn, x0)
         p = dbn.layers[0].hidden_conditional(x0)
-        log_w = np.zeros(n_is)
+        row = k % len(buffer)
+        log_w = buffer[row]
+        log_w.fill(0.0)
         for l, table in enumerate(tables):
             states = rng.random((n_is, dbn.layers[l].n_hidden)) < p
             if table is None:
@@ -482,9 +525,10 @@ def _path_block(job):
                 drawn[l][code] = True
                 log_w += ratio[code]
                 p = None if cond is None else cond[code]
-        est = monte_carlo_se(log_w)
-        estimates.append(LogEstimate(base_term + est.log_value, est.standard_error, n_is))
-    return estimates, drawn
+        if row == len(buffer) - 1 or k == len(rows) - 1:
+            done = slice(k - row, k + 1)
+            log_means[done], ses[done] = monte_carlo_se_rows(buffer[: row + 1])
+    return visible, log_means, ses, drawn
 
 
 def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_top, stream,
@@ -503,6 +547,13 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
     CPU affinity set), except for a one-layer stack, one evaluation of its
     visible marginal, or a lateral interior layer without a table, whose
     provider fills its memo: their points are one block in this process.
+
+    ``log_z_top`` is a LogEstimate, or a function of no arguments that
+    returns one.  The paths do not depend on it, so such a function is
+    called in this process while the workers draw (before the paths, when
+    they are drawn here); it runs beside the pool's thread, so it should
+    fork no processes of its own.  Each point's estimate is
+    (log q1*(x) - log Z_top) + its path log mean.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
@@ -516,13 +567,18 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
     # only a layer without a table calls the provider, which can be large to send
     provider = marginal_provider if None in tables else None
     jobs = [
-        (dbn, data[lo : lo + block], lo, n_is, provider, tables, log_z_top, stream)
+        (dbn, data[lo : lo + block], lo, n_is, provider, tables, stream)
         for lo in range(0, data.shape[0], block)
     ]
-    parts, workers = _map_in_processes(_path_block, jobs, threads, "a path")
-    drawn = [None if table is None else np.any([part[1][l] for part in parts], axis=0)
+    top = log_z_top if callable(log_z_top) else lambda: log_z_top
+    parts, workers, log_z_top = _map_in_processes(_path_block, jobs, threads, "a path",
+                                                  during=top)
+    visible, log_means, ses = (np.concatenate([part[i] for part in parts]) for i in range(3))
+    values = (visible - log_z_top.log_value) + log_means
+    drawn = [None if table is None else np.any([part[3][l] for part in parts], axis=0)
              for l, table in enumerate(tables)]
-    return [e for part in parts for e in part[0]], workers, drawn
+    estimates = [LogEstimate(v, se, n_is) for v, se in zip(values.tolist(), ses.tolist())]
+    return estimates, workers, drawn
 
 
 @dataclass
@@ -570,29 +626,45 @@ def evaluate_stack(stack, samples, spec, *, seed, threads=None):
     ``marginals="exact"`` raise EnumerationBudgetError.  ``threads`` caps
     the worker processes of each AIS run and of the path estimator (None:
     the CPU affinity set, forked; pass 1 from a caller that runs threads of
-    its own), and changes no result.  The EvalResult carries ``n_is`` for
-    ``report_fields``; ``evaluate_density`` makes one for a baseline density.
+    its own), and changes no result.  An annealed top log Z of one
+    ``run_ais`` chunk under more than one layer runs in this process while
+    the path workers draw, so its "log_z_top" stage lies within "paths".
+    The EvalResult carries ``n_is`` for ``report_fields``;
+    ``evaluate_density`` makes one for a baseline density.
     """
     stream = RngStream(seed)
     budget = spec.enum_budget
     ais = {"n_betas": spec.n_betas, "schedule": "linear", "exact_z": False}
-    stages = {}
+    stages = {"log_z_top": 0.0}
     workers = 1
     started = time.perf_counter()
     exact_z_possible = 2 ** enumeration_bits(stack.top) <= budget
     if spec.exact == "on" and not exact_z_possible:
         raise EnumerationBudgetError("estimator.exact=on but the top layer is not enumerable")
+    top_runs = []
     if spec.exact != "off" and exact_z_possible:
         log_z_top = LogEstimate(brute_force_log_partition(stack.top, budget=budget), 0.0, 1)
         ais["exact_z"] = True
+        stages["log_z_top"] = time.perf_counter() - started
     else:
-        top_data = ([samples] + feed_forward_sample(stack, samples, stream.substream(31, 0)))[-1]
         chains = spec.chains_top if stack.n_layers > 1 else spec.chains_first
-        run = _anneal(stack.top, top_data, spec.n_betas, chains, RngStream(seed, 41), threads)
-        log_z_top = run.log_z_estimate
-        workers = run.workers
         ais["chains_top"] = chains
-    stages["log_z_top"] = time.perf_counter() - started
+
+        def anneal_top(threads):
+            started = time.perf_counter()
+            top_data = ([samples] + feed_forward_sample(stack, samples,
+                                                        stream.substream(31, 0)))[-1]
+            top_runs.append(_anneal(stack.top, top_data, spec.n_betas, chains,
+                                    RngStream(seed, 41), threads))
+            stages["log_z_top"] = time.perf_counter() - started
+            return top_runs[0].log_z_estimate
+
+        # one chunk would run in this process anyway: it runs while the path
+        # workers draw.  Several keep their own map, which is faster
+        if stack.n_layers > 1 and _chunk_count(chains) == 1:
+            log_z_top = partial(anneal_top, 1)
+        else:
+            log_z_top = anneal_top(threads)
 
     interior_srbm = [i for i in range(stack.n_layers - 1) if stack.layers[i].variant == SRBM]
     if not interior_srbm:
@@ -624,6 +696,9 @@ def evaluate_stack(stack, samples, spec, *, seed, threads=None):
     estimates, path_workers, drawn = estimate_dataset_log_likelihood(
         stack, samples, spec.n_is, provider, log_z_top, RngStream(seed, 33), threads=threads
     )
+    if top_runs:
+        log_z_top = top_runs[0].log_z_estimate
+        workers = max(workers, top_runs[0].workers)
     workers = max(workers, path_workers)
     if ais.get("marginals") == "ais":
         ais["marginal_se_mean"] = provider.mean_standard_error(drawn)

@@ -108,8 +108,10 @@ def log_sum_exp(values, axis=None):
     vmax = np.max(values, axis=axis, keepdims=True)
     vmax = np.where(np.isfinite(vmax), vmax, 0.0)
     out = np.squeeze(vmax, axis=axis) if axis is not None else np.squeeze(vmax)
+    shifted = values - vmax
+    np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
-        out = out + np.log(np.sum(np.exp(values - vmax), axis=axis))
+        out = out + np.log(np.sum(shifted, axis=axis))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -171,27 +173,41 @@ def bernoulli_entropy(p):
     return h.sum(axis=-1)
 
 
-def monte_carlo_se(log_weights) -> LogEstimate:
-    """Summarize i.i.d. log-domain weights as a LogEstimate.
+def monte_carlo_se_rows(log_weights):
+    """Summarize each row of the 2-d ``log_weights`` as i.i.d. log-domain
+    weights: ``(log means, relative standard errors)``, one of each a row.
 
-    Returns the log of the linear-domain mean together with the relative
-    standard error of that mean, computed stably from the first two
-    moments in log domain.  One weight is its own mean, with error 0.
+    The log of the linear-domain mean comes with the relative standard
+    error of that mean, computed stably from the first two moments in log
+    domain.  A row whose mean is not finite, or whose second moment does
+    not exceed the squared mean (one weight, or equal weights), has error
+    0.  Each row's numbers are those of ``monte_carlo_se`` on it, bit for
+    bit: the reductions run along the rows.
     """
-    lw = np.asarray(log_weights, dtype=np.float64).ravel()
-    if lw.size < 1:
+    lw = np.asarray(log_weights, dtype=np.float64)
+    if lw.ndim != 2 or lw.shape[1] < 1:
         raise NumericsError("standard error needs at least 1 sample")
     if np.isnan(lw).any():
         raise NumericsError("NaN in log weights")
-    n = lw.size
-    log_mean = log_mean_exp(lw)
-    if not np.isfinite(log_mean):
-        return LogEstimate(log_mean, 0.0, n)
-    log_m2 = log_mean_exp(2.0 * lw)
-    # sample variance: n/(n-1) * (m2 - mean^2), all in log domain
-    gap = 2.0 * log_mean - log_m2  # <= 0 up to rounding
-    if gap >= 0.0:
-        return LogEstimate(log_mean, 0.0, n)
-    log_var = log_m2 + np.log1p(-np.exp(gap)) + np.log(n / (n - 1.0))
-    rel_se = float(np.exp(0.5 * log_var - log_mean - 0.5 * np.log(n)))
-    return LogEstimate(log_mean, rel_se, n)
+    n = lw.shape[1]
+    log_mean = log_mean_exp(lw, axis=1)
+    rel_se = np.zeros(lw.shape[0])
+    if n == 1:
+        return log_mean, rel_se
+    log_m2 = log_mean_exp(2.0 * lw, axis=1)
+    # sample variance: n/(n-1) * (m2 - mean^2), all in log domain, where
+    # gap = 2 log mean - log m2 <= 0 up to rounding (NaN for an infinite mean)
+    with np.errstate(invalid="ignore"):
+        gap = 2.0 * log_mean - log_m2
+    spread = np.isfinite(log_mean) & (gap < 0.0)
+    with np.errstate(divide="ignore"):  # a gap within rounding of 0 gives error 0
+        log_var = log_m2[spread] + np.log1p(-np.exp(gap[spread])) + np.log(n / (n - 1.0))
+    rel_se[spread] = np.exp(0.5 * log_var - log_mean[spread] - 0.5 * np.log(n))
+    return log_mean, rel_se
+
+
+def monte_carlo_se(log_weights) -> LogEstimate:
+    """``monte_carlo_se_rows`` of one row of weights, as a LogEstimate."""
+    lw = np.asarray(log_weights, dtype=np.float64).reshape(1, -1)
+    log_mean, rel_se = monte_carlo_se_rows(lw)
+    return LogEstimate(float(log_mean[0]), float(rel_se[0]), lw.shape[1])

@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -195,10 +196,10 @@ def _record_restarts(monkeypatch):
     pools = []
     original = estimation._map_in_processes
 
-    def recording(fn, jobs, threads, what):
-        runs, workers = original(fn, jobs, threads, what)
+    def recording(fn, jobs, threads, what, **options):
+        runs, workers, extra = original(fn, jobs, threads, what, **options)
         pools.append((workers, [run[1] for run in runs]))
-        return runs, workers
+        return runs, workers, extra
 
     monkeypatch.setattr(estimation, "_map_in_processes", recording)
     return pools
@@ -256,6 +257,25 @@ def test_restarts_are_byte_identical_at_any_worker_count(monkeypatch, kind):
     assert [workers for workers, _ in pools] == [1, 2, 3, 3]
 
 
+def test_a_restart_job_does_not_carry_the_data(monkeypatch):
+    """The data reach the workers once, through the fork: a pickled restart
+    job is as large for 100 rows as for 10000 (240 kB of data)."""
+    sizes = []
+    original = estimation._map_in_processes
+
+    def recording(fn, jobs, threads, what, **options):
+        sizes.append([len(pickle.dumps(job)) for job in jobs])
+        return original(fn, jobs, threads, what, **options)
+
+    monkeypatch.setattr(estimation, "_map_in_processes", recording)
+    for n in (100, 10000):
+        data = RngStream(133).generator().standard_normal((n, 3))
+        fit_mixture("moig", 2, data, sigma=0.5, iters=2, restarts=2,
+                    rng=np.random.default_rng(0), threads=2)
+    assert sizes[0] == sizes[1]
+    assert max(sizes[0]) < 10000
+
+
 def _collapse_first_init(monkeypatch):
     """The first initial model of the isotropic mixture has one mean far
     from the data, so its component collapses in the first E-step."""
@@ -271,7 +291,7 @@ def _collapse_first_init(monkeypatch):
     monkeypatch.setattr(baselines, "init_moig", far_first)
 
 
-@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("threads", [1, 2, None])
 def test_a_collapsed_restart_gives_the_serial_result(monkeypatch, caplog, threads):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     data = _mixture_data()

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import pickle
 import re
@@ -12,7 +13,13 @@ import scipy.special
 from dbnkit import cli, estimation, numerics
 from dbnkit.baselines import MoigModel, average_log_loss_bits, save_baseline
 from dbnkit.config import ExperimentConfig
-from dbnkit.dbn import DbnModel, average_log_loss, brute_force_log_likelihood, save_dbn
+from dbnkit.dbn import (
+    DbnModel,
+    average_log_loss,
+    brute_force_log_likelihood,
+    feed_forward_sample,
+    save_dbn,
+)
 from dbnkit.estimation import (
     AisMarginals,
     AisRun,
@@ -220,10 +227,13 @@ def test_ais_is_byte_identical_across_worker_counts(monkeypatch, maker):
 def _record_pools(monkeypatch):
     """Stand in for the process pool: record each pool's size, map in this process."""
     sizes = []
+    # the pool's initializer runs here too; restored after the test
+    monkeypatch.setattr(estimation, "_shared", estimation._shared)
 
     class Recording:
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -661,6 +671,156 @@ def test_dead_path_worker_is_estimation_error(monkeypatch):
     monkeypatch.setattr(estimation, "_visible_term", lambda *args: os._exit(3))
     with pytest.raises(EstimationError, match="a path worker process died"):
         evaluate_stack(stack, x, EVAL_SPEC, seed=EVAL_SEED, threads=2)
+
+
+# -- the top AIS beside the path map -----------------------------------------------
+
+
+def _record_estimates(monkeypatch):
+    """Record what each estimate_dataset_log_likelihood call returns."""
+    returned = []
+    original = estimation.estimate_dataset_log_likelihood
+
+    def recording(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(estimation, "estimate_dataset_log_likelihood", recording)
+    return returned
+
+
+def _same_drawn(a, b):
+    return len(a) == len(b) and all(
+        (x is None and y is None) or np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_an_overlapped_top_ais_gives_the_sequential_result(monkeypatch):
+    """On a 3-layer RBM stack with exact off, the one-chunk top AIS runs
+    while the path workers draw, with the numbers of run_ais followed by
+    estimate_dataset_log_likelihood at any thread count."""
+    _three_cpus(monkeypatch)
+    stack, x = rbm_paths_stack(monkeypatch)
+    spec = replace(EVAL_SPEC, exact="off")
+    top_data = ([x] + feed_forward_sample(stack, x, RngStream(EVAL_SEED).substream(31, 0)))[-1]
+    schedule = AisSchedule(linear_betas(spec.n_betas), spec.chains_top,
+                           fit_base_model(stack.top, top_data))
+    log_z = run_ais(stack.top, schedule, RngStream(EVAL_SEED, 41), threads=1).log_z_estimate
+    want, _, want_drawn = estimate_dataset_log_likelihood(
+        stack, x, spec.n_is, AnalyticMarginals(stack), log_z, RngStream(EVAL_SEED, 33),
+        threads=1)
+    returned = _record_estimates(monkeypatch)
+    results = [evaluate_stack(stack, x, spec, seed=EVAL_SEED, threads=t) for t in (1, 2, None)]
+    assert [r.workers for r in results] == [1, 2, 3]
+    for result, (_, _, drawn) in zip(results, returned):
+        assert result.log_z_top == log_z
+        assert np.array_equal(result.log_values, [e.log_value for e in want])
+        assert np.array_equal(result.standard_errors, [e.standard_error for e in want])
+        assert _same_drawn(drawn, want_drawn)
+        assert list(result.stages) == ["log_z_top", "paths", "brute_force"]
+    # a function for log Z is called once and gives the estimates of its value
+    calls = []
+    for threads in (1, 2):
+        got, _, drawn = estimate_dataset_log_likelihood(
+            stack, x, spec.n_is, AnalyticMarginals(stack),
+            lambda: calls.append(threads) or log_z, RngStream(EVAL_SEED, 33), threads=threads)
+        assert got == want and _same_drawn(drawn, want_drawn)
+    assert calls == [1, 2]
+
+
+def _record_maps(monkeypatch):
+    """Record each _map_in_processes call as [what, calls it runs within, workers]."""
+    calls, open_calls = [], []
+    original = estimation._map_in_processes
+
+    def recording(fn, jobs, threads, what, **options):
+        entry = [what, len(open_calls), None]
+        calls.append(entry)
+        open_calls.append(entry)
+        try:
+            result = original(fn, jobs, threads, what, **options)
+        finally:
+            open_calls.pop()
+        entry[2] = result[1]
+        return result
+
+    monkeypatch.setattr(estimation, "_map_in_processes", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case, maps, caller_chunks", [
+    ("one-chunk", [["a path", 0, 2], ["an AIS", 1, 1]], 1),
+    ("multi-chunk", [["an AIS", 0, 2], ["a path", 0, 2]], 0),
+    ("one-layer", [["an AIS", 0, 1], ["a path", 0, 1]], 1),
+])
+def test_a_one_chunk_top_ais_runs_in_this_process_within_the_path_map(
+        monkeypatch, case, maps, caller_chunks):
+    """The one-chunk top AIS of a stack of several layers is the only map
+    that does not run before the paths: it runs inside theirs, in this
+    process.  Several chunks keep their own map in the workers, and a
+    one-layer stack (whose one path block runs here) keeps its order."""
+    stack, x = rbm_paths_stack(monkeypatch)
+    if case == "multi-chunk":
+        monkeypatch.setattr(estimation, "AIS_CHUNK", 16)  # 50 chains: 4 chunks
+    if case == "one-layer":
+        stack = DbnModel(stack.layers[:1])
+    pids = []
+    kernel = estimation.kernels.ais_rbm
+
+    def recording_kernel(*args):
+        pids.append(os.getpid())  # a worker appends to its own copy
+        return kernel(*args)
+
+    monkeypatch.setattr(estimation.kernels, "ais_rbm", recording_kernel)
+    calls = _record_maps(monkeypatch)
+    result = evaluate_stack(stack, x, replace(EVAL_SPEC, exact="off"), seed=EVAL_SEED, threads=2)
+    assert calls == maps
+    assert result.workers == max(workers for _, _, workers in maps)
+    assert pids == [os.getpid()] * caller_chunks
+
+
+def test_an_error_in_the_callers_top_ais_propagates_and_stops_the_workers(monkeypatch):
+    stack, x = rbm_paths_stack(monkeypatch)
+    monkeypatch.setattr(estimation, "PATH_BLOCK", 1)  # 23 jobs, most still queued
+
+    class TopFailed(Exception):
+        pass
+
+    error = TopFailed("the top AIS failed")
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(estimation, "run_ais", failing)
+    for threads in (2, 1):
+        with pytest.raises(TopFailed) as raised:
+            evaluate_stack(stack, x, replace(EVAL_SPEC, exact="off"), seed=EVAL_SEED,
+                           threads=threads)
+        assert raised.value is error
+        assert multiprocessing.active_children() == []
+
+
+def test_a_path_block_keeps_its_log_weights_within_a_fixed_buffer(monkeypatch):
+    """63 points of 4096 paths: the block's log weights fill a buffer of two
+    rows (ENUM_BLOCK = 8192 cells), 32 times, with the numbers of one pass
+    over all 63 rows."""
+    rng = RngStream(120).generator()
+    stack = DbnModel([random_rbm(rng, m=4, n=2), random_rbm(rng, m=2, n=2)])
+    x = (rng.random((63, 4)) < 0.5).astype(np.float64)
+    tables = [estimation._path_table(stack, AnalyticMarginals(stack), 0)]
+    job = (stack, x, 0, 4096, None, tables, RngStream(121))
+    whole = estimation._path_block(job)
+    monkeypatch.setattr(estimation, "ENUM_BLOCK", 2 * 4096)
+    tracemalloc.start()
+    try:
+        got = estimation._path_block(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 63 rows at once are 2.1 MB, and their summary's temporaries twice that
+    assert peak < 2 ** 20
+    for a, b in zip(got[:3], whole[:3]):
+        assert np.array_equal(a, b)
+    assert _same_drawn(got[3], whole[3])
 
 
 # -- path tables -------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dbnkit.numerics import (
     log_sum_exp,
     logistic,
     monte_carlo_se,
+    monte_carlo_se_rows,
     softplus_log,
 )
 
@@ -129,6 +130,58 @@ def test_monte_carlo_se_of_one_weight_is_that_weight():
         assert (est.log_value, est.standard_error, est.n_samples) == (v, 0.0, 1)
     with pytest.raises(NumericsError):
         monte_carlo_se([])
+
+
+def _scalar_summary(lw):
+    """The one-row summary written with scalar reductions: a reference for
+    the row-wise one."""
+    n = lw.size
+    log_mean = log_mean_exp(lw)
+    if not np.isfinite(log_mean):
+        return log_mean, 0.0
+    log_m2 = log_mean_exp(2.0 * lw)
+    gap = 2.0 * log_mean - log_m2
+    if gap >= 0.0:
+        return log_mean, 0.0
+    log_var = log_m2 + np.log1p(-np.exp(gap)) + np.log(n / (n - 1.0))
+    return log_mean, float(np.exp(0.5 * log_var - log_mean - 0.5 * np.log(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000])
+def test_row_wise_summary_equals_the_one_row_function_bit_for_bit(n):
+    rng = np.random.default_rng(7)
+    rows = np.vstack([
+        np.full(n, 1.3),                               # constant
+        rng.normal(-4.0, 1.0, n),                      # ordinary
+        np.full(n, -np.inf),                           # all -inf
+        np.where(np.arange(n) < n // 2, -np.inf, rng.normal(0.0, 2.0, n)),  # half -inf
+        rng.normal(0.0, 300.0, n),                     # wide spread
+        rng.normal(650.0, 30.0, n),                    # near the exp overflow
+    ])
+    log_means, ses = monte_carlo_se_rows(rows)
+    assert log_means.shape == ses.shape == (len(rows),)
+    for row, log_mean, se in zip(rows, log_means, ses):
+        one = monte_carlo_se(row)
+        assert (one.log_value, one.standard_error) == (log_mean, se)
+        want = _scalar_summary(row)
+        assert np.array_equal([log_mean, se], want)
+        assert one.n_samples == n
+    # a single weight is its own mean, with error 0 and no division by n - 1
+    singles = rows[:, :1]
+    log_means, ses = monte_carlo_se_rows(singles)
+    assert np.array_equal(log_means, singles[:, 0]) and not ses.any()
+
+
+def test_row_wise_summary_refuses_nan_and_empty_rows():
+    rows = np.zeros((3, 4))
+    rows[2, 1] = np.nan
+    with pytest.raises(NumericsError, match="NaN in log weights"):
+        monte_carlo_se_rows(rows)
+    with pytest.raises(NumericsError, match="NaN in log weights"):
+        monte_carlo_se([0.0, np.nan])
+    for empty in (np.zeros((2, 0)), np.zeros(3)):
+        with pytest.raises(NumericsError, match="at least 1 sample"):
+            monte_carlo_se_rows(empty)
 
 
 def test_rng_stream_reproducible():
