@@ -330,14 +330,14 @@ def _state(rng):
     return pickle.dumps(rng.bit_generator.state)
 
 
-def _fit_restart(data, job):
-    """One EM restart on ``data``; ``job`` is (model, iters, tol, rng).
+def _fit_restart(job):
+    """One EM restart; ``job`` is (model, data, iters, tol, rng).
 
     Runs on one BLAS thread and holds back its log records.  Returns the
     fitted model, its trace, the held (message, args) pairs, and the
     generator if it moved (a collapsed component was reinitialized from
     it), else None."""
-    model, iters, tol, rng = job
+    model, data, iters, tol, rng = job
     start, held = _state(rng), []
 
     def hold(record):
@@ -359,9 +359,8 @@ def fit_mixture(kind, k, data, sigma=None, iters=100, tol=1e-8, restarts=5, rng=
 
     Every restart's initial model is drawn from ``rng`` in turn, each
     followed by a copy of ``rng`` that its EM run draws from.  The runs go
-    to up to ``threads`` worker processes (None: the CPU affinity set), which
-    receive ``data`` once, through the fork, or all to this one where numpy's
-    OpenBLAS cannot be held to one thread.
+    to up to ``threads`` worker processes (None: the CPU affinity set), or
+    all to this one where numpy's OpenBLAS cannot be held to one thread.
     EM draws from its generator only to reinitialize a collapsed component;
     the restarts after the first that does are run again here, in turn,
     from where it left the generator.  So the models, traces, warnings and
@@ -376,11 +375,9 @@ def fit_mixture(kind, k, data, sigma=None, iters=100, tol=1e-8, restarts=5, rng=
         rng = np.random.default_rng(0)
     if not estimation._openblas():  # unpinned workers ran slower than one process
         threads = 1 if threads is None else min(threads, 1)
-    jobs = [(_init_mixture(kind, k, data, sigma, rng), iters, tol, copy.deepcopy(rng))
+    jobs = [(_init_mixture(kind, k, data, sigma, rng), data, iters, tol, copy.deepcopy(rng))
             for _ in range(restarts)]
-    # the data reach each worker once, through the fork, not with every job
-    runs, _, _ = estimation._map_in_processes(_fit_restart, jobs, threads, "an EM restart",
-                                              common=(data,))
+    runs, _ = estimation._map_in_processes(_fit_restart, jobs, threads, "an EM restart")
     fits = []
     for model, trace, held, moved in runs:
         for msg, args in held:

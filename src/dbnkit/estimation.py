@@ -191,57 +191,41 @@ class AisRun:
             raise EstimationError("weight and sample counts disagree")
 
 
-# a worker process's ``common`` arguments of _map_in_processes, set once as it
-# starts; never set in the calling process
-_shared = ()
-
-
-def _share(common):
-    global _shared
-    _shared = common
-
-
-def _run_shared(fn, job):
-    return fn(*_shared, job)
-
-
-def _map_in_processes(fn, jobs, threads, what, common=(), during=None):
-    """``([fn(*common, job) for job in jobs], workers, during())``: the one
-    place that decides worker processes.  ``threads`` None means the CPU
-    affinity set; there is never more than one worker a job, and a single
-    worker is this process.  ``fn`` must be a private module-level
-    function: it is pickled by name, which a traced (wrapped) public one
-    cannot be.  ``common`` reaches each worker once, through the fork (pool
-    initializer arguments are not pickled under fork), not with every job.
-    ``during``, a function of no arguments (or None, which returns None),
-    runs in this process while the workers run the jobs, or before the jobs
-    when they run here; an error it raises cancels the jobs not yet started
-    and propagates, unchanged, once the workers have exited.  A worker that dies raises EstimationError naming
-    ``what``."""
+def _map_in_processes(fn, jobs, threads, what, during=None):
+    """``([fn(job) for job in jobs], workers)``: the one place that decides
+    worker processes.  ``threads`` None means the CPU affinity set; there is
+    never more than one worker a job, and a single worker is this process.
+    ``fn`` must be a private module-level function: it is pickled by name,
+    which a traced (wrapped) public one cannot be.  ``during``, a function
+    of no arguments, runs in this process while the workers run the jobs,
+    or before the jobs when they run here; an error it raises cancels the
+    jobs not yet started and propagates, unchanged, once the workers have
+    exited.  A worker that dies raises EstimationError naming ``what``."""
     if threads is None:
         threads = len(os.sched_getaffinity(0))
     if threads < 1:
         raise EstimationError(f"threads must be at least 1, not {threads}")
     workers = min(threads, len(jobs))
     if workers <= 1:
-        extra = during() if during else None
-        return [fn(*common, job) for job in jobs], 1, extra
+        if during:
+            during()
+        return [fn(job) for job in jobs], 1
     # the jobs' many small numpy calls hold the interpreter lock, so only
     # processes run them in parallel.  fork, not spawn: a spawned worker
     # re-imports the caller's main module, which a script without a
     # __main__ guard cannot survive; a worker touches only its job
     try:
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_share, initargs=(common,),
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            results = pool.map(partial(_run_shared, fn), jobs)  # every job is sent now
-            try:
-                extra = during() if during else None
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-            return list(results), workers, extra
+            results = pool.map(fn, jobs)  # every job is sent now
+            if during:
+                try:
+                    during()
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+            return list(results), workers
     except BrokenProcessPool as exc:
         raise EstimationError(f"{what} worker process died: {exc}") from exc
 
@@ -332,7 +316,7 @@ def run_ais(target, schedule, rng, threads=None):
         (target, base, schedule.betas, n // count + (i < n % count), rng.substream(9, i))
         for i in range(count)
     ]
-    parts, workers, _ = _map_in_processes(_chain_chunk, jobs, threads, "an AIS")
+    parts, workers = _map_in_processes(_chain_chunk, jobs, threads, "an AIS")
 
     log_w = np.concatenate([p[0] for p in parts])
     samples = np.concatenate([p[1] for p in parts], axis=0)
@@ -571,10 +555,11 @@ def estimate_dataset_log_likelihood(dbn, data, n_is, marginal_provider, log_z_to
         for lo in range(0, data.shape[0], block)
     ]
     top = log_z_top if callable(log_z_top) else lambda: log_z_top
-    parts, workers, log_z_top = _map_in_processes(_path_block, jobs, threads, "a path",
-                                                  during=top)
+    got = []
+    parts, workers = _map_in_processes(_path_block, jobs, threads, "a path",
+                                       during=lambda: got.append(top()))
     visible, log_means, ses = (np.concatenate([part[i] for part in parts]) for i in range(3))
-    values = (visible - log_z_top.log_value) + log_means
+    values = (visible - got[0].log_value) + log_means
     drawn = [None if table is None else np.any([part[3][l] for part in parts], axis=0)
              for l, table in enumerate(tables)]
     estimates = [LogEstimate(v, se, n_is) for v, se in zip(values.tolist(), ses.tolist())]
@@ -660,7 +645,9 @@ def evaluate_stack(stack, samples, spec, *, seed, threads=None):
             return top_runs[0].log_z_estimate
 
         # one chunk would run in this process anyway: it runs while the path
-        # workers draw.  Several keep their own map, which is faster
+        # workers draw.  Several keep their own map: on rbm_paths (2 CPUs),
+        # running them all here beside the paths made eval 1.51 -> 1.80 s at
+        # 8192 chains and 2.24 -> 3.15 s at 16384 (medians of 10 pairs)
         if stack.n_layers > 1 and _chunk_count(chains) == 1:
             log_z_top = partial(anneal_top, 1)
         else:

@@ -1,5 +1,4 @@
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -196,10 +195,10 @@ def _record_restarts(monkeypatch):
     pools = []
     original = estimation._map_in_processes
 
-    def recording(fn, jobs, threads, what, **options):
-        runs, workers, extra = original(fn, jobs, threads, what, **options)
+    def recording(fn, jobs, threads, what):
+        runs, workers = original(fn, jobs, threads, what)
         pools.append((workers, [run[1] for run in runs]))
-        return runs, workers, extra
+        return runs, workers
 
     monkeypatch.setattr(estimation, "_map_in_processes", recording)
     return pools
@@ -255,25 +254,6 @@ def test_restarts_are_byte_identical_at_any_worker_count(monkeypatch, kind):
                           threads=threads)
         _assert_same_fit(got, want, rng, want_rng)
     assert [workers for workers, _ in pools] == [1, 2, 3, 3]
-
-
-def test_a_restart_job_does_not_carry_the_data(monkeypatch):
-    """The data reach the workers once, through the fork: a pickled restart
-    job is as large for 100 rows as for 10000 (240 kB of data)."""
-    sizes = []
-    original = estimation._map_in_processes
-
-    def recording(fn, jobs, threads, what, **options):
-        sizes.append([len(pickle.dumps(job)) for job in jobs])
-        return original(fn, jobs, threads, what, **options)
-
-    monkeypatch.setattr(estimation, "_map_in_processes", recording)
-    for n in (100, 10000):
-        data = RngStream(133).generator().standard_normal((n, 3))
-        fit_mixture("moig", 2, data, sigma=0.5, iters=2, restarts=2,
-                    rng=np.random.default_rng(0), threads=2)
-    assert sizes[0] == sizes[1]
-    assert max(sizes[0]) < 10000
 
 
 def _collapse_first_init(monkeypatch):

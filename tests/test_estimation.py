@@ -227,13 +227,10 @@ def test_ais_is_byte_identical_across_worker_counts(monkeypatch, maker):
 def _record_pools(monkeypatch):
     """Stand in for the process pool: record each pool's size, map in this process."""
     sizes = []
-    # the pool's initializer runs here too; restored after the test
-    monkeypatch.setattr(estimation, "_shared", estimation._shared)
 
     class Recording:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
